@@ -3,13 +3,20 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench-smoke trace-smoke fabric-smoke iprefetch-smoke
+.PHONY: build test bench-test race lint fuzz-smoke bench-smoke trace-smoke fabric-smoke iprefetch-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The benchmark (bench/) is a module of its own compiled against this
+# tree, so the root `go test ./...` skips it: vet and test it here, which
+# catches a simulator change that breaks its build or its seam-fidelity
+# test (TestSeamsMatchSimRun).
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The race detector where goroutines actually meet (the concurrency
 # harnesses, plus the packages whose tests drive them); the remaining

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/xrand"
 )
@@ -35,11 +36,11 @@ type Line struct {
 	Tag   uint64 // full line address
 
 	// Pollution-filter metadata (paper §4).
-	PIB       bool   // brought in by a prefetch
-	RIB       bool   // demand-referenced since fill (valid only if PIB)
-	TriggerPC uint64 // PC that triggered the prefetch (0 for demand fills)
-	SoftPF    bool   // prefetch was a software prefetch instruction
-	PFSource  uint8  // generator id of the prefetch (core.Source; 0 for demand fills)
+	PIB       bool        // brought in by a prefetch
+	RIB       bool        // demand-referenced since fill (valid only if PIB)
+	TriggerPC uint64      // PC that triggered the prefetch (0 for demand fills)
+	SoftPF    bool        // prefetch was a software prefetch instruction
+	PFSource  core.Source // generator of the prefetch (SrcOther for demand fills)
 
 	// Shadow-directory prefetching metadata (used when this cache is the
 	// L2; see internal/prefetch.SDP).

@@ -48,29 +48,27 @@ const (
 	SrcIMANA                     // I-side MANA-lite spatial-region prefetcher
 )
 
-// SourceByName maps a prefetcher's registered name to its Source id.
-func SourceByName(name string) Source {
-	switch name {
-	case "nsp":
-		return SrcNSP
-	case "sdp":
-		return SrcSDP
-	case "stride":
-		return SrcStride
-	case "corr":
-		return SrcCorrelation
-	case "sw":
-		return SrcSoftware
-	case "berti":
-		return SrcBerti
-	case "ghb":
-		return SrcGHB
-	case "nextline":
-		return SrcINextLine
-	case "mana":
-		return SrcIMANA
+// sourceNames are the generators' registered names: the keys of
+// stats.Run.BySource and the "src" field of trace events.
+var sourceNames = [...]string{
+	SrcOther:       "other",
+	SrcNSP:         "nsp",
+	SrcSDP:         "sdp",
+	SrcStride:      "stride",
+	SrcCorrelation: "corr",
+	SrcSoftware:    "sw",
+	SrcBerti:       "berti",
+	SrcGHB:         "ghb",
+	SrcINextLine:   "nextline",
+	SrcIMANA:       "mana",
+}
+
+// String returns the generator's registered name.
+func (s Source) String() string {
+	if int(s) < len(sourceNames) {
+		return sourceNames[s]
 	}
-	return SrcOther
+	return sourceNames[SrcOther]
 }
 
 // Request describes an in-flight prefetch presented to the filter before

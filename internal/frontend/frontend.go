@@ -9,6 +9,8 @@
 // backends stay unit-testable in isolation.
 package frontend
 
+import "repro/internal/core"
+
 // Event is one step of the fetch-block stream: the front end crossed
 // into a new instruction cache block. Same-block fetches are absorbed
 // by the fetch unit and never become events.
@@ -35,9 +37,9 @@ type Candidate struct {
 	// TriggerPC is the fetch PC that triggered the candidate; it rides
 	// into the L1I line for eviction-time filter training.
 	TriggerPC uint64
-	// Source names the generating backend ("nextline", "mana") for the
-	// pollution filter's per-source provenance.
-	Source string
+	// Source identifies the generating backend for the pollution
+	// filter's per-source provenance.
+	Source core.Source
 }
 
 // Prefetcher is one instruction-prefetch backend. Observe sees every

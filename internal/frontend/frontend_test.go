@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
 )
 
 // TestFetchUnitStream pins the block-transition semantics: same-block
@@ -49,9 +50,9 @@ func TestNextLineDegree(t *testing.T) {
 	var got []Candidate
 	n.Observe(Event{Block: 0x1000, PC: 0x1004}, func(c Candidate) { got = append(got, c) })
 	want := []Candidate{
-		{Block: 0x1020, TriggerPC: 0x1004, Source: "nextline"},
-		{Block: 0x1040, TriggerPC: 0x1004, Source: "nextline"},
-		{Block: 0x1060, TriggerPC: 0x1004, Source: "nextline"},
+		{Block: 0x1020, TriggerPC: 0x1004, Source: core.SrcINextLine},
+		{Block: 0x1040, TriggerPC: 0x1004, Source: core.SrcINextLine},
+		{Block: 0x1060, TriggerPC: 0x1004, Source: core.SrcINextLine},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("emitted %d candidates, want %d", len(got), len(want))

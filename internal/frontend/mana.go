@@ -3,6 +3,7 @@ package frontend
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 )
 
@@ -107,7 +108,7 @@ func (m *MANA) Observe(ev Event, emit func(Candidate)) {
 			emit(Candidate{
 				Block:     (base + i) << m.offBits,
 				TriggerPC: ev.PC,
-				Source:    "mana",
+				Source:    core.SrcIMANA,
 			})
 			issued++
 		}

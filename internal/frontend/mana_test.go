@@ -3,6 +3,7 @@ package frontend
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/xrand"
 )
@@ -64,8 +65,8 @@ func TestMANAFootprintGolden(t *testing.T) {
 		t.Fatalf("replay emitted %d candidates, want 2: %+v", len(got), got)
 	}
 	want := []Candidate{
-		{Block: blockAddr(3), TriggerPC: trig, Source: "mana"},
-		{Block: blockAddr(4), TriggerPC: trig, Source: "mana"},
+		{Block: blockAddr(3), TriggerPC: trig, Source: core.SrcIMANA},
+		{Block: blockAddr(4), TriggerPC: trig, Source: core.SrcIMANA},
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -145,7 +146,7 @@ func TestMANADegreeBound(t *testing.T) {
 			region := blockIdx >> 3
 			m.Observe(ev, func(c Candidate) {
 				emitted++
-				if c.Source != "mana" || c.TriggerPC != pc {
+				if c.Source != core.SrcIMANA || c.TriggerPC != pc {
 					t.Fatalf("step %d: bad provenance %+v", step, c)
 				}
 				got := (c.Block / testLineBytes) >> 3

@@ -1,5 +1,7 @@
 package frontend
 
+import "repro/internal/core"
+
 // NextLine is the next-line/fetch-directed baseline: on every block the
 // front end crosses into, it runs degree sequential blocks ahead of the
 // fetch stream. Because the fetch unit already follows taken-branch
@@ -28,7 +30,7 @@ func (n *NextLine) Observe(ev Event, emit func(Candidate)) {
 		emit(Candidate{
 			Block:     ev.Block + uint64(i)*n.lineBytes,
 			TriggerPC: ev.PC,
-			Source:    "nextline",
+			Source:    core.SrcINextLine,
 		})
 	}
 }

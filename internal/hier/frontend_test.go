@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/frontend"
-	"repro/internal/xrand"
+	"repro/internal/core"
+	"repro/internal/prefetch"
 )
 
 // frontendConfig returns the small test machine with the front end
@@ -22,9 +22,9 @@ func frontendConfig(kind config.IPrefetchKind) config.Config {
 // into the I-queue via the submit path (filter is Null, so it passes).
 func queueIPrefetch(t *testing.T, h *Hierarchy, block uint64) {
 	t.Helper()
-	before := h.IQueue.Len()
-	h.submitI(h.now, frontend.Candidate{Block: block, TriggerPC: 0x40_0000, Source: "nextline"})
-	if h.IQueue.Len() != before+1 {
+	before := h.i.Queue.Len()
+	h.i.submit(h.now, prefetch.Candidate{LineAddr: block, TriggerPC: 0x40_0000, Source: core.SrcINextLine})
+	if h.i.Queue.Len() != before+1 {
 		t.Fatalf("candidate %#x did not enqueue", block)
 	}
 }
@@ -44,7 +44,7 @@ func TestIPrefetchYieldsToDemand(t *testing.T) {
 	if used := h.IssueIPrefetches(100, 4); used != 0 {
 		t.Fatalf("I-prefetch issued against a demand-busy L2 port (used=%d)", used)
 	}
-	if h.IQueue.Len() != 1 {
+	if h.i.Queue.Len() != 1 {
 		t.Fatal("yielding must keep the candidate queued, not drop it")
 	}
 
@@ -69,8 +69,8 @@ func TestFetchMissClaimsPortBeforeIPrefetch(t *testing.T) {
 	if done <= 100 {
 		t.Fatalf("cold fetch miss completed instantly (done=%d)", done)
 	}
-	if h.FetchMisses != 1 || h.L1I.Stats.DemandMisses != 1 {
-		t.Fatalf("fetch miss accounting: misses=%d l1i=%+v", h.FetchMisses, h.L1I.Stats)
+	if h.FetchMisses != 1 || h.i.L1.Stats.DemandMisses != 1 {
+		t.Fatalf("fetch miss accounting: misses=%d l1i=%+v", h.FetchMisses, h.i.L1.Stats)
 	}
 	if used := h.IssueIPrefetches(100, 4); used != 0 {
 		t.Fatal("I-prefetch issued against a fetch-miss-busy L2 port")
@@ -89,8 +89,8 @@ func TestIPrefetchNoBackToBackSlots(t *testing.T) {
 	if used := h.IssueIPrefetches(100, 4); used != 1 {
 		t.Fatalf("issued %d I-prefetches in one cycle, want exactly 1", used)
 	}
-	if h.IQueue.Len() != 1 {
-		t.Fatalf("second candidate must stay queued, len=%d", h.IQueue.Len())
+	if h.i.Queue.Len() != 1 {
+		t.Fatalf("second candidate must stay queued, len=%d", h.i.Queue.Len())
 	}
 	// A demand miss arriving right after waits at most one L2 occupancy
 	// slot behind the single issued prefetch — never a convoy.
@@ -111,7 +111,7 @@ func TestFetchMSHRMergeWithIPrefetch(t *testing.T) {
 	if used := h.IssueIPrefetches(0, 1); used != 1 {
 		t.Fatal("setup: prefetch did not issue")
 	}
-	fillDone := h.inflightISet[0x8000].done
+	fillDone := h.i.inflight[0x8000].done
 
 	done := h.FetchAccess(5, 0x8004) // same block, mid-flight
 	if done != fillDone {
@@ -120,53 +120,18 @@ func TestFetchMSHRMergeWithIPrefetch(t *testing.T) {
 	if h.MergedI != 1 {
 		t.Fatalf("MergedI = %d", h.MergedI)
 	}
-	line, ok := h.L1I.Peek(0x8000)
+	line, ok := h.i.L1.Peek(0x8000)
 	if !ok || !line.PIB || !line.RIB || line.TriggerPC != 0x40_0000 {
 		t.Fatalf("merged line metadata: %+v (ok=%v)", line, ok)
 	}
-	// Draining the heap consumes the merge marker: no late-prefetch
-	// misclassification, and the in-flight set is empty.
+	// Draining the heap skips the merged fill: no late-prefetch
+	// misclassification, and both the heap and the in-flight set are
+	// empty.
 	h.Tick(^uint64(0) - 1)
 	if h.IPf.Bad != 0 || h.LatePrefetches != 0 {
 		t.Fatalf("merged fill misclassified: %+v late=%d", h.IPf, h.LatePrefetches)
 	}
-	if len(h.inflightISet) != 0 || len(h.mergedI) != 0 {
-		t.Fatalf("I-side inflight state leaked: set=%d merged=%d", len(h.inflightISet), len(h.mergedI))
-	}
-}
-
-// TestIConservationGoodPlusBadEqualsIssued is the I-side twin of the
-// D-side conservation test: over a jumpy fetch stream with the
-// next-line backend on, every issued instruction prefetch is
-// classified exactly once.
-func TestIConservationGoodPlusBadEqualsIssued(t *testing.T) {
-	h := newHier(t, frontendConfig(config.IPrefetchNextLine), nil)
-	rng := xrand.New(7)
-	cycle := uint64(0)
-	pc := uint64(0x40_0000)
-	for i := 0; i < 20000; i++ {
-		cycle += 2
-		h.Tick(cycle)
-		if done := h.FetchAccess(cycle, pc); done > cycle {
-			cycle = done // front end stalls on the miss
-		}
-		if rng.Bool(0.1) { // taken branch: jump among a few hot regions
-			pc = 0x40_0000 + rng.Uint64n(64)*1024
-		} else {
-			pc += 4
-		}
-		h.IssueIPrefetches(cycle, 1)
-	}
-	h.Finish()
-	if got := h.IPf.Good + h.IPf.Bad; got != h.IPf.Issued {
-		t.Fatalf("classified %d != issued %d (good=%d bad=%d late=%d mergedI=%d)",
-			got, h.IPf.Issued, h.IPf.Good, h.IPf.Bad, h.LatePrefetches, h.MergedI)
-	}
-	if h.IPf.Issued == 0 || h.FetchMisses == 0 {
-		t.Fatalf("stream too tame to test anything: %+v misses=%d", h.IPf, h.FetchMisses)
-	}
-	// D-side accounting must be untouched by I-side traffic.
-	if h.Pf.Issued != 0 || h.L1.Stats.DemandAccesses != 0 {
-		t.Fatalf("I-side run leaked into D-side stats: %+v l1=%+v", h.Pf, h.L1.Stats)
+	if h.InFlight() != 0 || len(h.i.inflight) != 0 {
+		t.Fatalf("I-side inflight state leaked: heap=%d set=%d", h.InFlight(), len(h.i.inflight))
 	}
 }

@@ -1,12 +1,14 @@
 // Package hier composes the memory hierarchy of the simulated machine:
 // L1 data cache → unified L2 → bus → main memory, plus the prefetch
 // machinery (hardware prefetchers, pollution filter, prefetch queue, and
-// the optional dedicated prefetch buffer of §5.5).
+// the optional dedicated prefetch buffer of §5.5), and the optional
+// instruction-side front end whose L1I shares the L2.
 //
 // The hierarchy owns the good/bad prefetch classification of §3: every
 // prefetched line carries PIB/RIB metadata; a demand reference sets RIB;
 // eviction (or end-of-run residency) classifies the prefetch and trains
-// the pollution filter.
+// the pollution filter. The L1D and the L1I each run that mechanism
+// through one side (see side).
 //
 // Timing model. The hierarchy is driven by the CPU's cycle clock. Demand
 // accesses compute their completion cycle through the levels (L1 hit
@@ -48,7 +50,7 @@ type inflight struct {
 	triggerPC uint64
 	software  bool
 	iside     bool // instruction-prefetch fill headed for the L1I
-	source    string
+	source    core.Source
 }
 
 // inflightHeap is a hand-rolled min-heap of fills ordered by completion
@@ -107,56 +109,81 @@ func (h *inflightHeap) pop() inflight {
 	return top
 }
 
+// side is one L1 and the prefetch machinery in front of it: the queue of
+// filtered candidates, the fills in flight toward it, and the good/bad
+// accounting of what they bring in. The hierarchy builds one for the L1D
+// and one for the L1I, and both run the paper's mechanism — squash,
+// filter before enqueue, classify and train at eviction — through the
+// same code. The D-only structures (buffer, victim cache, dead-block
+// predictor, taxonomy) stay nil on the I side; the code branches on nil,
+// never on which side it is.
+type side struct {
+	h     *Hierarchy
+	iside bool // tags this side's fills on the shared heap
+
+	L1    *cache.Cache
+	Queue *prefetch.Queue
+	lat   uint64 // L1 hit latency in cycles
+
+	// inflight holds the live fill per line. An entry leaves it only when
+	// its fill completes or a demand miss merges with it, so a fill popped
+	// off the heap that is no longer the live entry was merged.
+	inflight map[uint64]inflight
+
+	pf     *stats.Prefetches // the hierarchy's Pf or IPf
+	merged *uint64           // the hierarchy's Merged or MergedI
+	m      sideMetrics
+
+	// Buffer is the dedicated prefetch buffer (nil unless cfg.Buffer.Enable).
+	Buffer *pbuffer.Buffer
+	// Victim is the optional victim cache behind the L1 (nil unless
+	// cfg.VictimEntries > 0).
+	Victim *victim.Cache
+	// Dead, when non-nil, enables the Lai et al. dead-block baseline: the
+	// predictor observes the L1 access/eviction stream and gates each
+	// prefetch on the predicted liveness of the line it would displace.
+	Dead *deadblock.Predictor
+	// Tax, when non-nil, records the full Srinivasan prefetch taxonomy
+	// (reference [17]) alongside the paper's 2-way classification. Pure
+	// instrumentation: it never affects timing or filtering.
+	Tax *taxonomy.Tracker
+}
+
 // Hierarchy is the composed memory system.
 type Hierarchy struct {
 	cfg config.Config
 
-	L1     *cache.Cache
-	L2     *cache.Cache
-	Buffer *pbuffer.Buffer // nil unless cfg.Buffer.Enable
-	// Victim is the optional victim cache behind the L1 (nil unless
-	// cfg.VictimEntries > 0).
-	Victim *victim.Cache
-	Bus    *bus.Bus
-	Mem    *memdram.Memory
+	// side is the L1D's side; its exported fields (L1, Queue, Buffer,
+	// Victim, Dead, Tax) read as the hierarchy's own. i is the L1I's side,
+	// whose L1 and queue stay nil unless cfg.Frontend is set; the L1I sits
+	// beside the L1D and shares the single-ported L2.
+	side
+	i side
+
+	L2  *cache.Cache
+	Bus *bus.Bus
+	Mem *memdram.Memory
 
 	Filter core.Filter
 	HW     prefetch.Prefetcher // composite hardware prefetchers (may be empty)
-	Queue  *prefetch.Queue
-
-	// I-side front end (all nil unless cfg.Frontend is set). The L1I
-	// sits beside the L1D and shares the single-ported L2; IHW is the
-	// instruction-prefetch backend from the internal/frontend registry,
-	// and IQueue holds its accepted candidates.
-	L1I    *cache.Cache
-	IHW    frontend.Prefetcher
-	IQueue *prefetch.Queue
-	fetch  frontend.FetchUnit
+	// IHW is the instruction-prefetch backend from the internal/frontend
+	// registry (nil unless cfg.Frontend selects one).
+	IHW   frontend.Prefetcher
+	fetch frontend.FetchUnit
 
 	// l2busyUntil serializes the single-ported L2 (pipelined occupancy).
 	l2busyUntil uint64
 
-	inflight    inflightHeap
-	inflightSet map[uint64]inflight
-	// merged counts, per line, prefetch fills that a demand miss already
-	// claimed (MSHR merge); Tick consumes one count per matching heap
-	// entry. A count (not a set): the same line can merge repeatedly if it
-	// is evicted and re-prefetched while older fills are still queued.
-	merged map[uint64]int
-
-	// inflightISet/mergedI are the I-side twins of inflightSet/merged;
-	// instruction and data streams track their outstanding fills in
-	// separate sets so an I-block never collides with a D-line at the
-	// same address. The fills themselves share the one inflight heap,
-	// tagged by inflight.iside.
-	inflightISet map[uint64]inflight
-	mergedI      map[uint64]int
+	// fills holds both sides' fills in transit, tagged by inflight.iside.
+	fills inflightHeap
 
 	// Classification and traffic counters (read via Snapshot).
 	Pf      stats.Prefetches
 	Traffic stats.Traffic
-	// BySource counts issued prefetches per generator.
+	// BySource counts issued prefetches per generator name. Finish builds
+	// it from bySource, which the issue path counts into.
 	BySource map[string]uint64
+	bySource [1 << 8]uint64 // indexed by core.Source
 
 	// LatePrefetches counts fills that arrived after a demand access had
 	// already brought the line in (classified bad).
@@ -175,15 +202,6 @@ type Hierarchy struct {
 	FetchMisses uint64
 	MergedI     uint64
 
-	// Tax, when non-nil, records the full Srinivasan prefetch taxonomy
-	// (reference [17]) alongside the paper's 2-way classification. Pure
-	// instrumentation: it never affects timing or filtering.
-	Tax *taxonomy.Tracker
-
-	// Dead, when non-nil, enables the Lai et al. dead-block baseline: the
-	// predictor observes the L1 access/eviction stream and gates each
-	// prefetch on the predicted liveness of the line it would displace.
-	Dead *deadblock.Predictor
 	// DeadGated counts prefetches the dead-block gate dropped.
 	DeadGated uint64
 
@@ -192,7 +210,7 @@ type Hierarchy struct {
 	// grant. Attached by AttachObservability; nil by default so the
 	// un-instrumented hot path pays one predictable branch per site.
 	Trace *trace.Tracer
-	// m holds live metric handles; all nil (no-op) unless attached.
+	// m holds live demand metric handles; all nil (no-op) unless attached.
 	m hierMetrics
 	// now is the cycle stamp for events raised from shared helpers
 	// (eviction classification inside fills); maintained by the
@@ -206,23 +224,37 @@ type Hierarchy struct {
 	iEmitFn func(frontend.Candidate)
 }
 
-// hierMetrics are the hierarchy's live counters. Each handle is nil
-// until AttachObservability registers it, and every update is nil-safe,
-// so the disabled path costs one branch per site. The counters track the
+// hierMetrics are the hierarchy's live demand counters, and sideMetrics
+// each side's prefetch counters. Each handle is nil until
+// AttachObservability registers it, and every update is nil-safe, so the
+// disabled path costs one branch per site. The side counters track its
 // stats.Prefetches fields exactly: after Finish, "sim.pf.good" equals
-// Run.Prefetches.Good, and so on — that equality is the contract the
-// observability tests pin.
+// Run.Prefetches.Good and "sim.ipf.good" Run.Frontend.Prefetches.Good,
+// and so on — that equality is the contract the observability tests pin.
 type hierMetrics struct {
-	pfIssued, pfGood, pfBad, pfFiltered, pfSquashed, pfOverflow *metrics.Counter
-	pfFills, pfRefs, pfLate, pfMerged                           *metrics.Counter
-	demandAccesses, demandMisses                                *metrics.Counter
+	demandAccesses, demandMisses *metrics.Counter
+}
+
+type sideMetrics struct {
+	issued, good, bad, filtered, squashed, overflow *metrics.Counter
+	fills, refs, late, merged                       *metrics.Counter
+}
+
+// newSideMetrics registers a side's counters under prefix.
+func newSideMetrics(reg *metrics.Registry, prefix string) sideMetrics {
+	c := func(name string) *metrics.Counter { return reg.Counter(prefix + "." + name) }
+	return sideMetrics{
+		issued: c("issued"), good: c("good"), bad: c("bad"),
+		filtered: c("filtered"), squashed: c("squashed"), overflow: c("overflow"),
+		fills: c("fills"), refs: c("refs"), late: c("late"), merged: c("merged"),
+	}
 }
 
 // reset zeroes every attached counter (warmup boundary).
-func (m *hierMetrics) reset() {
+func (m *sideMetrics) reset() {
 	for _, c := range []*metrics.Counter{
-		m.pfIssued, m.pfGood, m.pfBad, m.pfFiltered, m.pfSquashed, m.pfOverflow,
-		m.pfFills, m.pfRefs, m.pfLate, m.pfMerged, m.demandAccesses, m.demandMisses,
+		m.issued, m.good, m.bad, m.filtered, m.squashed, m.overflow,
+		m.fills, m.refs, m.late, m.merged,
 	} {
 		c.Set(0)
 	}
@@ -231,27 +263,22 @@ func (m *hierMetrics) reset() {
 // AttachObservability wires a tracer and/or metrics registry into the
 // hierarchy (and its bus). Either may be nil. Must be called before the
 // run starts; the attached instruments are purely observational and
-// never alter simulation semantics.
+// never alter simulation semantics. The I side's sim.ipf.* counters are
+// registered only when the front end is modelled.
 func (h *Hierarchy) AttachObservability(tr *trace.Tracer, reg *metrics.Registry) {
 	h.Trace = tr
 	h.Bus.Trace = tr
+	h.m, h.side.m, h.i.m = hierMetrics{}, sideMetrics{}, sideMetrics{}
 	if reg == nil {
-		h.m = hierMetrics{}
 		return
 	}
 	h.m = hierMetrics{
-		pfIssued:       reg.Counter("sim.pf.issued"),
-		pfGood:         reg.Counter("sim.pf.good"),
-		pfBad:          reg.Counter("sim.pf.bad"),
-		pfFiltered:     reg.Counter("sim.pf.filtered"),
-		pfSquashed:     reg.Counter("sim.pf.squashed"),
-		pfOverflow:     reg.Counter("sim.pf.overflow"),
-		pfFills:        reg.Counter("sim.pf.fills"),
-		pfRefs:         reg.Counter("sim.pf.refs"),
-		pfLate:         reg.Counter("sim.pf.late"),
-		pfMerged:       reg.Counter("sim.pf.merged"),
 		demandAccesses: reg.Counter("sim.demand.accesses"),
 		demandMisses:   reg.Counter("sim.demand.misses"),
+	}
+	h.side.m = newSideMetrics(reg, "sim.pf")
+	if h.FrontendEnabled() {
+		h.i.m = newSideMetrics(reg, "sim.ipf")
 	}
 }
 
@@ -293,17 +320,15 @@ func New(cfg config.Config, filter core.Filter, rng *xrand.Rand) (*Hierarchy, er
 		return nil, err
 	}
 	h := &Hierarchy{
-		cfg:         cfg,
-		L1:          l1,
-		L2:          l2,
-		Bus:         b,
-		Mem:         mem,
-		Filter:      filter,
-		Queue:       q,
-		inflightSet: make(map[uint64]inflight),
-		merged:      make(map[uint64]int),
-		BySource:    make(map[string]uint64),
+		cfg:    cfg,
+		L2:     l2,
+		Bus:    b,
+		Mem:    mem,
+		Filter: filter,
 	}
+	h.side = side{h: h, L1: l1, Queue: q, lat: uint64(cfg.L1.LatencyCycles),
+		inflight: make(map[uint64]inflight), pf: &h.Pf, merged: &h.Merged}
+	h.i = side{h: h, iside: true, pf: &h.IPf, merged: &h.MergedI}
 	if cfg.Buffer.Enable {
 		pb, err := pbuffer.New(cfg.Buffer.Entries)
 		if err != nil {
@@ -335,18 +360,18 @@ func New(cfg config.Config, filter core.Filter, rng *xrand.Rand) (*Hierarchy, er
 		parts = append(parts, p)
 	}
 	h.HW = prefetch.NewComposite(parts...)
-	h.emitFn = func(c prefetch.Candidate) { h.submit(h.now, c) }
+	h.emitFn = func(c prefetch.Candidate) { h.side.submit(h.now, c) }
 	if cfg.Frontend != nil {
 		l1i, err := cache.New(cfg.Frontend.L1I, rng.Fork())
 		if err != nil {
 			return nil, fmt.Errorf("hier: l1i: %w", err)
 		}
-		h.L1I = l1i
 		iq, err := prefetch.NewQueue(cfg.Frontend.QueueEntries)
 		if err != nil {
 			return nil, err
 		}
-		h.IQueue = iq
+		h.i.L1, h.i.Queue, h.i.lat = l1i, iq, uint64(cfg.Frontend.L1I.LatencyCycles)
+		h.i.inflight = make(map[uint64]inflight)
 		if kind := cfg.Frontend.IPrefetch.Canonical(); kind != config.IPrefetchNone {
 			ip, err := frontend.New(kind, *cfg.Frontend)
 			if err != nil {
@@ -355,9 +380,9 @@ func New(cfg config.Config, filter core.Filter, rng *xrand.Rand) (*Hierarchy, er
 			h.IHW = ip
 		}
 		h.fetch = frontend.NewFetchUnit(cfg.Frontend.L1I.LineBytes)
-		h.inflightISet = make(map[uint64]inflight)
-		h.mergedI = make(map[uint64]int)
-		h.iEmitFn = func(c frontend.Candidate) { h.submitI(h.now, c) }
+		h.iEmitFn = func(c frontend.Candidate) {
+			h.i.submit(h.now, prefetch.Candidate{LineAddr: c.Block, TriggerPC: c.TriggerPC, Source: c.Source})
+		}
 	}
 	return h, nil
 }
@@ -368,34 +393,326 @@ func (h *Hierarchy) Config() config.Config { return h.cfg }
 // LineAddr converts a byte address to a line address.
 func (h *Hierarchy) LineAddr(addr uint64) uint64 { return h.L1.LineAddr(addr) }
 
-// classifyEvicted handles a line leaving the L1: if it was a prefetch,
-// classify it and train the filter.
-func (h *Hierarchy) classifyEvicted(line cache.Line) {
-	if h.Dead != nil {
-		h.Dead.OnEvict(line)
+// FrontendEnabled reports whether the I-side front end is modelled.
+func (h *Hierarchy) FrontendEnabled() bool { return h.i.L1 != nil }
+
+// classify counts one prefetch classified good (referenced) or bad.
+func (s *side) classify(good bool) {
+	if good {
+		s.pf.Good++
+		s.m.good.Inc()
+	} else {
+		s.pf.Bad++
+		s.m.bad.Inc()
+	}
+}
+
+// squash records one duplicate-squashed prefetch.
+func (s *side) squash() {
+	s.pf.Squashed++
+	s.m.squashed.Inc()
+}
+
+// overflow records one candidate lost to a full (or, at the end of the
+// run, undrained) queue.
+func (s *side) overflow() {
+	s.pf.Overflow++
+	s.m.overflow.Inc()
+}
+
+// retire classifies a prefetched line leaving the L1 or the buffer and
+// trains the filter with its verdict.
+func (s *side) retire(lineAddr, triggerPC uint64, referenced bool, src core.Source) {
+	h := s.h
+	s.classify(referenced)
+	if h.Trace != nil {
+		h.Trace.Emit(trace.Event{Cycle: h.now, Kind: trace.KindPrefetchEvict,
+			LineAddr: lineAddr, PC: triggerPC, Good: referenced})
+	}
+	h.Filter.Train(core.Feedback{
+		LineAddr:   lineAddr,
+		TriggerPC:  triggerPC,
+		Referenced: referenced,
+		Source:     src,
+	})
+}
+
+// evicted handles a line leaving the L1: if it was a prefetch, classify
+// it and train the filter.
+func (s *side) evicted(line cache.Line) {
+	if s.Dead != nil {
+		s.Dead.OnEvict(line)
 	}
 	if !line.PIB {
 		return
 	}
-	if line.RIB {
-		h.Pf.Good++
-		h.m.pfGood.Inc()
+	s.retire(line.Tag, line.TriggerPC, line.RIB, line.PFSource)
+	if s.Tax != nil {
+		s.Tax.OnEvict(line.Tag)
+	}
+}
+
+// fill installs a line into the L1 and processes the eviction feedback.
+// The returned pointer addresses the installed line for metadata setup.
+func (s *side) fill(lineAddr uint64, prefetchReq bool) *cache.Line {
+	installed, evicted, hadEvict := s.L1.Insert(lineAddr)
+	if hadEvict {
+		s.evicted(evicted)
+		if s.Victim != nil {
+			// The victim cache captures the eviction; its own victim (if
+			// dirty) is what finally writes back.
+			if ve, vEvict := s.Victim.Insert(evicted.Tag, evicted.Dirty); vEvict && ve.Dirty {
+				s.h.writebackL2(ve.LineAddr)
+			}
+		} else if evicted.Dirty {
+			s.h.writebackL2(evicted.Tag)
+		}
+	}
+	if prefetchReq {
+		s.L1.Stats.PrefetchFills++
+		if s.Tax != nil {
+			s.Tax.OnPrefetchFill(lineAddr, evicted.Tag, hadEvict)
+		}
 	} else {
-		h.Pf.Bad++
-		h.m.pfBad.Inc()
+		s.L1.Stats.DemandFills++
+	}
+	return installed
+}
+
+// install fills a prefetch into the L1 as a not-yet-referenced prefetched
+// line carrying its provenance.
+func (s *side) install(f inflight) *cache.Line {
+	line := s.fill(f.lineAddr, true)
+	line.PIB = true
+	line.TriggerPC = f.triggerPC
+	line.SoftPF = f.software
+	line.PFSource = f.source
+	return line
+}
+
+// reference records a demand hit on line at cycle now. The first
+// reference to a prefetched line sets its RIB; reference reports whether
+// this hit was that first reference.
+func (s *side) reference(line *cache.Line, now, pc uint64) bool {
+	if !line.PIB || line.RIB {
+		return false
+	}
+	line.RIB = true
+	s.m.refs.Inc()
+	if s.h.Trace != nil {
+		s.h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchRef,
+			LineAddr: line.Tag, PC: pc})
+	}
+	return true
+}
+
+// merge serves a demand miss at cycle now on a line with a prefetch in
+// flight (MSHR merge): the miss waits for the prefetch's fill instead of
+// launching its own request. The prefetch covered (part of) the miss
+// latency, so the line is installed now as a referenced prefetch — it
+// will classify good at eviction and train the filter positively. merge
+// returns the cycle the data is available, or false when no prefetch for
+// the line is in flight.
+func (s *side) merge(now, lineAddr uint64, isStore bool) (done uint64, ok bool) {
+	f, ok := s.inflight[lineAddr]
+	if !ok {
+		return 0, false
+	}
+	delete(s.inflight, lineAddr)
+	*s.merged++
+	s.m.merged.Inc()
+	if s.h.Trace != nil {
+		s.h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchMerge,
+			LineAddr: lineAddr, PC: f.triggerPC, Source: f.source.String()})
+	}
+	line := s.install(f)
+	if s.Tax != nil {
+		s.Tax.OnDemandRef(lineAddr) // the merging demand is the reference
+	}
+	line.RIB = true
+	if isStore {
+		line.Dirty = true
+	}
+	return max(f.done, now+s.lat), true
+}
+
+// covered reports whether a prefetch of lineAddr would be redundant: the
+// line is resident or already on its way.
+func (s *side) covered(lineAddr uint64) bool {
+	if s.L1.Contains(lineAddr) || (s.Buffer != nil && s.Buffer.Contains(lineAddr)) {
+		return true
+	}
+	_, busy := s.inflight[lineAddr]
+	return busy
+}
+
+// submit runs one candidate through duplicate squashing and the pollution
+// filter, then enqueues it.
+//
+//pflint:hotpath
+func (s *side) submit(now uint64, c prefetch.Candidate) {
+	h := s.h
+	// Squash duplicates: already resident, already in flight, or already
+	// queued. No penalty (paper §5.1).
+	if s.covered(c.LineAddr) || s.Queue.Contains(c.LineAddr) {
+		s.squash()
+		return
+	}
+	if !h.Filter.Allow(core.Request{LineAddr: c.LineAddr, TriggerPC: c.TriggerPC, Software: c.Software, Source: c.Source}) {
+		s.filtered(now, c)
+		return
+	}
+	if s.Dead != nil && !s.Dead.AllowPrefetch(s.L1, c.LineAddr) {
+		h.DeadGated++
+		s.filtered(now, c)
+		return
+	}
+	if !s.Queue.Enqueue(c, now) {
+		s.overflow()
+	}
+}
+
+// filtered records one candidate dropped before the queue (pollution
+// filter or dead-block gate).
+func (s *side) filtered(now uint64, c prefetch.Candidate) {
+	s.pf.Filtered++
+	s.m.filtered.Inc()
+	if s.h.Trace != nil {
+		s.h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchFilter,
+			LineAddr: c.LineAddr, PC: c.TriggerPC, Source: c.Source.String()})
+	}
+}
+
+// issueNext starts the fill of the oldest queued prefetch at cycle now,
+// first squashing those that became redundant while queued. It reports
+// false when the queue runs dry.
+func (s *side) issueNext(now uint64) bool {
+	h := s.h
+	for {
+		qc, ok := s.Queue.Dequeue()
+		if !ok {
+			return false
+		}
+		if s.covered(qc.LineAddr) {
+			s.squash()
+			continue
+		}
+		// The prefetch walks the lower hierarchy like a demand miss,
+		// tagged as prefetch traffic.
+		ready, _ := h.l2Access(now+s.lat, qc.LineAddr, true)
+		s.pf.Issued++
+		s.m.issued.Inc()
+		if h.Trace != nil {
+			h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchIssue,
+				LineAddr: qc.LineAddr, PC: qc.TriggerPC, Source: qc.Source.String()})
+		}
+		h.bySource[qc.Source]++
+		f := inflight{
+			done:      ready,
+			lineAddr:  qc.LineAddr,
+			triggerPC: qc.TriggerPC,
+			software:  qc.Software,
+			iside:     s.iside,
+			source:    qc.Source,
+		}
+		h.fills.push(f)
+		s.inflight[qc.LineAddr] = f
+		return true
+	}
+}
+
+// complete lands one fill popped off the heap. A fill that is no longer
+// the live entry for its line was merged by a demand miss, which already
+// installed the line. A fill whose line a demand access brought in
+// meanwhile is late: it is dropped and classified bad (the prefetch did
+// not cover the access).
+//
+//pflint:hotpath
+func (s *side) complete(f inflight) {
+	if cur, live := s.inflight[f.lineAddr]; !live || cur != f {
+		return
+	}
+	delete(s.inflight, f.lineAddr)
+	h := s.h
+	// Events from this fill are stamped at its arrival cycle, which is
+	// exact even during the end-of-run drain (Tick(^uint64(0))).
+	h.now = f.done
+	if s.L1.Contains(f.lineAddr) || (s.Buffer != nil && s.Buffer.Contains(f.lineAddr)) {
+		h.LatePrefetches++
+		s.m.late.Inc()
+		s.classify(false)
+		if h.Trace != nil {
+			h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchLate,
+				LineAddr: f.lineAddr, PC: f.triggerPC, Source: f.source.String()})
+		}
+		h.Filter.Train(core.Feedback{
+			LineAddr:   f.lineAddr,
+			TriggerPC:  f.triggerPC,
+			Referenced: false,
+			Source:     f.source,
+		})
+		return
 	}
 	if h.Trace != nil {
-		h.Trace.Emit(trace.Event{Cycle: h.now, Kind: trace.KindPrefetchEvict,
-			LineAddr: line.Tag, PC: line.TriggerPC, Good: line.RIB})
+		h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchFill,
+			LineAddr: f.lineAddr, PC: f.triggerPC, Source: f.source.String()})
 	}
-	h.Filter.Train(core.Feedback{
-		LineAddr:   line.Tag,
-		TriggerPC:  line.TriggerPC,
-		Referenced: line.RIB,
-		Source:     core.Source(line.PFSource),
+	s.m.fills.Inc()
+	if s.Buffer != nil {
+		if e, hadEvict := s.Buffer.Insert(f.lineAddr, f.triggerPC, f.software, f.source); hadEvict {
+			s.retire(e.LineAddr, e.TriggerPC, e.Referenced, e.Source)
+		}
+		return
+	}
+	s.install(f)
+}
+
+// reset zeroes the side's statistics, leaving its state warm.
+func (s *side) reset() {
+	*s.pf = stats.Prefetches{}
+	*s.merged = 0
+	s.m.reset()
+	if s.L1 == nil { // the L1I of a machine without a front end
+		return
+	}
+	s.L1.Stats = cache.Stats{}
+	s.Queue.Enqueued, s.Queue.Squashed, s.Queue.Overflows, s.Queue.Dequeued = 0, 0, 0, 0
+	if s.Dead != nil {
+		s.Dead.ResetStats()
+	}
+	if s.Tax != nil {
+		s.Tax.ResetCounts()
+	}
+}
+
+// finish classifies the side's state left at the end of the run:
+// queued-but-unissued prefetches count as overflow casualties, resident
+// prefetched lines classify by RIB, and resident buffer entries by
+// Referenced.
+func (s *side) finish() {
+	for range s.Queue.Drain() {
+		s.overflow()
+	}
+	resident := func(referenced bool) {
+		s.classify(referenced)
+		if referenced {
+			s.pf.ResidentGood++
+		} else {
+			s.pf.ResidentBad++
+		}
+	}
+	s.L1.ForEach(func(line *cache.Line) {
+		if line.PIB {
+			resident(line.RIB)
+		}
 	})
-	if h.Tax != nil {
-		h.Tax.OnEvict(line.Tag)
+	if s.Buffer != nil {
+		for _, e := range s.Buffer.Drain() {
+			resident(e.Referenced)
+		}
+	}
+	if s.Tax != nil {
+		s.Tax.Finish()
 	}
 }
 
@@ -416,8 +733,7 @@ func (h *Hierarchy) l2Access(at uint64, lineAddr uint64, prefetchReq bool) (read
 		h.L2.Stats.DemandAccesses++
 	}
 
-	if line, hit := h.L2.Lookup(lineAddr); hit {
-		_ = line
+	if _, hit := h.L2.Lookup(lineAddr); hit {
 		if !prefetchReq {
 			h.L2.Stats.DemandHits++
 		}
@@ -435,42 +751,16 @@ func (h *Hierarchy) l2Access(at uint64, lineAddr uint64, prefetchReq bool) (read
 	arrive := h.Bus.Request(memReady, h.cfg.L2.LineBytes, prefetchReq)
 
 	// Fill the L2. An L2 eviction may write back a dirty line over the bus.
-	installed, evicted, hadEvict := h.L2.Insert(lineAddr)
+	_, evicted, hadEvict := h.L2.Insert(lineAddr)
 	if prefetchReq {
 		h.L2.Stats.PrefetchFills++
 	} else {
 		h.L2.Stats.DemandFills++
 	}
-	_ = installed
 	if hadEvict && evicted.Dirty {
 		h.Bus.Request(arrive, h.cfg.L2.LineBytes, false)
 	}
 	return arrive, false
-}
-
-// fillL1 installs a line into the L1 and processes the eviction feedback.
-// The returned pointer addresses the installed line for metadata setup;
-// the evicted line (when any) is returned for the taxonomy hooks.
-func (h *Hierarchy) fillL1(lineAddr uint64, prefetchReq bool) (*cache.Line, cache.Line, bool) {
-	installed, evicted, hadEvict := h.L1.Insert(lineAddr)
-	if hadEvict {
-		h.classifyEvicted(evicted)
-		if h.Victim != nil {
-			// The victim cache captures the eviction; its own victim (if
-			// dirty) is what finally writes back.
-			if ve, vEvict := h.Victim.Insert(evicted.Tag, evicted.Dirty); vEvict && ve.Dirty {
-				h.writebackL2(ve.LineAddr)
-			}
-		} else if evicted.Dirty {
-			h.writebackL2(evicted.Tag)
-		}
-	}
-	if prefetchReq {
-		h.L1.Stats.PrefetchFills++
-	} else {
-		h.L1.Stats.DemandFills++
-	}
-	return installed, evicted, hadEvict
 }
 
 // writebackL2 pushes a dirty line into the L2 off the critical path:
@@ -489,93 +779,54 @@ func (h *Hierarchy) writebackL2(lineAddr uint64) {
 // returns the cycle its data is available. The caller has already charged
 // an L1 port for this access.
 func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (done uint64) {
-	lineAddr := h.L1.LineAddr(addr)
+	d := &h.side
+	lineAddr := d.L1.LineAddr(addr)
 	h.now = now
 	h.Traffic.DemandAccesses++
-	h.L1.Stats.DemandAccesses++
+	d.L1.Stats.DemandAccesses++
 	h.m.demandAccesses.Inc()
-	if h.Tax != nil {
-		h.Tax.OnDemandRef(lineAddr)
+	if d.Tax != nil {
+		d.Tax.OnDemandRef(lineAddr)
 	}
 
 	ev := prefetch.Event{PC: pc, LineAddr: lineAddr, IsStore: isStore}
 
-	if line, hit := h.L1.Lookup(lineAddr); hit {
-		h.L1.Stats.DemandHits++
-		if h.Dead != nil {
-			h.Dead.OnAccess(line, pc)
+	if line, hit := d.L1.Lookup(lineAddr); hit {
+		d.L1.Stats.DemandHits++
+		if d.Dead != nil {
+			d.Dead.OnAccess(line, pc)
 		}
 		ev.L1Hit = true
 		// The NSP tag is "consumed" by the first demand reference: a hit
 		// on a not-yet-referenced prefetched line triggers the next-line
 		// prefetch; later hits do not re-trigger.
-		ev.L1HitTagged = line.PIB && !line.RIB
-		if line.PIB && !line.RIB {
-			line.RIB = true
-			h.m.pfRefs.Inc()
-			if h.Trace != nil {
-				h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchRef,
-					LineAddr: lineAddr, PC: pc})
-			}
-		}
+		ev.L1HitTagged = d.reference(line, now, pc)
 		if isStore {
 			line.Dirty = true
 		}
-		done = now + uint64(h.cfg.L1.LatencyCycles)
 		h.observe(now, ev)
-		return done
+		return now + d.lat
 	}
-	h.L1.Stats.DemandMisses++
+	d.L1.Stats.DemandMisses++
 	h.m.demandMisses.Inc()
 	if h.Trace != nil {
 		h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindDemandMiss,
 			LineAddr: lineAddr, PC: pc})
 	}
 
-	// MSHR merge: a demand miss on a line with a prefetch already in
-	// flight waits for the prefetch's fill instead of launching its own
-	// request. The prefetch covered (part of) the miss latency, so the
-	// line is installed as a referenced prefetch — it will classify good
-	// at eviction and train the filter positively.
-	if f, busy := h.inflightSet[lineAddr]; busy {
-		delete(h.inflightSet, lineAddr)
-		h.merged[lineAddr]++ // Tick will skip one matching heap entry
-		h.Merged++
-		h.m.pfMerged.Inc()
-		if h.Trace != nil {
-			h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchMerge,
-				LineAddr: lineAddr, PC: f.triggerPC, Source: f.source})
-		}
-		line, evicted, hadEvict := h.fillL1(lineAddr, true)
-		if h.Tax != nil {
-			h.Tax.OnPrefetchFill(lineAddr, evicted.Tag, hadEvict)
-			h.Tax.OnDemandRef(lineAddr) // the merging demand is the reference
-		}
-		line.PIB = true
-		line.RIB = true
-		line.TriggerPC = f.triggerPC
-		line.SoftPF = f.software
-		line.PFSource = uint8(core.SourceByName(f.source))
-		if isStore {
-			line.Dirty = true
-		}
-		done = f.done
-		if min := now + uint64(h.cfg.L1.LatencyCycles); done < min {
-			done = min
-		}
+	if done, ok := d.merge(now, lineAddr, isStore); ok {
 		ev.L1Hit = true // the lower levels never see this access
 		h.observe(now, ev)
 		return done
 	}
 
 	// Probe the dedicated prefetch buffer in parallel with the L1.
-	if h.Buffer != nil {
-		if entry, hit := h.Buffer.Probe(lineAddr); hit {
+	if d.Buffer != nil {
+		if entry, hit := d.Buffer.Probe(lineAddr); hit {
 			// Promotion: the prefetch was good. Classify and train now;
 			// the line enters the L1 as an ordinary (PIB=0) line.
-			h.Pf.Good++
-			h.m.pfGood.Inc()
-			h.m.pfRefs.Inc()
+			d.classify(true)
+			d.m.refs.Inc()
 			if h.Trace != nil {
 				h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchRef,
 					LineAddr: lineAddr, PC: pc})
@@ -584,87 +835,44 @@ func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (don
 				LineAddr:   entry.LineAddr,
 				TriggerPC:  entry.TriggerPC,
 				Referenced: true,
-				Source:     core.Source(entry.Source),
+				Source:     entry.Source,
 			})
-			installed, _, _ := h.fillL1(lineAddr, false)
+			installed := d.fill(lineAddr, false)
 			if isStore {
 				installed.Dirty = true
 			}
 			ev.L1Hit = true // from the prefetchers' perspective: no L2 access
 			h.observe(now, ev)
-			return now + uint64(h.cfg.L1.LatencyCycles)
+			return now + d.lat
 		}
 	}
 
 	// Probe the victim cache: a hit swaps the line back into the L1 in
 	// one extra cycle, never touching the L2.
-	if h.Victim != nil {
-		if vEntry, hit := h.Victim.Probe(lineAddr); hit {
-			installed, _, _ := h.fillL1(lineAddr, false)
+	if d.Victim != nil {
+		if vEntry, hit := d.Victim.Probe(lineAddr); hit {
+			installed := d.fill(lineAddr, false)
 			installed.Dirty = vEntry.Dirty || isStore
-			if h.Dead != nil {
-				h.Dead.OnFill(installed, pc)
+			if d.Dead != nil {
+				d.Dead.OnFill(installed, pc)
 			}
 			ev.L1Hit = true // the lower levels never see this access
 			h.observe(now, ev)
-			return now + uint64(h.cfg.L1.LatencyCycles) + 1
+			return now + d.lat + 1
 		}
 	}
 
-	ready, l2hit := h.l2Access(now+uint64(h.cfg.L1.LatencyCycles), lineAddr, false)
+	ready, l2hit := h.l2Access(now+d.lat, lineAddr, false)
 	ev.L2Hit = l2hit
-	installed, _, _ := h.fillL1(lineAddr, false)
-	if h.Dead != nil {
-		h.Dead.OnFill(installed, pc)
+	installed := d.fill(lineAddr, false)
+	if d.Dead != nil {
+		d.Dead.OnFill(installed, pc)
 	}
 	if isStore {
 		installed.Dirty = true
 	}
 	h.observe(now, ev)
 	return ready
-}
-
-// FrontendEnabled reports whether the I-side front end is modelled.
-func (h *Hierarchy) FrontendEnabled() bool { return h.L1I != nil }
-
-// classifyEvictedI handles a line leaving the L1I: if it was an
-// instruction prefetch, classify it and train the shared pollution
-// filter — the I-side twin of classifyEvicted, carrying the backend's
-// source provenance into the feedback.
-func (h *Hierarchy) classifyEvictedI(line cache.Line) {
-	if !line.PIB {
-		return
-	}
-	if line.RIB {
-		h.IPf.Good++
-	} else {
-		h.IPf.Bad++
-	}
-	if h.Trace != nil {
-		h.Trace.Emit(trace.Event{Cycle: h.now, Kind: trace.KindPrefetchEvict,
-			LineAddr: line.Tag, PC: line.TriggerPC, Good: line.RIB})
-	}
-	h.Filter.Train(core.Feedback{
-		LineAddr:   line.Tag,
-		TriggerPC:  line.TriggerPC,
-		Referenced: line.RIB,
-		Source:     core.Source(line.PFSource),
-	})
-}
-
-// fillL1I installs an instruction block into the L1I and classifies the
-// eviction. I-lines are never dirty, so there is no writeback path.
-func (h *Hierarchy) fillL1I(block uint64, prefetchReq bool) *cache.Line {
-	installed, evicted, hadEvict := h.L1I.Insert(block)
-	if hadEvict {
-		h.classifyEvictedI(evicted)
-	}
-	if prefetchReq {
-		h.L1I.Stats.PrefetchFills++
-	} else {
-		h.L1I.Stats.DemandFills++
-	}
-	return installed
 }
 
 // FetchAccess runs one instruction fetch through the front end at cycle
@@ -677,47 +885,31 @@ func (h *Hierarchy) FetchAccess(now uint64, pc uint64) (done uint64) {
 	if !newBlock {
 		return now
 	}
+	s := &h.i
 	h.now = now
 	h.FetchBlocks++
-	h.L1I.Stats.DemandAccesses++
+	s.L1.Stats.DemandAccesses++
 	ev := frontend.Event{Block: block, PC: pc, Redirect: redirect}
 
-	if line, hit := h.L1I.Lookup(block); hit {
-		h.L1I.Stats.DemandHits++
-		if line.PIB && !line.RIB {
-			line.RIB = true
-		}
+	if line, hit := s.L1.Lookup(block); hit {
+		s.L1.Stats.DemandHits++
+		s.reference(line, now, pc)
 		h.observeI(now, ev)
 		return now
 	}
-	h.L1I.Stats.DemandMisses++
+	s.L1.Stats.DemandMisses++
 	h.FetchMisses++
 	ev.Miss = true
 
-	// MSHR merge: a fetch miss on a block with an instruction prefetch
-	// already in flight waits for that fill; the prefetch covered part
-	// of the miss latency and is installed as a referenced prefetch.
-	if f, busy := h.inflightISet[block]; busy {
-		delete(h.inflightISet, block)
-		h.mergedI[block]++ // tickI will skip one matching heap entry
-		h.MergedI++
-		line := h.fillL1I(block, true)
-		line.PIB = true
-		line.RIB = true
-		line.TriggerPC = f.triggerPC
-		line.PFSource = uint8(core.SourceByName(f.source))
-		done = f.done
-		if min := now + uint64(h.cfg.Frontend.L1I.LatencyCycles); done < min {
-			done = min
-		}
+	if done, ok := s.merge(now, block, false); ok {
 		h.observeI(now, ev)
 		return done
 	}
 
 	// The fetch miss walks the shared L2 as a demand access — it is on
 	// the critical path of the front end.
-	ready, _ := h.l2Access(now+uint64(h.cfg.Frontend.L1I.LatencyCycles), block, false)
-	h.fillL1I(block, false)
+	ready, _ := h.l2Access(now+s.lat, block, false)
+	s.fill(block, false)
 	h.observeI(now, ev)
 	return ready
 }
@@ -733,129 +925,6 @@ func (h *Hierarchy) observeI(now uint64, ev frontend.Event) {
 	h.IHW.Observe(ev, h.iEmitFn)
 }
 
-// submitI runs one instruction-prefetch candidate through duplicate
-// squashing and the shared pollution filter, then enqueues it.
-func (h *Hierarchy) submitI(now uint64, c frontend.Candidate) {
-	if h.L1I.Contains(c.Block) {
-		h.IPf.Squashed++
-		return
-	}
-	if _, busy := h.inflightISet[c.Block]; busy {
-		h.IPf.Squashed++
-		return
-	}
-	if h.IQueue.Contains(c.Block) {
-		h.IPf.Squashed++
-		return
-	}
-	if !h.Filter.Allow(core.Request{LineAddr: c.Block, TriggerPC: c.TriggerPC, Source: core.SourceByName(c.Source)}) {
-		h.IPf.Filtered++
-		if h.Trace != nil {
-			h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchFilter,
-				LineAddr: c.Block, PC: c.TriggerPC, Source: c.Source})
-		}
-		return
-	}
-	if !h.IQueue.Enqueue(prefetch.Candidate{LineAddr: c.Block, TriggerPC: c.TriggerPC, Source: c.Source}, now) {
-		h.IPf.Overflow++
-	}
-}
-
-// IssueIPrefetches lets up to max queued instruction prefetches start
-// their fills at cycle now. It must be called after the cycle's demand
-// accesses and D-side prefetch issue, and it only takes the shared L2
-// port when the port is otherwise idle: an instruction prefetch never
-// claims a slot ahead of — or queues back-to-back against — the data
-// path, so I-side fills cannot starve D-side demand misses. The
-// contention tests pin this arbitration order.
-func (h *Hierarchy) IssueIPrefetches(now uint64, max int) (used int) {
-	if h.IQueue == nil {
-		return 0
-	}
-	h.now = now
-	lat := uint64(h.cfg.Frontend.L1I.LatencyCycles)
-	for used < max {
-		if h.l2busyUntil > now+lat {
-			return used // the L2 port is claimed; yield to the data path
-		}
-		qc, ok := h.IQueue.Front()
-		if !ok {
-			return used
-		}
-		// Re-check residency: state may have changed while queued.
-		if h.L1I.Contains(qc.LineAddr) {
-			h.IQueue.Dequeue()
-			h.IPf.Squashed++
-			continue
-		}
-		if _, busy := h.inflightISet[qc.LineAddr]; busy {
-			h.IQueue.Dequeue()
-			h.IPf.Squashed++
-			continue
-		}
-		h.IQueue.Dequeue()
-		used++
-		ready, _ := h.l2Access(now+lat, qc.LineAddr, true)
-		h.IPf.Issued++
-		if h.Trace != nil {
-			h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchIssue,
-				LineAddr: qc.LineAddr, PC: qc.TriggerPC, Source: qc.Source})
-		}
-		h.BySource[qc.Source]++
-		f := inflight{
-			done:      ready,
-			lineAddr:  qc.LineAddr,
-			triggerPC: qc.TriggerPC,
-			iside:     true,
-			source:    qc.Source,
-		}
-		h.inflight.push(f)
-		h.inflightISet[qc.LineAddr] = f
-	}
-	return used
-}
-
-// tickI completes one instruction-prefetch fill popped off the shared
-// heap: consume a merge marker, drop late fills as bad, or install the
-// block into the L1I with its provenance metadata.
-func (h *Hierarchy) tickI(f inflight) {
-	if n := h.mergedI[f.lineAddr]; n > 0 {
-		// A fetch miss already claimed this fill (see Tick for the
-		// live-entry guard rationale).
-		if cur, live := h.inflightISet[f.lineAddr]; !live || cur != f {
-			if n == 1 {
-				delete(h.mergedI, f.lineAddr)
-			} else {
-				h.mergedI[f.lineAddr] = n - 1
-			}
-			return
-		}
-	}
-	delete(h.inflightISet, f.lineAddr)
-	h.now = f.done
-	if h.L1I.Contains(f.lineAddr) {
-		// Late: the fetch stream already brought the block in.
-		h.LatePrefetches++
-		h.IPf.Bad++
-		if h.Trace != nil {
-			h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchLate,
-				LineAddr: f.lineAddr, PC: f.triggerPC, Source: f.source})
-		}
-		h.Filter.Train(core.Feedback{
-			LineAddr:   f.lineAddr,
-			TriggerPC:  f.triggerPC,
-			Referenced: false,
-			Source:     core.SourceByName(f.source),
-		})
-		return
-	}
-	line := h.fillL1I(f.lineAddr, true)
-	line.PIB = true
-	line.RIB = false
-	line.TriggerPC = f.triggerPC
-	line.PFSource = uint8(core.SourceByName(f.source))
-}
-
 // SoftwarePrefetch routes a software prefetch instruction (identified in
 // the LSQ) through the pollution filter into the prefetch queue. It does
 // not consume an L1 port; the eventual fill does, via IssuePrefetches.
@@ -863,11 +932,11 @@ func (h *Hierarchy) SoftwarePrefetch(now uint64, pc, addr uint64) {
 	if !h.cfg.Prefetch.EnableSoftware {
 		return
 	}
-	h.submit(now, prefetch.Candidate{
+	h.side.submit(now, prefetch.Candidate{
 		LineAddr:  h.L1.LineAddr(addr),
 		TriggerPC: pc,
 		Software:  true,
-		Source:    "sw",
+		Source:    core.SrcSoftware,
 	})
 }
 
@@ -881,193 +950,47 @@ func (h *Hierarchy) observe(now uint64, ev prefetch.Event) {
 	h.HW.Observe(ev, h.emitFn)
 }
 
-// squash records one duplicate-squashed prefetch.
-func (h *Hierarchy) squash() {
-	h.Pf.Squashed++
-	h.m.pfSquashed.Inc()
-}
-
-// filtered records one candidate dropped before the queue (pollution
-// filter or dead-block gate).
-func (h *Hierarchy) filtered(now uint64, c prefetch.Candidate) {
-	h.Pf.Filtered++
-	h.m.pfFiltered.Inc()
-	if h.Trace != nil {
-		h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchFilter,
-			LineAddr: c.LineAddr, PC: c.TriggerPC, Source: c.Source})
-	}
-}
-
-// submit runs one candidate through duplicate squashing and the pollution
-// filter, then enqueues it.
-func (h *Hierarchy) submit(now uint64, c prefetch.Candidate) {
-	// Squash duplicates: already resident, already in flight, or already
-	// queued. No penalty (paper §5.1).
-	if h.L1.Contains(c.LineAddr) {
-		h.squash()
-		return
-	}
-	if h.Buffer != nil && h.Buffer.Contains(c.LineAddr) {
-		h.squash()
-		return
-	}
-	if _, busy := h.inflightSet[c.LineAddr]; busy {
-		h.squash()
-		return
-	}
-	if h.Queue.Contains(c.LineAddr) {
-		h.squash()
-		return
-	}
-
-	if !h.Filter.Allow(core.Request{LineAddr: c.LineAddr, TriggerPC: c.TriggerPC, Software: c.Software, Source: core.SourceByName(c.Source)}) {
-		h.filtered(now, c)
-		return
-	}
-	if h.Dead != nil && !h.Dead.AllowPrefetch(h.L1, c.LineAddr) {
-		h.DeadGated++
-		h.filtered(now, c)
-		return
-	}
-	if !h.Queue.Enqueue(c, now) {
-		h.Pf.Overflow++
-		h.m.pfOverflow.Inc()
-	}
-}
-
 // IssuePrefetches lets up to ports queued prefetches start their fills at
 // cycle now, returning how many L1 ports were consumed. Prefetches found
 // to be redundant at issue time are squashed without consuming a port.
 func (h *Hierarchy) IssuePrefetches(now uint64, ports int) (used int) {
 	h.now = now
-	for used < ports {
-		qc, ok := h.Queue.Front()
-		if !ok {
-			return used
-		}
-		// Re-check residency: state may have changed while queued.
-		if h.L1.Contains(qc.LineAddr) ||
-			(h.Buffer != nil && h.Buffer.Contains(qc.LineAddr)) {
-			h.Queue.Dequeue()
-			h.squash()
-			continue
-		}
-		if _, busy := h.inflightSet[qc.LineAddr]; busy {
-			h.Queue.Dequeue()
-			h.squash()
-			continue
-		}
-		h.Queue.Dequeue()
+	// Most cycles find the queue empty; checking Len here keeps them from
+	// paying a call to issueNext, which is too large to inline.
+	for used < ports && h.Queue.Len() > 0 && h.side.issueNext(now) {
 		used++
-
-		// The prefetch occupies an L1 port this cycle and then walks the
-		// lower hierarchy like a demand miss, tagged as prefetch traffic.
-		h.Traffic.PrefetchAccesses++
-		ready, _ := h.l2Access(now+uint64(h.cfg.L1.LatencyCycles), qc.LineAddr, true)
-		h.Pf.Issued++
-		h.m.pfIssued.Inc()
-		if h.Trace != nil {
-			h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchIssue,
-				LineAddr: qc.LineAddr, PC: qc.TriggerPC, Source: qc.Source})
-		}
-		h.BySource[qc.Source]++
-		f := inflight{
-			done:      ready,
-			lineAddr:  qc.LineAddr,
-			triggerPC: qc.TriggerPC,
-			software:  qc.Software,
-			source:    qc.Source,
-		}
-		h.inflight.push(f)
-		h.inflightSet[qc.LineAddr] = f
+		h.Traffic.PrefetchAccesses++ // the prefetch occupied an L1 port
 	}
 	return used
 }
 
-// Tick completes prefetch fills whose data has arrived by cycle now. A
-// fill whose line was demand-fetched while the prefetch was in flight is
-// late: it is dropped and classified bad (the prefetch did not cover the
-// demand access).
+// IssueIPrefetches lets up to max queued instruction prefetches start
+// their fills at cycle now. It must be called after the cycle's demand
+// accesses and D-side prefetch issue, and it only takes the shared L2
+// port when the port is otherwise idle: an instruction prefetch never
+// claims a slot ahead of — or queues back-to-back against — the data
+// path, so I-side fills cannot starve D-side demand misses. The
+// contention tests pin this arbitration order.
+func (h *Hierarchy) IssueIPrefetches(now uint64, max int) (used int) {
+	if !h.FrontendEnabled() {
+		return 0
+	}
+	h.now = now
+	for used < max && h.l2busyUntil <= now+h.i.lat && h.i.Queue.Len() > 0 && h.i.issueNext(now) {
+		used++
+	}
+	return used
+}
+
+// Tick completes prefetch fills whose data has arrived by cycle now.
 func (h *Hierarchy) Tick(now uint64) {
-	for len(h.inflight) > 0 && h.inflight[0].done <= now {
-		f := h.inflight.pop()
+	for len(h.fills) > 0 && h.fills[0].done <= now {
+		f := h.fills.pop()
+		s := &h.side
 		if f.iside {
-			h.tickI(f)
-			continue
+			s = &h.i
 		}
-		if n := h.merged[f.lineAddr]; n > 0 {
-			// A demand miss already claimed this fill; the line was
-			// installed (as a referenced prefetch) at merge time. Guard
-			// against consuming the marker for a *live* in-flight entry
-			// that happens to complete on the same cycle: merge markers
-			// belong only to entries no longer tracked in inflightSet.
-			if cur, live := h.inflightSet[f.lineAddr]; !live || cur != f {
-				if n == 1 {
-					delete(h.merged, f.lineAddr)
-				} else {
-					h.merged[f.lineAddr] = n - 1
-				}
-				continue
-			}
-		}
-		delete(h.inflightSet, f.lineAddr)
-		// Events from this fill are stamped at its arrival cycle, which
-		// is exact even during the end-of-run drain (Tick(^uint64(0))).
-		h.now = f.done
-		if h.L1.Contains(f.lineAddr) || (h.Buffer != nil && h.Buffer.Contains(f.lineAddr)) {
-			h.LatePrefetches++
-			h.Pf.Bad++
-			h.m.pfLate.Inc()
-			h.m.pfBad.Inc()
-			if h.Trace != nil {
-				h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchLate,
-					LineAddr: f.lineAddr, PC: f.triggerPC, Source: f.source})
-			}
-			h.Filter.Train(core.Feedback{
-				LineAddr:   f.lineAddr,
-				TriggerPC:  f.triggerPC,
-				Referenced: false,
-				Source:     core.SourceByName(f.source),
-			})
-			continue
-		}
-		if h.Trace != nil {
-			h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchFill,
-				LineAddr: f.lineAddr, PC: f.triggerPC, Source: f.source})
-		}
-		h.m.pfFills.Inc()
-		if h.Buffer != nil {
-			evicted, hadEvict := h.Buffer.Insert(f.lineAddr, f.triggerPC, f.software, uint8(core.SourceByName(f.source)))
-			if hadEvict {
-				if evicted.Referenced {
-					h.Pf.Good++
-					h.m.pfGood.Inc()
-				} else {
-					h.Pf.Bad++
-					h.m.pfBad.Inc()
-				}
-				if h.Trace != nil {
-					h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchEvict,
-						LineAddr: evicted.LineAddr, PC: evicted.TriggerPC, Good: evicted.Referenced})
-				}
-				h.Filter.Train(core.Feedback{
-					LineAddr:   evicted.LineAddr,
-					TriggerPC:  evicted.TriggerPC,
-					Referenced: evicted.Referenced,
-					Source:     core.Source(evicted.Source),
-				})
-			}
-			continue
-		}
-		line, evicted, hadEvict := h.fillL1(f.lineAddr, true)
-		if h.Tax != nil {
-			h.Tax.OnPrefetchFill(f.lineAddr, evicted.Tag, hadEvict)
-		}
-		line.PIB = true
-		line.RIB = false
-		line.TriggerPC = f.triggerPC
-		line.SoftPF = f.software
-		line.PFSource = uint8(core.SourceByName(f.source))
+		s.complete(f)
 	}
 }
 
@@ -1076,34 +999,20 @@ func (h *Hierarchy) Tick(now uint64) {
 // history table, queued and in-flight prefetches — warm. Used to exclude
 // cold-start effects from measurement after a warmup phase.
 func (h *Hierarchy) ResetStats() {
-	h.Pf = stats.Prefetches{}
+	h.side.reset()
+	h.i.reset()
 	h.Traffic = stats.Traffic{}
-	h.BySource = make(map[string]uint64)
+	h.bySource = [1 << 8]uint64{}
 	h.LatePrefetches = 0
-	h.Merged = 0
 	h.DeadGated = 0
-	h.IPf = stats.Prefetches{}
-	h.FetchBlocks, h.FetchMisses, h.MergedI = 0, 0, 0
-	if h.L1I != nil {
-		h.L1I.Stats = cache.Stats{}
-	}
-	if h.IQueue != nil {
-		h.IQueue.Enqueued, h.IQueue.Squashed, h.IQueue.Overflows, h.IQueue.Dequeued = 0, 0, 0, 0
-	}
-	h.m.reset()
-	if h.Dead != nil {
-		h.Dead.ResetStats()
-	}
-	h.L1.Stats = cache.Stats{}
+	h.FetchBlocks, h.FetchMisses = 0, 0
+	h.m.demandAccesses.Set(0)
+	h.m.demandMisses.Set(0)
 	h.L2.Stats = cache.Stats{}
 	h.Bus.ResetStats()
 	h.Mem.Requests, h.Mem.PrefetchRequests, h.Mem.QueueStalls = 0, 0, 0
-	h.Queue.Enqueued, h.Queue.Squashed, h.Queue.Overflows, h.Queue.Dequeued = 0, 0, 0, 0
 	if r, ok := h.Filter.(interface{ ResetStats() }); ok {
 		r.ResetStats()
-	}
-	if h.Tax != nil {
-		h.Tax.ResetCounts()
 	}
 }
 
@@ -1111,69 +1020,21 @@ func (h *Hierarchy) ResetStats() {
 func (h *Hierarchy) QueuedPrefetches() int { return h.Queue.Len() }
 
 // InFlight returns the number of outstanding prefetch fills.
-func (h *Hierarchy) InFlight() int { return len(h.inflight) }
+func (h *Hierarchy) InFlight() int { return len(h.fills) }
 
-// Finish classifies state left at end of run: resident prefetched L1
-// lines (by RIB), resident buffer entries (by Referenced), and completes
-// all in-flight fills so counter conservation holds. Queued-but-unissued
-// prefetches are counted as overflow casualties.
+// Finish classifies state left at end of run on both sides (see
+// side.finish), after completing all in-flight fills so counter
+// conservation holds, and builds BySource.
 func (h *Hierarchy) Finish() {
-	// Complete whatever is still in flight.
 	h.Tick(^uint64(0))
-
-	for _, qc := range h.Queue.Drain() {
-		_ = qc
-		h.Pf.Overflow++
-		h.m.pfOverflow.Inc()
+	h.side.finish()
+	if h.FrontendEnabled() {
+		h.i.finish()
 	}
-
-	h.L1.ForEach(func(line *cache.Line) {
-		if !line.PIB {
-			return
+	h.BySource = make(map[string]uint64)
+	for src, n := range h.bySource {
+		if n != 0 {
+			h.BySource[core.Source(src).String()] += n
 		}
-		if line.RIB {
-			h.Pf.Good++
-			h.Pf.ResidentGood++
-			h.m.pfGood.Inc()
-		} else {
-			h.Pf.Bad++
-			h.Pf.ResidentBad++
-			h.m.pfBad.Inc()
-		}
-	})
-	if h.Buffer != nil {
-		for _, e := range h.Buffer.Drain() {
-			if e.Referenced {
-				h.Pf.Good++
-				h.Pf.ResidentGood++
-				h.m.pfGood.Inc()
-			} else {
-				h.Pf.Bad++
-				h.Pf.ResidentBad++
-				h.m.pfBad.Inc()
-			}
-		}
-	}
-	if h.IQueue != nil {
-		for range h.IQueue.Drain() {
-			h.IPf.Overflow++
-		}
-	}
-	if h.L1I != nil {
-		h.L1I.ForEach(func(line *cache.Line) {
-			if !line.PIB {
-				return
-			}
-			if line.RIB {
-				h.IPf.Good++
-				h.IPf.ResidentGood++
-			} else {
-				h.IPf.Bad++
-				h.IPf.ResidentBad++
-			}
-		})
-	}
-	if h.Tax != nil {
-		h.Tax.Finish()
 	}
 }

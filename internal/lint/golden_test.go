@@ -255,6 +255,7 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 	required := []string{
 		"cpu.(*CPU).slot", "cpu.(*CPU).robFull", "cpu.(*CPU).robEmpty", "cpu.(*CPU).depSatisfied",
 		"hier.(*inflightHeap).push", "hier.(*inflightHeap).pop",
+		"hier.(*side).submit", "hier.(*side).complete",
 		"cache.(*Cache).find", "cache.(*Cache).Lookup", "cache.(*Cache).Insert",
 		"prefetch.(*Queue).Contains", "prefetch.(*Queue).Enqueue", "prefetch.(*Queue).Dequeue",
 		"prefetch.pcIndex",

@@ -12,6 +12,8 @@ package pbuffer
 
 import (
 	"fmt"
+
+	"repro/internal/core"
 )
 
 // Entry is one buffered prefetched line.
@@ -20,7 +22,7 @@ type Entry struct {
 	LineAddr   uint64
 	TriggerPC  uint64
 	Software   bool
-	Source     uint8 // generator id of the prefetch (core.Source)
+	Source     core.Source // generator of the prefetch
 	Referenced bool
 	lru        uint64
 }
@@ -91,7 +93,7 @@ func (b *Buffer) Probe(lineAddr uint64) (Entry, bool) {
 // Insert allocates a prefetched line, evicting the LRU entry if full. The
 // evicted entry (if any) is returned for filter training. Inserting an
 // already-resident line refreshes its recency and reports no eviction.
-func (b *Buffer) Insert(lineAddr, triggerPC uint64, software bool, source uint8) (evicted Entry, hadEviction bool) {
+func (b *Buffer) Insert(lineAddr, triggerPC uint64, software bool, source core.Source) (evicted Entry, hadEviction bool) {
 	b.tick++
 	slot := -1
 	for i := range b.entries {

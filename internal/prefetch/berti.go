@@ -1,6 +1,10 @@
 package prefetch
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // pcIndex mixes the whole PC into the low index bits so PCs that differ
 // only above a table's index range (unrolled loop copies, inlined call
@@ -189,7 +193,7 @@ func (b *Berti) Observe(ev Event, emit func(Candidate)) {
 			i := tgt & b.shadow.mask
 			b.shadow.tags[i] = tgt
 			b.shadow.cycles[i] = uint32(now)
-			emit(Candidate{LineAddr: tgt, TriggerPC: ev.PC, Source: "berti"})
+			emit(Candidate{LineAddr: tgt, TriggerPC: ev.PC, Source: core.SrcBerti})
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package prefetch
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+)
 
 // TestLatencyTableInsertTakeEvict pins the reuse-latency table mechanics:
 // one sample per inserted miss, removal on take, direct-mapped eviction,
@@ -76,8 +80,8 @@ func TestBertiBestDeltaHandBuiltPattern(t *testing.T) {
 		t.Fatalf("emitted %d candidates over 16 accesses; threshold crossing allows at most 8", len(got))
 	}
 	for i, c := range got {
-		if c.Source != "berti" {
-			t.Fatalf("candidate %d source = %q, want berti", i, c.Source)
+		if c.Source != core.SrcBerti {
+			t.Fatalf("candidate %d source = %v, want berti", i, c.Source)
 		}
 		if c.TriggerPC != pc {
 			t.Fatalf("candidate %d trigger PC = %#x, want %#x", i, c.TriggerPC, pc)

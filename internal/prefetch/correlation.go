@@ -12,7 +12,11 @@
 // ablation row.
 package prefetch
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // corrEntry is one correlation pair.
 type corrEntry struct {
@@ -111,6 +115,6 @@ func (c *Correlation) Observe(ev Event, emit func(Candidate)) {
 
 	if next, ok := c.lookup(ev.LineAddr); ok && next != ev.LineAddr {
 		c.Triggers++
-		emit(Candidate{LineAddr: next, TriggerPC: ev.PC, Source: "corr"})
+		emit(Candidate{LineAddr: next, TriggerPC: ev.PC, Source: core.SrcCorrelation})
 	}
 }

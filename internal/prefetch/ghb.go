@@ -1,6 +1,10 @@
 package prefetch
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // GHB is a PC/delta-correlation prefetcher built on a Global History
 // Buffer (Nesbit & Smith): misses enter a FIFO ring, an index table
@@ -146,7 +150,7 @@ func (g *GHB) Observe(ev Event, emit func(Candidate)) {
 			g.Triggers++
 			g.issuedTags[tgt&g.issuedMask] = tgt
 			g.windowIssued++
-			emit(Candidate{LineAddr: tgt, TriggerPC: ev.PC, Source: "ghb"})
+			emit(Candidate{LineAddr: tgt, TriggerPC: ev.PC, Source: core.SrcGHB})
 		}
 	}
 	g.gateDegree()

@@ -21,15 +21,16 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 )
 
 // Candidate is a prefetch the generators propose; it flows through the
 // pollution filter, then (if allowed) the prefetch queue.
 type Candidate struct {
-	LineAddr  uint64 // line to prefetch
-	TriggerPC uint64 // PC of the instruction that triggered it
-	Software  bool   // compiler-inserted prefetch instruction
-	Source    string // generator name, for per-source statistics
+	LineAddr  uint64      // line to prefetch
+	TriggerPC uint64      // PC of the instruction that triggered it
+	Software  bool        // compiler-inserted prefetch instruction
+	Source    core.Source // generator, for the filter's features and per-source statistics
 }
 
 // Event describes one demand access, as seen by the hardware prefetchers.
@@ -81,7 +82,7 @@ func (n *NSP) Observe(ev Event, emit func(Candidate)) {
 		emit(Candidate{
 			LineAddr:  ev.LineAddr + uint64(i),
 			TriggerPC: ev.PC,
-			Source:    "nsp",
+			Source:    core.SrcNSP,
 		})
 	}
 }
@@ -198,7 +199,7 @@ func (s *SDP) Observe(ev Event, emit func(Candidate)) {
 			emit(Candidate{
 				LineAddr:  line.Shadow,
 				TriggerPC: ev.PC,
-				Source:    "sdp",
+				Source:    core.SrcSDP,
 			})
 		}
 	}
@@ -289,7 +290,7 @@ func (s *Stride) Observe(ev Event, emit func(Candidate)) {
 		next := int64(ev.LineAddr) + e.stride
 		if next > 0 {
 			s.Triggers++
-			emit(Candidate{LineAddr: uint64(next), TriggerPC: ev.PC, Source: "stride"})
+			emit(Candidate{LineAddr: uint64(next), TriggerPC: ev.PC, Source: core.SrcStride})
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/xrand"
 )
 
@@ -22,7 +23,7 @@ func TestNSPTriggersOnMiss(t *testing.T) {
 	n, _ := NewNSP(1)
 	var out []Candidate
 	n.Observe(Event{PC: 0x400000, LineAddr: 10, L1Hit: false}, collect(&out))
-	if len(out) != 1 || out[0].LineAddr != 11 || out[0].TriggerPC != 0x400000 || out[0].Source != "nsp" {
+	if len(out) != 1 || out[0].LineAddr != 11 || out[0].TriggerPC != 0x400000 || out[0].Source != core.SrcNSP {
 		t.Fatalf("out = %+v", out)
 	}
 }
@@ -101,7 +102,7 @@ func TestSDPShadowFlow(t *testing.T) {
 
 	// Re-access A: its confirmed shadow triggers a prefetch of 200.
 	s.Observe(Event{PC: 0x400008, LineAddr: 100, L2Hit: true}, collect(&out))
-	if len(out) != 1 || out[0].LineAddr != 200 || out[0].Source != "sdp" {
+	if len(out) != 1 || out[0].LineAddr != 200 || out[0].Source != core.SrcSDP {
 		t.Fatalf("shadow prefetch missing: %+v", out)
 	}
 	if line.Confirm {
@@ -238,7 +239,7 @@ func TestCorrelationLearnsMissPairs(t *testing.T) {
 		t.Fatalf("cold table should not prefetch: %+v", out)
 	}
 	c.Observe(Event{LineAddr: 100, L1Hit: false}, collect(&out))
-	if len(out) != 1 || out[0].LineAddr != 200 || out[0].Source != "corr" {
+	if len(out) != 1 || out[0].LineAddr != 200 || out[0].Source != core.SrcCorrelation {
 		t.Fatalf("correlated prefetch missing: %+v", out)
 	}
 	if c.Triggers != 1 {
@@ -328,7 +329,7 @@ func TestStrideRPTStateTransitions(t *testing.T) {
 	if got := rptStateOf(s, pc); got != rptSteady {
 		t.Fatalf("after confirmation: state = %d, want steady", got)
 	}
-	if len(out) != 1 || out[0].LineAddr != 112 || out[0].Source != "stride" {
+	if len(out) != 1 || out[0].LineAddr != 112 || out[0].Source != core.SrcStride {
 		t.Fatalf("steady entry should prefetch 112 tagged stride: %+v", out)
 	}
 	// A mismatch in steady drops back to initial (not straight to noPred).

@@ -11,17 +11,31 @@ import (
 )
 
 // TestMetricsMatchRunAggregates pins the observability contract: after
-// an instrumented run, the registry's live sim.pf.* counters equal the
-// stats.Run aggregates exactly — same classification, same filter
-// activity, across the warmup reset. An instrumented run must also
+// an instrumented run, the registry's live sim.pf.* (and, with the front
+// end on, sim.ipf.*) counters equal the stats.Run aggregates exactly —
+// same classification, same filter activity, across the warmup reset. An instrumented run must also
 // return bit-identical results to an un-instrumented one.
 func TestMetricsMatchRunAggregates(t *testing.T) {
-	for _, filter := range []config.FilterKind{config.FilterNone, config.FilterPA} {
+	// The front-end case runs both sides: the D-side generators stay on
+	// beside the next-line instruction prefetcher.
+	frontended := config.Default().WithFilter(config.FilterPA)
+	fe := config.DefaultFrontend()
+	fe.IPrefetch = config.IPrefetchNextLine
+	frontended.Frontend = &fe
+	for _, cfg := range []config.Config{
+		config.Default().WithFilter(config.FilterNone),
+		config.Default().WithFilter(config.FilterPA),
+		frontended,
+	} {
+		filter := cfg.Filter.Kind
+		if cfg.Frontend != nil {
+			filter += "+frontend"
+		}
 		reg := metrics.New()
 		tr := trace.New(1 << 16).WithInterval(10_000)
 		opts := Options{
 			Benchmark:       "gzip",
-			Config:          config.Default().WithFilter(filter),
+			Config:          cfg,
 			MaxInstructions: 50_000,
 			Warmup:          10_000,
 		}
@@ -35,13 +49,14 @@ func TestMetricsMatchRunAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.Cycles != plain.Cycles || run.Prefetches != plain.Prefetches {
+		if run.Cycles != plain.Cycles || run.Prefetches != plain.Prefetches ||
+			(run.Frontend != nil && *run.Frontend != *plain.Frontend) {
 			t.Fatalf("%s: instrumentation changed the simulation: %+v vs %+v",
 				filter, run.Prefetches, plain.Prefetches)
 		}
 
 		s := reg.Snapshot()
-		for name, want := range map[string]uint64{
+		want := map[string]uint64{
 			"sim.pf.issued":      run.Prefetches.Issued,
 			"sim.pf.good":        run.Prefetches.Good,
 			"sim.pf.bad":         run.Prefetches.Bad,
@@ -51,9 +66,23 @@ func TestMetricsMatchRunAggregates(t *testing.T) {
 			"sim.demand.misses":  run.L1DemandMisses,
 			"sim.cpu.cycles":     run.Cycles,
 			"sim.filter.queries": run.FilterQueries,
-		} {
-			if got := s.Counters[name]; got != want {
-				t.Errorf("%s: metric %s = %d, want %d", filter, name, got, want)
+		}
+		if fr := run.Frontend; fr != nil {
+			if fr.Prefetches.Issued == 0 || run.Prefetches.Issued == 0 {
+				t.Fatalf("%s: a side issued nothing: pf=%+v ipf=%+v", filter, run.Prefetches, fr.Prefetches)
+			}
+			want["sim.ipf.issued"] = fr.Prefetches.Issued
+			want["sim.ipf.good"] = fr.Prefetches.Good
+			want["sim.ipf.bad"] = fr.Prefetches.Bad
+			want["sim.ipf.filtered"] = fr.Prefetches.Filtered
+			want["sim.ipf.squashed"] = fr.Prefetches.Squashed
+			want["sim.ipf.overflow"] = fr.Prefetches.Overflow
+		} else if _, ok := s.Counters["sim.ipf.issued"]; ok {
+			t.Errorf("%s: sim.ipf.* registered without a front end", filter)
+		}
+		for name, w := range want {
+			if got, ok := s.Counters[name]; !ok || got != w {
+				t.Errorf("%s: metric %s = %d (registered %v), want %d", filter, name, got, ok, w)
 			}
 		}
 
