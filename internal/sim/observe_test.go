@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -152,5 +154,53 @@ func TestMetricsFilterDump(t *testing.T) {
 	}
 	if sum != 4096 {
 		t.Fatalf("table counter distribution sums to %d, want 4096", sum)
+	}
+}
+
+// timelineSHA256 pins the JSONL event timeline of one D-side and one
+// I-side run: every prefetch issue, fill, reference, eviction, demand
+// miss and bus grant with its cycle stamp. A core-loop change that moves
+// a fill's arrival or stamps an event with a stale cycle shows up here
+// even when the end-of-run counters agree. Update a value ONLY for an
+// intentional behaviour change, and say so in the commit message.
+var timelineSHA256 = map[string]string{
+	"mcf/paper/pa": "8fd14b78164f17c90dd9fb94b07a047fcb8ae0e3d48edf75c436d3c6b334f5cf",
+	"gcc/mana/pa":  "6e6c1034599a1cfe0f84bc84d1f7ed60720cdc1fd604e23a3fad35c9acfddec1",
+}
+
+// TestTimelinePinned hashes the trace.WriteJSONL output of each
+// timelineSHA256 run at a short budget, with a ring large enough to keep
+// every event.
+func TestTimelinePinned(t *testing.T) {
+	paper := config.Default().WithFilter(config.FilterPA)
+	for name, cfg := range map[string]struct {
+		bench string
+		cfg   config.Config
+	}{
+		"mcf/paper/pa": {"mcf", paper},
+		"gcc/mana/pa":  {"gcc", paper.WithIPrefetch(config.IPrefetchMANA)},
+	} {
+		tr := trace.New(1 << 18)
+		if _, err := Run(Options{
+			Benchmark:       cfg.bench,
+			Config:          cfg.cfg,
+			MaxInstructions: 15_000,
+			Warmup:          5_000,
+			Trace:           tr,
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tr.Dropped() != 0 {
+			t.Fatalf("%s: ring dropped %d of %d events", name, tr.Dropped(), tr.Total())
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != timelineSHA256[name] {
+			t.Errorf("%s timeline fingerprint = %s (%d events), want %s",
+				name, got, tr.Total(), timelineSHA256[name])
+		}
 	}
 }
