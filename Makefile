@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench-test race lint fuzz-smoke bench-smoke trace-smoke fabric-smoke iprefetch-smoke
+.PHONY: build test bench-test bench-pins race lint fuzz-smoke bench-smoke trace-smoke fabric-smoke iprefetch-smoke
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,20 @@ test:
 # test (TestSeamsMatchSimRun).
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The benchmark's seed-1 pins at full cell budget: one short run of each
+# workload (bench/README.md). The report line must say the output
+# fingerprint was checked against its pin, and the result line that every
+# output was correct.
+BENCH_WORKLOADS = dside-zoo iside-trace fabric-sweep
+
+bench-pins:
+	@for w in $(BENCH_WORKLOADS); do \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | jq -s -e '.[0].pin_checked == true and .[1].correct == true' >/dev/null || \
+			{ echo "bench-pins: $$w: pin unchecked or output incorrect" >&2; exit 1; }; \
+	done
 
 # The race detector where goroutines actually meet (the concurrency
 # harnesses, plus the packages whose tests drive them); the remaining

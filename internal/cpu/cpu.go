@@ -214,6 +214,35 @@ func (c *CPU) depSatisfied(seq, now uint64) bool {
 	return p.readyAt != notReady && p.readyAt <= now
 }
 
+// idleUntil returns the next cycle after now in which a stage can act,
+// given that no dispatched memory op waits to issue. While dispatch is
+// blocked — by a fetch stall (an L1I miss or a branch redirect) or by a
+// full ROB — nothing changes until the stall ends, the ROB head completes,
+// or the hierarchy's NextEvent arrives; the cycles before the earliest of
+// those are provably idle. A skipped cycle that would have found the ROB
+// full with fetch running counts as a ROB stall, charged here in bulk;
+// no other per-cycle counter moves in an idle cycle.
+//
+//pflint:hotpath
+func (c *CPU) idleUntil(now uint64) uint64 {
+	fetchStalled := now+1 < c.fetchStallUntil
+	if !fetchStalled && !c.robFull() {
+		return now + 1
+	}
+	next := c.h.NextEvent(now)
+	if fetchStalled {
+		next = min(next, c.fetchStallUntil)
+	}
+	if !c.robEmpty() {
+		next = min(next, c.slot(c.robHead).readyAt)
+	}
+	next = max(next, now+1)
+	if !fetchStalled {
+		c.res.ROBStallCycles += next - now - 1
+	}
+	return next
+}
+
 // Run executes the trace until the source is exhausted (or warmup+maxInstr
 // records, when maxInstr is positive) and the pipeline drains, returning
 // core-level results. When warmup is positive, all statistics — the
@@ -459,6 +488,13 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 		// data path (see hier.IssueIPrefetches) ---
 		if feEnabled {
 			c.h.IssueIPrefetches(cycle, 1)
+		}
+
+		// --- Jump over idle cycles: with no memory op left to issue and
+		// no warmup reset due, a blocked dispatch leaves every stage idle
+		// until idleUntil's cycle ---
+		if c.pendingMem == 0 && (warm || c.res.Instructions < uint64(warmup)) && !done() {
+			cycle = c.idleUntil(cycle) - 1
 		}
 	}
 

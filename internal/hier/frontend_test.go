@@ -135,3 +135,49 @@ func TestFetchMSHRMergeWithIPrefetch(t *testing.T) {
 		t.Fatalf("I-side inflight state leaked: heap=%d set=%d", h.InFlight(), len(h.i.inflight))
 	}
 }
+
+// TestNextEventMarksFirstActiveCycle pins the contract the core's
+// idle-cycle skip relies on: before NextEvent the hierarchy does nothing
+// on its own, and at NextEvent it acts — a queued instruction prefetch
+// gets the shared L2 port, a fill lands, or the D-side queue issues.
+func TestNextEventMarksFirstActiveCycle(t *testing.T) {
+	h := newHier(t, frontendConfig(config.IPrefetchNone), nil)
+	if got := h.NextEvent(100); got != ^uint64(0) {
+		t.Fatalf("idle hierarchy: NextEvent = %d, want never", got)
+	}
+
+	// A demand miss holds the L2 port; the queued instruction prefetch
+	// waits for the gate.
+	h.DemandAccess(100, 0x40_0000, 0x1000, false)
+	queueIPrefetch(t, h, 0x8000)
+	gate := h.NextEvent(100)
+	if gate <= 101 {
+		t.Fatalf("gate NextEvent = %d with the L2 port busy until %d", gate, h.l2busyUntil)
+	}
+	if used := h.IssueIPrefetches(gate-1, 1); used != 0 {
+		t.Fatalf("I-prefetch issued at %d, before NextEvent %d", gate-1, gate)
+	}
+	if used := h.IssueIPrefetches(gate, 1); used != 1 {
+		t.Fatalf("I-prefetch did not issue at NextEvent %d", gate)
+	}
+
+	// With the queue empty the next event is the fill's arrival.
+	done := h.i.inflight[0x8000].done
+	if got := h.NextEvent(gate); got != done {
+		t.Fatalf("in-flight fill: NextEvent = %d, want its arrival %d", got, done)
+	}
+	h.Tick(done - 1)
+	if h.InFlight() != 1 {
+		t.Fatal("fill landed before NextEvent")
+	}
+	h.Tick(done)
+	if h.InFlight() != 0 {
+		t.Fatal("fill did not land at NextEvent")
+	}
+
+	// A D-side queue with work may issue on the very next cycle.
+	h.SoftwarePrefetch(done, 0x40_0004, 0x9000)
+	if got := h.NextEvent(done); got != done+1 {
+		t.Fatalf("queued D-side prefetch: NextEvent = %d, want %d", got, done+1)
+	}
+}

@@ -994,6 +994,30 @@ func (h *Hierarchy) Tick(now uint64) {
 	}
 }
 
+// NextEvent returns the earliest cycle after now at which the hierarchy
+// can change state without a new demand or fetch access: the next fill
+// arrival, the next cycle when the D-side queue holds work, or the cycle
+// the shared L2 port opens to a queued instruction prefetch (see
+// IssueIPrefetches). Everything else in the hierarchy is driven by
+// timestamps carried in those accesses, so a core with no access to make
+// may jump straight to this cycle.
+//
+//pflint:hotpath
+func (h *Hierarchy) NextEvent(now uint64) uint64 {
+	if h.Queue.Len() > 0 {
+		return now + 1
+	}
+	next := ^uint64(0)
+	if len(h.fills) > 0 {
+		next = h.fills[0].done
+	}
+	if h.i.Queue != nil && h.i.Queue.Len() > 0 {
+		// IssueIPrefetches admits one once l2busyUntil <= cycle + lat.
+		next = min(next, max(h.l2busyUntil, h.i.lat)-h.i.lat)
+	}
+	return max(next, now+1)
+}
+
 // ResetStats zeroes every statistic accumulated so far while leaving all
 // architectural state — cache contents, shadow directories, the filter's
 // history table, queued and in-flight prefetches — warm. Used to exclude

@@ -254,6 +254,7 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 	}
 	required := []string{
 		"cpu.(*CPU).slot", "cpu.(*CPU).robFull", "cpu.(*CPU).robEmpty", "cpu.(*CPU).depSatisfied",
+		"cpu.(*CPU).idleUntil", "hier.(*Hierarchy).NextEvent",
 		"hier.(*inflightHeap).push", "hier.(*inflightHeap).pop",
 		"hier.(*side).submit", "hier.(*side).complete",
 		"cache.(*Cache).find", "cache.(*Cache).Lookup", "cache.(*Cache).Insert",
