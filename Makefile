@@ -22,10 +22,8 @@ bench-test:
 # workload (bench/README.md). The report line must say the output
 # fingerprint was checked against its pin, and the result line that every
 # output was correct.
-BENCH_WORKLOADS = dside-zoo iside-trace fabric-sweep
-
 bench-pins:
-	@for w in $(BENCH_WORKLOADS); do \
+	@for w in dside-zoo iside-trace fabric-sweep; do \
 		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1) || exit 1; \
 		echo "$$out"; \
 		echo "$$out" | jq -s -e '.[0].pin_checked == true and .[1].correct == true' >/dev/null || \
