@@ -42,9 +42,12 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/pflint ./...
 
+# FuzzReaderBatch is seeded with whole traces, and minimizing one such
+# input would take the whole budget; -fuzzminimizetime keeps it fuzzing.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzConfigString -fuzztime=30s ./internal/config/
 	$(GO) test -run=NONE -fuzz=FuzzHistoryTableIndex -fuzztime=30s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzReaderBatch -fuzztime=30s -fuzzminimizetime=5s ./internal/tracefile/
 
 # Real-trace pipeline smoke (docs/TRACES.md): convert the checked-in
 # ChampSim fixture, assert the pinned fingerprint, replay the corpus.

@@ -11,6 +11,9 @@ package repro_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -22,6 +25,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
+	"repro/internal/tracefile"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -273,6 +277,108 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 					b.Fatal("model exhausted")
 				}
 			}
+		})
+	}
+}
+
+// recordSourceSets numbers BenchmarkRecordSource's trace registrations:
+// the workload registry is process-wide and a name may register only one
+// file, so every invocation registers its own names.
+var recordSourceSets atomic.Int64
+
+// writeRecordSourceCorpus encodes 120k records of the gcc model and
+// converts the checked-in ChampSim fixture into dir, registers both, and
+// returns their benchmark names.
+func writeRecordSourceCorpus(b *testing.B, dir string) (gcc, fixture string) {
+	b.Helper()
+	tag := fmt.Sprintf("-recsrc%d", recordSourceSets.Add(1))
+	spec, _ := workload.ByName("gcc")
+	var enc bytes.Buffer
+	recs := isa.Collect(isa.NewLimitSource(spec.New(1), 120_000), 0)
+	if err := tracefile.Encode(&enc, recs, tracefile.WriterOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	gz, err := os.Open(filepath.Join("internal", "tracefile", "testdata", "sample.champsim.gz"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = gz.Close() }() // read-only
+	raw, err := tracefile.MaybeGzip(gz)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var conv bytes.Buffer
+	if _, err := tracefile.ConvertChampSim(raw, &conv, tracefile.WriterOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	m := tracefile.Manifest{Version: tracefile.ManifestVersion}
+	for _, tr := range []struct {
+		name string
+		data []byte
+	}{{"gcc" + tag, enc.Bytes()}, {"champsim" + tag, conv.Bytes()}} {
+		file := tr.name + ".pftc"
+		if err := os.WriteFile(filepath.Join(dir, file), tr.data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		info, err := tracefile.Inspect(bytes.NewReader(tr.data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Traces = append(m.Traces, tracefile.ManifestEntry{
+			Name: tr.name, File: file, SHA256: info.Fingerprint,
+			Records: info.Records, FormatVersion: tracefile.Version,
+		})
+	}
+	manifest := filepath.Join(dir, "corpus.json")
+	if err := tracefile.SaveManifest(manifest, m); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := tracefile.RegisterCorpus(config.TraceConfig{Manifest: manifest}); err != nil {
+		b.Fatal(err)
+	}
+	return tracefile.BenchPrefix + "gcc" + tag, tracefile.BenchPrefix + "champsim" + tag
+}
+
+// BenchmarkRecordSource is the record-source rung of the per-layer
+// ledger: the cost of handing one record to the core, for the synthetic
+// generators and for PFTC replay (which loops back to the trace's start
+// at its end), read one record at a time through Next and in batches of
+// 256 through isa.Fill. One op is one record.
+func BenchmarkRecordSource(b *testing.B) {
+	gcc, fixture := writeRecordSourceCorpus(b, b.TempDir())
+	sources := []struct{ name, bench string }{
+		{"gen/gcc", "gcc"}, {"gen/mcf", "mcf"},
+		{"pftc/gcc", gcc}, {"pftc/champsim-fixture", fixture},
+	}
+	for _, s := range sources {
+		spec, ok := workload.ByName(s.bench)
+		if !ok {
+			b.Fatalf("benchmark %q not registered", s.bench)
+		}
+		b.Run(s.name+"/next", func(b *testing.B) {
+			src := spec.New(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := src.Next(); !ok {
+					b.Fatal("source ended")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
+		})
+		b.Run(s.name+"/batch", func(b *testing.B) {
+			src := spec.New(1)
+			var buf [256]isa.Record
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; {
+				k := isa.Fill(src, buf[:min(len(buf), b.N-n)])
+				if k == 0 {
+					b.Fatal("source ended")
+				}
+				n += k
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
 		})
 	}
 }

@@ -113,6 +113,9 @@ type CPU struct {
 
 	fetchStallUntil uint64
 
+	// in buffers the records read ahead of dispatch.
+	in feed
+
 	// met, when non-nil, receives the core-level results as "sim.cpu.*"
 	// gauges when Run returns. Attachment is end-of-run only — nothing
 	// touches the registry inside the cycle loop — so instrumentation
@@ -256,43 +259,15 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 	var (
 		cycle     uint64
 		cycleBase uint64
-		exhausted bool
-		fetched   int64
-		pending   isa.Record
-		hasPend   bool
 		warm      = warmup <= 0 // true once measurement has started
 	)
 	if maxInstr > 0 && warmup > 0 {
 		maxInstr += warmup
 	}
+	c.in = feed{src: src, limit: maxInstr}
+	in := &c.in
 
-	nextRecord := func() (isa.Record, bool) {
-		if hasPend {
-			hasPend = false
-			return pending, true
-		}
-		if exhausted || (maxInstr > 0 && fetched >= maxInstr) {
-			return isa.Record{}, false
-		}
-		r, ok := src.Next()
-		if !ok {
-			exhausted = true
-			return isa.Record{}, false
-		}
-		fetched++
-		return r, true
-	}
-	pushBack := func(r isa.Record) { pending, hasPend = r, true }
-
-	done := func() bool {
-		if hasPend {
-			return false
-		}
-		if !(exhausted || (maxInstr > 0 && fetched >= maxInstr)) {
-			return false
-		}
-		return c.robEmpty()
-	}
+	done := func() bool { return in.drained() && c.robEmpty() }
 
 	// Run-constant machine parameters, hoisted out of the cycle loop
 	// (Config() returns the whole config by value — copying it per cycle
@@ -339,7 +314,7 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 					c.res.ROBStallCycles++
 					break
 				}
-				r, ok := nextRecord()
+				r, ok := in.next()
 				if !ok {
 					break
 				}
@@ -350,7 +325,7 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 					// fetch unit is already on its block, so the retry
 					// completes immediately).
 					if fetchDone := c.h.FetchAccess(cycle, r.PC); fetchDone > cycle {
-						pushBack(r)
+						in.unread()
 						if fetchDone > c.fetchStallUntil {
 							c.fetchStallUntil = fetchDone
 						}
@@ -359,7 +334,7 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 					}
 				}
 				if r.Op.IsMem() && c.lsqCount >= c.cfg.LSQEntries {
-					pushBack(r)
+					in.unread()
 					c.res.LSQStallCycles++
 					break
 				}

@@ -109,11 +109,40 @@ func Prefetch(pc, addr uint64) Record { return Record{Op: OpPrefetch, PC: pc, Ad
 func DepLoad(pc, addr uint64) Record { return Record{Op: OpLoad, PC: pc, Addr: addr, Dep: true} }
 
 // Source produces a stream of records. Next returns the next record and
-// true, or a zero Record and false when the trace is exhausted.
+// true, or a zero Record and false when the trace is exhausted; once it
+// has returned false it keeps returning false.
 //
 // Sources are single-consumer and not safe for concurrent use.
 type Source interface {
 	Next() (Record, bool)
+}
+
+// BatchSource is a Source that can also hand over records in bulk.
+// NextBatch fills a prefix of dst, which must not be empty, and returns
+// its length. A return of 0 means the stream has ended, exactly as Next's
+// false does; a short return does not. Next and NextBatch read the same
+// stream and may be interleaved.
+type BatchSource interface {
+	Source
+	NextBatch(dst []Record) int
+}
+
+// Fill reads up to len(dst) records from src into dst, which must not be
+// empty, and returns how many it read; 0 means the stream has ended. It
+// goes through NextBatch when src is a BatchSource and loops Next
+// otherwise, so every Source can be read in batches.
+func Fill(src Source, dst []Record) int {
+	if b, ok := src.(BatchSource); ok {
+		return b.NextBatch(dst)
+	}
+	for i := range dst {
+		r, ok := src.Next()
+		if !ok {
+			return i
+		}
+		dst[i] = r
+	}
+	return len(dst)
 }
 
 // SliceSource adapts a pre-built record slice into a Source. It is the

@@ -191,3 +191,60 @@ func TestInterleaveSingleSource(t *testing.T) {
 		t.Fatalf("got %d", got)
 	}
 }
+
+// batchSlice is a SliceSource that also hands over records in batches
+// of at most 2, counting its NextBatch calls.
+type batchSlice struct {
+	SliceSource
+	batches int
+}
+
+func (b *batchSlice) NextBatch(dst []Record) int {
+	b.batches++
+	n := 0
+	for n < min(len(dst), 2) {
+		r, ok := b.Next()
+		if !ok {
+			break
+		}
+		dst[n] = r
+		n++
+	}
+	return n
+}
+
+func TestFill(t *testing.T) {
+	recs := []Record{ALU(4), ALU(8), ALU(12), ALU(16), ALU(20)}
+	var dst [4]Record
+
+	// A plain Source is read through Next; a short fill is the end.
+	plain := NewSliceSource(recs)
+	if n := Fill(plain, dst[:]); n != 4 || dst[3] != recs[3] {
+		t.Fatalf("first fill: %d records, dst %v", n, dst)
+	}
+	if n := Fill(plain, dst[:]); n != 1 || dst[0] != recs[4] {
+		t.Fatalf("second fill: %d records, dst %v", n, dst)
+	}
+	if n := Fill(plain, dst[:]); n != 0 {
+		t.Fatalf("fill after the end: %d records", n)
+	}
+
+	// A BatchSource is read through NextBatch, short batches included.
+	b := &batchSlice{SliceSource: *NewSliceSource(recs)}
+	var got []Record
+	for {
+		n := Fill(b, dst[:])
+		if n == 0 {
+			break
+		}
+		got = append(got, dst[:n]...)
+	}
+	if len(got) != len(recs) || b.batches != 4 {
+		t.Fatalf("batched: %d records in %d NextBatch calls, want %d in 4", len(got), b.batches, len(recs))
+	}
+	for i := range recs {
+		if got[i] != recs[i] {
+			t.Fatalf("batched record %d = %v, want %v", i, got[i], recs[i])
+		}
+	}
+}

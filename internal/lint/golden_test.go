@@ -242,7 +242,7 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 	pkgs, err := Load(root,
 		"./internal/cpu", "./internal/hier", "./internal/cache",
 		"./internal/prefetch", "./internal/filter", "./internal/core",
-		"./internal/frontend")
+		"./internal/frontend", "./internal/tracefile", "./internal/workload")
 	if err != nil {
 		t.Fatalf("Load hot-path packages: %v", err)
 	}
@@ -255,6 +255,7 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 	required := []string{
 		"cpu.(*CPU).slot", "cpu.(*CPU).robFull", "cpu.(*CPU).robEmpty", "cpu.(*CPU).depSatisfied",
 		"cpu.(*CPU).idleUntil", "hier.(*Hierarchy).NextEvent",
+		"cpu.(*feed).next", "tracefile.(*Reader).NextBatch", "workload.(*gen).NextBatch",
 		"hier.(*inflightHeap).push", "hier.(*inflightHeap).pop",
 		"hier.(*side).submit", "hier.(*side).complete",
 		"cache.(*Cache).find", "cache.(*Cache).Lookup", "cache.(*Cache).Insert",

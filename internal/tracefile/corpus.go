@@ -7,6 +7,7 @@ package tracefile
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -257,7 +258,7 @@ func IsTraceBench(name string) bool {
 	return len(name) > len(BenchPrefix) && name[:len(BenchPrefix)] == BenchPrefix
 }
 
-// fileSource streams a PFTC file as an isa.Source, looping back to the
+// fileSource streams a PFTC file as an isa.BatchSource, looping back to the
 // start on a clean end of trace so it satisfies the workload contract
 // (models are infinite sources; the simulator bounds runs by instruction
 // count). Decode errors stop the stream and surface from Close.
@@ -284,15 +285,22 @@ func newFileSource(path string, maxChunk int) *fileSource {
 	return s
 }
 
-// attach builds a fresh Reader over the file's current start.
+// attach arms the Reader over the file's current start: a new one the
+// first time, the same one re-armed on every loop-back.
 func (s *fileSource) attach() {
+	s.passRecs = 0
+	if s.r != nil {
+		if err := s.r.reset(s.f); err != nil {
+			s.fail(err)
+		}
+		return
+	}
 	r, err := NewReader(s.f, ReaderOptions{MaxChunkBytes: s.maxChunk})
 	if err != nil {
 		s.fail(err)
 		return
 	}
 	s.r = r
-	s.passRecs = 0
 }
 
 func (s *fileSource) fail(err error) {
@@ -304,29 +312,43 @@ func (s *fileSource) fail(err error) {
 
 // Next implements isa.Source.
 func (s *fileSource) Next() (isa.Record, bool) {
-	for !s.done {
-		rec, ok := s.r.Next()
-		if ok {
-			s.passRecs++
-			return rec, true
-		}
-		if err := s.r.Err(); err != nil {
-			s.fail(err)
-			break
-		}
-		if s.passRecs == 0 {
-			// An empty trace can't loop; report exhaustion instead of
-			// spinning.
-			s.done = true
-			break
-		}
-		if _, err := s.f.Seek(0, 0); err != nil {
-			s.fail(err)
-			break
-		}
-		s.attach()
+	var one [1]isa.Record
+	if s.NextBatch(one[:]) == 0 {
+		return isa.Record{}, false
 	}
-	return isa.Record{}, false
+	return one[0], true
+}
+
+// NextBatch implements isa.BatchSource. A batch never spans a
+// loop-back: the last batch of a pass ends with the trace's last record.
+func (s *fileSource) NextBatch(dst []isa.Record) int {
+	for !s.done {
+		if n := s.r.NextBatch(dst); n > 0 {
+			s.passRecs += uint64(n)
+			return n
+		}
+		s.rewind()
+	}
+	return 0
+}
+
+// rewind handles the end of a pass: a decode error stops the stream, an
+// empty trace reports exhaustion instead of spinning, and a clean end
+// seeks back to the start for another pass.
+func (s *fileSource) rewind() {
+	if err := s.r.Err(); err != nil {
+		s.fail(err)
+		return
+	}
+	if s.passRecs == 0 {
+		s.done = true
+		return
+	}
+	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+		s.fail(err)
+		return
+	}
+	s.attach()
 }
 
 // Close releases the file and returns the first error the source hit

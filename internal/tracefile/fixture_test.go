@@ -31,7 +31,7 @@ var sampleChunks4K = []string{
 }
 
 // convertSample converts the checked-in fixture at the given chunk size.
-func convertSample(t *testing.T, chunkBytes int) (ConvertStats, []byte) {
+func convertSample(t testing.TB, chunkBytes int) (ConvertStats, []byte) {
 	t.Helper()
 	f, err := os.Open(filepath.Join("testdata", "sample.champsim.gz"))
 	if err != nil {

@@ -120,37 +120,62 @@ func appendRecord(buf []byte, r isa.Record, lastPC *uint64) []byte {
 	return buf
 }
 
-// decodeRecord decodes one record from buf at offset off, updating the
-// PC-delta state, and returns the record and the next offset.
-func decodeRecord(buf []byte, off int, lastPC *uint64) (isa.Record, int, error) {
+// decodeFault names why decodeRecord rejected a record. The decode loop
+// passes it around as a small integer and leaves building the error to
+// the cold path (err), so decoding a well-formed record never allocates.
+type decodeFault uint8
+
+const (
+	faultNone decodeFault = iota
+	faultHeadPastEnd
+	faultBadOp
+	faultBadPC
+	faultBadAddr
+)
+
+// err formats the fault as an ErrCorrupt error; head is the record's
+// first byte, reported for faultBadOp.
+func (f decodeFault) err(head byte) error {
+	switch f {
+	case faultHeadPastEnd:
+		return fmt.Errorf("%w: record head past payload end", ErrCorrupt)
+	case faultBadOp:
+		return fmt.Errorf("%w: invalid op byte %#x", ErrCorrupt, head)
+	case faultBadPC:
+		return fmt.Errorf("%w: bad PC-delta varint", ErrCorrupt)
+	default:
+		return fmt.Errorf("%w: bad address uvarint", ErrCorrupt)
+	}
+}
+
+// decodeRecord decodes the record at buf[off:] into *rec, updating the
+// PC-delta state, and returns the next offset. On a fault *rec, the
+// offset and the PC-delta state are meaningless.
+func decodeRecord(buf []byte, off int, lastPC *uint64, rec *isa.Record) (int, decodeFault) {
 	if off >= len(buf) {
-		return isa.Record{}, 0, fmt.Errorf("%w: record head past payload end", ErrCorrupt)
+		return 0, faultHeadPastEnd
 	}
 	head := buf[off]
-	off++
-	var rec isa.Record
-	rec.Op = isa.Op(head & opMask)
-	rec.Taken = head&takenFlag != 0
-	rec.Dep = head&depFlag != 0
-	if !rec.Op.Valid() {
-		return isa.Record{}, 0, fmt.Errorf("%w: invalid op byte %#x", ErrCorrupt, head)
+	op := isa.Op(head & opMask)
+	if !op.Valid() {
+		return 0, faultBadOp
 	}
-	delta, n := binary.Varint(buf[off:])
+	delta, n := binary.Varint(buf[off+1:])
 	if n <= 0 {
-		return isa.Record{}, 0, fmt.Errorf("%w: bad PC-delta varint", ErrCorrupt)
+		return 0, faultBadPC
 	}
-	off += n
-	rec.PC = uint64(int64(*lastPC) + delta)
-	*lastPC = rec.PC
-	if recordHasAddr(rec.Op) {
-		addr, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return isa.Record{}, 0, fmt.Errorf("%w: bad address uvarint", ErrCorrupt)
+	off += 1 + n
+	pc := uint64(int64(*lastPC) + delta)
+	*lastPC = pc
+	var addr uint64
+	if recordHasAddr(op) {
+		if addr, n = binary.Uvarint(buf[off:]); n <= 0 {
+			return 0, faultBadAddr
 		}
 		off += n
-		rec.Addr = addr
 	}
-	return rec, off, nil
+	*rec = isa.Record{Op: op, Taken: head&takenFlag != 0, Dep: head&depFlag != 0, PC: pc, Addr: addr}
+	return off, faultNone
 }
 
 // recordHasAddr reports whether the encoding carries an address field.

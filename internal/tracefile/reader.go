@@ -1,8 +1,9 @@
 // The PFTC decoder: streams chunk by chunk in bounded memory (one
 // chunk payload resident at a time, buffer reused across chunks),
 // verifying each chunk's CRC as it loads and the trailer's counts at
-// the end. It implements isa.Source, so a trace file drops into every
-// place a workload model fits.
+// the end. It implements isa.BatchSource, so a trace file drops into
+// every place a workload model fits and hands records over a chunk's
+// worth at a time.
 
 package tracefile
 
@@ -30,7 +31,7 @@ type ReaderOptions struct {
 	VerifyFingerprint bool
 }
 
-// Reader decodes a PFTC stream. It implements isa.Source.
+// Reader decodes a PFTC stream. It implements isa.BatchSource.
 type Reader struct {
 	r        *bufio.Reader
 	maxChunk int
@@ -45,11 +46,16 @@ type Reader struct {
 	canonPC uint64
 	scratch []byte
 
-	count   uint64
-	fp      [32]byte // trailer fingerprint, valid once done
-	done    bool
-	haveFP  bool
-	err     error
+	// hdr receives the file header, chunk headers and trailer. Reading
+	// them into the Reader, not a local array that escapes through the
+	// io.Reader call, keeps chunk loads allocation-free.
+	hdr [trailerLen]byte
+
+	count  uint64
+	fp     [32]byte // trailer fingerprint, valid once done
+	done   bool
+	haveFP bool
+	err    error
 }
 
 // NewReader validates the file header and returns a streaming decoder.
@@ -58,62 +64,128 @@ func NewReader(r io.Reader, opts ReaderOptions) (*Reader, error) {
 	if maxChunk <= 0 {
 		maxChunk = DefaultMaxChunkBytes
 	}
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [fileHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading file header: %v", ErrTruncated, err)
-	}
-	if [4]byte(hdr[:4]) != Magic {
-		return nil, ErrBadMagic
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != Version {
-		return nil, fmt.Errorf("%w: got %d, support %d", ErrBadVersion, v, Version)
-	}
-	if binary.LittleEndian.Uint16(hdr[6:8]) != 0 || binary.LittleEndian.Uint64(hdr[8:16]) != 0 {
-		return nil, fmt.Errorf("%w: nonzero reserved file-header field", ErrCorrupt)
-	}
-	tr := &Reader{r: br, maxChunk: maxChunk}
+	tr := &Reader{r: bufio.NewReaderSize(r, 1<<16), maxChunk: maxChunk}
 	if opts.VerifyFingerprint {
 		tr.canon = sha256.New()
+	}
+	if err := tr.readHeader(); err != nil {
+		return nil, err
 	}
 	return tr, nil
 }
 
+// reset re-arms t to decode r from its start, as NewReader with t's
+// options would, but keeps t's read buffer, chunk payload and hash
+// state, so a source that replays a file pass after pass allocates
+// nothing per pass. The file header is validated again.
+func (t *Reader) reset(r io.Reader) error {
+	t.r.Reset(r)
+	*t = Reader{
+		r: t.r, maxChunk: t.maxChunk,
+		payload: t.payload[:0], canon: t.canon, scratch: t.scratch[:0],
+	}
+	if t.canon != nil {
+		t.canon.Reset()
+	}
+	return t.readHeader()
+}
+
+// readHeader reads and validates the file header.
+func (t *Reader) readHeader() error {
+	hdr := t.hdr[:fileHeaderLen]
+	if _, err := io.ReadFull(t.r, hdr); err != nil {
+		return fmt.Errorf("%w: reading file header: %v", ErrTruncated, err)
+	}
+	if [4]byte(hdr[:4]) != Magic {
+		return ErrBadMagic
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != Version {
+		return fmt.Errorf("%w: got %d, support %d", ErrBadVersion, v, Version)
+	}
+	if binary.LittleEndian.Uint16(hdr[6:8]) != 0 || binary.LittleEndian.Uint64(hdr[8:16]) != 0 {
+		return fmt.Errorf("%w: nonzero reserved file-header field", ErrCorrupt)
+	}
+	return nil
+}
+
 // Next implements isa.Source. After exhaustion or a decode error it
 // keeps returning false; Err distinguishes a clean end from corruption.
+// It is NextBatch with a batch of one, so both share one decode path.
 func (t *Reader) Next() (isa.Record, bool) {
-	if t.err != nil || t.done {
+	var one [1]isa.Record
+	if t.NextBatch(one[:]) == 0 {
 		return isa.Record{}, false
+	}
+	return one[0], true
+}
+
+// NextBatch implements isa.BatchSource. It decodes up to len(dst)
+// records in one loop, never past the end of the chunk that holds the
+// first of them, and makes every check Next does. A bad record ends the
+// batch: the good records before it are returned, and the next call
+// returns 0 with Err reporting the fault.
+//
+//pflint:hotpath
+func (t *Reader) NextBatch(dst []isa.Record) int {
+	if t.err != nil || t.done {
+		return 0
 	}
 	for t.recs == 0 {
 		if !t.loadChunk() {
-			return isa.Record{}, false
+			return 0
 		}
 	}
-	rec, off, err := decodeRecord(t.payload, t.off, &t.lastPC)
-	if err != nil {
-		t.err = fmt.Errorf("chunk %d, record %d: %w", t.chunkIx-1, t.count, err)
-		return isa.Record{}, false
+	n := min(len(dst), int(t.recs))
+	buf, off, lastPC := t.payload, t.off, t.lastPC
+	good := n
+	for i := range dst[:n] {
+		next, fault := decodeRecord(buf, off, &lastPC, &dst[i])
+		if fault != faultNone {
+			t.failRecord(fault, off, t.count+uint64(i))
+			good = i
+			break
+		}
+		off = next
 	}
-	t.off = off
-	t.recs--
-	if t.recs == 0 && t.off != len(t.payload) {
-		t.err = fmt.Errorf("%w: chunk %d has %d trailing payload bytes", ErrCorrupt, t.chunkIx-1, len(t.payload)-t.off)
-		return isa.Record{}, false
+	if good == n && n == int(t.recs) && off != len(buf) {
+		// The chunk's last record must end its payload exactly.
+		t.failTrailing(len(buf) - off)
+		good--
 	}
-	t.count++
+	t.off, t.lastPC = off, lastPC
+	t.recs -= uint32(good)
+	t.count += uint64(good)
 	if t.canon != nil {
-		t.scratch = appendRecord(t.scratch[:0], rec, &t.canonPC)
+		t.scratch = t.scratch[:0]
+		for _, rec := range dst[:good] {
+			t.scratch = appendRecord(t.scratch, rec, &t.canonPC)
+		}
 		t.canon.Write(t.scratch)
 	}
-	return rec, true
+	return good
+}
+
+// failRecord records the decode fault of the stream's index-th record,
+// found at payload offset off of the current chunk.
+func (t *Reader) failRecord(f decodeFault, off int, index uint64) {
+	var head byte
+	if off < len(t.payload) {
+		head = t.payload[off]
+	}
+	t.err = fmt.Errorf("chunk %d, record %d: %w", t.chunkIx-1, index, f.err(head))
+}
+
+// failTrailing records payload bytes left over after a chunk's last
+// record.
+func (t *Reader) failTrailing(extra int) {
+	t.err = fmt.Errorf("%w: chunk %d has %d trailing payload bytes", ErrCorrupt, t.chunkIx-1, extra)
 }
 
 // loadChunk reads the next chunk header and payload, or the sentinel
 // and trailer. It returns false when the stream is finished or failed.
 func (t *Reader) loadChunk() bool {
-	var hdr [chunkHeaderLen]byte
-	if _, err := io.ReadFull(t.r, hdr[:]); err != nil {
+	hdr := t.hdr[:chunkHeaderLen]
+	if _, err := io.ReadFull(t.r, hdr); err != nil {
 		t.err = fmt.Errorf("%w: reading chunk %d header: %v", ErrTruncated, t.chunkIx, err)
 		return false
 	}
@@ -158,8 +230,8 @@ func (t *Reader) loadChunk() bool {
 
 // finish reads and verifies the trailer after the sentinel.
 func (t *Reader) finish() {
-	var tail [trailerLen]byte
-	if _, err := io.ReadFull(t.r, tail[:]); err != nil {
+	tail := t.hdr[:trailerLen]
+	if _, err := io.ReadFull(t.r, tail); err != nil {
 		t.err = fmt.Errorf("%w: reading trailer: %v", ErrTruncated, err)
 		return
 	}

@@ -249,17 +249,39 @@ func newGen(seed uint64, round func(*E)) isa.Source {
 
 // Next implements isa.Source.
 func (g *gen) Next() (isa.Record, bool) {
-	for g.pos >= len(g.e.buf) {
-		g.e.buf = g.e.buf[:0]
-		g.pos = 0
-		g.round(g.e)
-		if len(g.e.buf) == 0 {
-			panic("workload: model round emitted no records")
-		}
+	if g.pos >= len(g.e.buf) {
+		g.refill()
 	}
 	r := g.e.buf[g.pos]
 	g.pos++
 	return r, true
+}
+
+// NextBatch implements isa.BatchSource: it copies from the round buffer,
+// running further rounds until dst is full.
+//
+//pflint:hotpath
+func (g *gen) NextBatch(dst []isa.Record) int {
+	n := 0
+	for n < len(dst) {
+		if g.pos >= len(g.e.buf) {
+			g.refill()
+		}
+		c := copy(dst[n:], g.e.buf[g.pos:])
+		g.pos += c
+		n += c
+	}
+	return n
+}
+
+// refill runs the next round into the emptied buffer.
+func (g *gen) refill() {
+	g.e.buf = g.e.buf[:0]
+	g.pos = 0
+	g.round(g.e)
+	if len(g.e.buf) == 0 {
+		panic("workload: model round emitted no records")
+	}
 }
 
 // ---------------------------------------------------------------------------
