@@ -31,7 +31,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/report"
 	"repro/internal/tracefile"
 )
 
@@ -123,104 +122,6 @@ func main() {
 		return
 	}
 
-	if *iprefs != "" {
-		iprefKinds := []string(nil) // "all" selects every registered backend
-		if *iprefs != "all" {
-			iprefKinds = strings.Split(*iprefs, ",")
-		}
-		filterKinds := []string(nil) // empty selects every sweepable backend
-		if *filters != "" && *filters != "all" {
-			filterKinds = strings.Split(*filters, ",")
-		}
-		rows, err := params.IFilterComparison(ctx, iprefKinds, filterKinds, jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: iprefetch: %v\n", err)
-			os.Exit(1)
-		}
-		table := report.IPrefetchComparison("Instruction-prefetcher zoo crossed with filters (front end enabled)", rows)
-		var werr error
-		switch {
-		case *csv:
-			werr = table.WriteCSV(os.Stdout)
-		case *md:
-			werr = table.WriteMarkdown(os.Stdout)
-		default:
-			werr = table.WriteText(os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "pfexperiments:", werr)
-			os.Exit(1)
-		}
-		if *met {
-			printTelemetry(&params)
-		}
-		return
-	}
-
-	if *gens != "" {
-		genKinds := []string(nil) // "all" selects every registered generator
-		if *gens != "all" {
-			genKinds = strings.Split(*gens, ",")
-		}
-		filterKinds := []string(nil) // empty selects every sweepable backend
-		if *filters != "" && *filters != "all" {
-			filterKinds = strings.Split(*filters, ",")
-		}
-		rows, err := params.GeneratorComparison(ctx, genKinds, filterKinds, jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: generators: %v\n", err)
-			os.Exit(1)
-		}
-		table := report.GeneratorComparison("Generator zoo crossed with filters (default machine)", rows)
-		var werr error
-		switch {
-		case *csv:
-			werr = table.WriteCSV(os.Stdout)
-		case *md:
-			werr = table.WriteMarkdown(os.Stdout)
-		default:
-			werr = table.WriteText(os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "pfexperiments:", werr)
-			os.Exit(1)
-		}
-		if *met {
-			printTelemetry(&params)
-		}
-		return
-	}
-
-	if *filters != "" {
-		kinds := []string(nil) // "all" selects every sweepable backend
-		if *filters != "all" {
-			kinds = strings.Split(*filters, ",")
-		}
-		rows, err := params.FilterComparison(ctx, kinds, jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: filters: %v\n", err)
-			os.Exit(1)
-		}
-		table := report.FilterComparison("Filter backends head to head (default machine)", rows)
-		var werr error
-		switch {
-		case *csv:
-			werr = table.WriteCSV(os.Stdout)
-		case *md:
-			werr = table.WriteMarkdown(os.Stdout)
-		default:
-			werr = table.WriteText(os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "pfexperiments:", werr)
-			os.Exit(1)
-		}
-		if *met {
-			printTelemetry(&params)
-		}
-		return
-	}
-
 	render := func(table *experiments.Table) {
 		var werr error
 		switch {
@@ -236,23 +137,45 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	kinds := func(s string) []string { // "" and "all" select every sweepable kind
+		if s == "" {
+			return nil
+		}
+		return strings.Split(s, ",")
+	}
 
-	if *traces != "" && *exp == "" && !*all {
-		// Corpus mode: the manifest summary, then the (trace × filter)
-		// comparison — the same pipeline -filters runs on the models.
-		m, err := tracefile.LoadManifest(*traces)
+	// The comparison modes share one sweep: -iprefetch or -generators
+	// picks the third axis, -filters the filters, -traces the corpus.
+	if *iprefs != "" || *gens != "" || *filters != "" || *traces != "" && *exp == "" && !*all {
+		mode := "filters"
+		var axis *experiments.Axis
+		var values []string
+		switch {
+		case *iprefs != "":
+			mode, axis, values = "iprefetch", experiments.IPrefetchAxis, kinds(*iprefs)
+		case *gens != "":
+			mode, axis, values = "generators", experiments.GeneratorAxis, kinds(*gens)
+		}
+		title := axis.TableTitle()
+		if axis == nil && *filters == "" {
+			// -traces alone: the manifest summary above the (trace ×
+			// filter) comparison, over the corpus even when -bench is set.
+			m, err := tracefile.LoadManifest(*traces)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "pfexperiments: %v\n", err)
+				os.Exit(1)
+			}
+			render(experiments.TraceCorpusTable(m))
+			fmt.Println()
+			mode, title = "traces", experiments.TraceTitle
+			params.Benchmarks = corpus
+		}
+		cells, err := params.Sweep(ctx, axis, values, kinds(*filters), jobs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: %v\n", err)
+			fmt.Fprintf(os.Stderr, "pfexperiments: %s: %v\n", mode, err)
 			os.Exit(1)
 		}
-		render(experiments.TraceCorpusTable(m))
-		fmt.Println()
-		rows, err := params.TraceComparison(ctx, corpus, nil, jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: traces: %v\n", err)
-			os.Exit(1)
-		}
-		render(report.FilterComparison("Trace corpus crossed with filters (default machine)", rows))
+		render(experiments.ComparisonTable(title, axis, cells))
 		if *met {
 			printTelemetry(&params)
 		}
@@ -295,24 +218,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pfexperiments: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		switch {
-		case *csv:
-			if err := table.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "pfexperiments:", err)
-				os.Exit(1)
-			}
-		case *md:
-			if err := table.WriteMarkdown(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "pfexperiments:", err)
-				os.Exit(1)
-			}
-		default:
+		if !*csv && !*md {
 			fmt.Printf("=== %s: %s (%.1fs) ===\n", e.ID, e.Title, time.Since(start).Seconds())
-			if err := table.WriteText(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "pfexperiments:", err)
-				os.Exit(1)
-			}
 		}
+		render(table)
 	}
 
 	if *met {

@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/config"
 )
 
 func TestHistoryTableValidation(t *testing.T) {
@@ -287,43 +285,6 @@ func TestPropertyDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFromConfig(t *testing.T) {
-	base := config.Default().Filter
-	cases := []struct {
-		kind config.FilterKind
-		name string
-	}{
-		{config.FilterNone, "none"},
-		{config.FilterPA, "pa"},
-		{config.FilterPC, "pc"},
-		{config.FilterAdaptive, "pa-adaptive"},
-	}
-	for _, tc := range cases {
-		cfg := base
-		cfg.Kind = tc.kind
-		f, err := FromConfig(cfg)
-		if err != nil {
-			t.Errorf("%s: %v", tc.kind, err)
-			continue
-		}
-		if f.Name() != tc.name {
-			t.Errorf("%s: name = %q, want %q", tc.kind, f.Name(), tc.name)
-		}
-	}
-	// Static needs the two-phase flow.
-	cfg := base
-	cfg.Kind = config.FilterStatic
-	if _, err := FromConfig(cfg); err == nil {
-		t.Error("static kind should error out of FromConfig")
-	}
-	// Invalid config is rejected.
-	cfg = base
-	cfg.TableEntries = 1000
-	if _, err := FromConfig(cfg); err == nil {
-		t.Error("invalid table entries should fail")
 	}
 }
 

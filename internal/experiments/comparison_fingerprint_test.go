@@ -40,11 +40,11 @@ func TestFilterComparisonPinned(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 8} {
 		p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-		rows, err := p.FilterComparison(context.Background(), nil, workers)
+		cells, err := p.Sweep(context.Background(), nil, nil, nil, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := rowsHash(t, rows); got != filterComparisonSHA256 {
+		if got := rowsHash(t, FilterRows(cells)); got != filterComparisonSHA256 {
 			t.Errorf("workers=%d fingerprint = %s, want %s", workers, got, filterComparisonSHA256)
 		}
 	}
@@ -58,13 +58,17 @@ func TestTraceComparisonPinned(t *testing.T) {
 		t.Skip("trace replay sweep is not short")
 	}
 	registerSampleCorpus(t)
+	traces, err := ExpandTraces(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4, 8} {
-		p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-		rows, err := p.TraceComparison(context.Background(), nil, nil, workers)
+		p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1, Benchmarks: traces}
+		cells, err := p.Sweep(context.Background(), nil, nil, nil, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := rowsHash(t, rows); got != traceComparisonSHA256 {
+		if got := rowsHash(t, FilterRows(cells)); got != traceComparisonSHA256 {
 			t.Errorf("workers=%d fingerprint = %s, want %s", workers, got, traceComparisonSHA256)
 		}
 	}

@@ -302,12 +302,12 @@ func TestFiltersExperimentSmall(t *testing.T) {
 
 func TestFilterComparisonRejectsUnknownKind(t *testing.T) {
 	p := smallParams()
-	if _, err := p.FilterComparison(context.Background(), []string{"bogus"}, 1); err == nil {
+	if _, err := p.Sweep(context.Background(), nil, nil, []string{"bogus"}, 1); err == nil {
 		t.Fatal("unknown kind must error")
 	} else if !strings.Contains(err.Error(), "registered") {
 		t.Fatalf("error should list registered kinds, got: %v", err)
 	}
-	if _, err := p.FilterComparison(context.Background(), []string{"static"}, 1); err == nil {
+	if _, err := p.Sweep(context.Background(), nil, nil, []string{"static"}, 1); err == nil {
 		t.Fatal("static kind must be refused in sweeps")
 	}
 }
@@ -315,10 +315,11 @@ func TestFilterComparisonRejectsUnknownKind(t *testing.T) {
 func TestFilterComparisonBaselineDelta(t *testing.T) {
 	p := smallParams()
 	p.Benchmarks = []string{"mcf"}
-	rows, err := p.FilterComparison(context.Background(), []string{"pa", "table-pa"}, 2)
+	cells, err := p.Sweep(context.Background(), nil, nil, []string{"pa", "table-pa"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := FilterRows(cells)
 	// none + pa (table-pa dedups onto pa) = 2 rows.
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2 (alias must dedup): %+v", len(rows), rows)

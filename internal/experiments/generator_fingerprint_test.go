@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -30,16 +28,11 @@ var generatorFingerprintSHA256 = map[string]string{
 func generatorHash(t *testing.T, gen string, workers int) string {
 	t.Helper()
 	p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-	rows, err := p.GeneratorComparison(context.Background(), []string{gen}, []string{string(config.FilterPA)}, workers)
+	cells, err := p.Sweep(context.Background(), GeneratorAxis, []string{gen}, []string{string(config.FilterPA)}, workers)
 	if err != nil {
-		t.Fatalf("GeneratorComparison(%s, workers=%d): %v", gen, workers, err)
+		t.Fatalf("Sweep(%s, workers=%d): %v", gen, workers, err)
 	}
-	blob, err := json.Marshal(rows)
-	if err != nil {
-		t.Fatalf("marshal rows: %v", err)
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
+	return rowsHash(t, GeneratorRows(cells))
 }
 
 // TestGeneratorFingerprintPinned extends the determinism contract to the

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"testing"
 
@@ -37,16 +35,11 @@ func iprefetchHash(t *testing.T, ipref string, workers int) string {
 	t.Helper()
 	p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1,
 		Benchmarks: iprefetchBenchmarks(t)}
-	rows, err := p.IFilterComparison(context.Background(), []string{ipref}, []string{string(config.FilterPA)}, workers)
+	cells, err := p.Sweep(context.Background(), IPrefetchAxis, []string{ipref}, []string{string(config.FilterPA)}, workers)
 	if err != nil {
-		t.Fatalf("IFilterComparison(%s, workers=%d): %v", ipref, workers, err)
+		t.Fatalf("Sweep(%s, workers=%d): %v", ipref, workers, err)
 	}
-	blob, err := json.Marshal(rows)
-	if err != nil {
-		t.Fatalf("marshal rows: %v", err)
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
+	return rowsHash(t, IPrefetchRows(cells))
 }
 
 // TestIPrefetchFingerprintPinned extends the determinism contract to

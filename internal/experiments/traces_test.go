@@ -100,11 +100,12 @@ func TestTraceComparisonDeterministicAcrossWorkers(t *testing.T) {
 	bench := registerSampleCorpus(t)
 	var want string
 	for _, workers := range []int{1, 4, 8} {
-		p := Params{Instructions: 20_000, Warmup: 5_000, Seed: 1}
-		rows, err := p.TraceComparison(context.Background(), []string{bench}, []string{"pa"}, workers)
+		p := Params{Instructions: 20_000, Warmup: 5_000, Seed: 1, Benchmarks: []string{bench}}
+		cells, err := p.Sweep(context.Background(), nil, nil, []string{"pa"}, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		rows := FilterRows(cells)
 		if len(rows) == 0 {
 			t.Fatalf("workers=%d: no rows", workers)
 		}
@@ -129,16 +130,20 @@ func TestTraceComparisonDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestTraceComparisonUnknownTrace lists the registered corpus in the
-// error, mirroring the server's 400 body.
+// error (the server's 400 body), and resolves names with or without the
+// "trace:" prefix onto one benchmark.
 func TestTraceComparisonUnknownTrace(t *testing.T) {
-	registerSampleCorpus(t)
-	p := Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-	_, err := p.TraceComparison(context.Background(), []string{"trace:nope"}, []string{"pa"}, 1)
+	bench := registerSampleCorpus(t)
+	_, err := ExpandTraces([]string{"trace:nope"})
 	if err == nil {
 		t.Fatal("unknown trace accepted")
 	}
 	if !strings.Contains(err.Error(), "trace:nope") || !strings.Contains(err.Error(), "trace:exp-sample") {
 		t.Fatalf("error %q should name the unknown trace and the registered corpus", err)
+	}
+	got, err := ExpandTraces([]string{"exp-sample", bench})
+	if err != nil || len(got) != 1 || got[0] != bench {
+		t.Fatalf("ExpandTraces(exp-sample, %s) = %v, %v; want [%s]", bench, got, err, bench)
 	}
 }
 

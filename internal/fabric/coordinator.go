@@ -57,8 +57,6 @@ type Cell struct {
 	// Bench and Config describe the simulation.
 	Bench  string
 	Config config.Config
-	// Generator is presentation metadata passed through to results.
-	Generator string
 }
 
 // Params are the run parameters shared by every cell of a sweep.

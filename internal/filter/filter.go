@@ -95,16 +95,25 @@ func New(cfg config.FilterConfig) (core.Filter, error) {
 }
 
 func init() {
-	// The paper baselines delegate to internal/core so the table path is
-	// the exact code (and therefore the exact simulated behaviour) the
-	// figure experiments always used.
-	for _, k := range []config.FilterKind{config.FilterNone, config.FilterPA, config.FilterPC, config.FilterAdaptive} {
-		k := k
-		Register(k, func(cfg config.FilterConfig) (core.Filter, error) {
-			cfg.Kind = k
-			return core.FromConfig(cfg)
-		})
-	}
+	// The paper baselines are the internal/core tables, the exact code
+	// (and therefore the exact simulated behaviour) the figure
+	// experiments always used.
+	Register(config.FilterNone, func(config.FilterConfig) (core.Filter, error) {
+		return core.NewNull(), nil
+	})
+	Register(config.FilterPA, func(cfg config.FilterConfig) (core.Filter, error) {
+		return core.NewPA(cfg.TableEntries, cfg.InitialCounter, cfg.Threshold, core.IndexDirect)
+	})
+	Register(config.FilterPC, func(cfg config.FilterConfig) (core.Filter, error) {
+		return core.NewPC(cfg.TableEntries, cfg.InitialCounter, cfg.Threshold, core.IndexDirect)
+	})
+	Register(config.FilterAdaptive, func(cfg config.FilterConfig) (core.Filter, error) {
+		inner, err := core.NewPA(cfg.TableEntries, cfg.InitialCounter, cfg.Threshold, core.IndexDirect)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewAdaptive(inner, cfg.AdaptiveAccuracy, cfg.AdaptiveWindow), nil
+	})
 	// The dead-block gate lives in the cache hierarchy (it needs the L1's
 	// victim state); its core filter slot is pass-through, exactly as
 	// sim.Run has always wired it.

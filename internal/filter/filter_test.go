@@ -102,6 +102,38 @@ func TestNewBaselineDelegatesToCore(t *testing.T) {
 	}
 }
 
+// TestPaperBackendsFromConfig builds the paper's table-family kinds from
+// the default machine's filter config through the registry, and checks
+// that an invalid table size is rejected before construction.
+func TestPaperBackendsFromConfig(t *testing.T) {
+	base := config.Default().Filter
+	for _, tc := range []struct {
+		kind config.FilterKind
+		name string
+	}{
+		{config.FilterNone, "none"},
+		{config.FilterPA, "pa"},
+		{config.FilterPC, "pc"},
+		{config.FilterAdaptive, "pa-adaptive"},
+	} {
+		cfg := base
+		cfg.Kind = tc.kind
+		f, err := New(cfg)
+		if err != nil {
+			t.Errorf("%s: %v", tc.kind, err)
+			continue
+		}
+		if f.Name() != tc.name {
+			t.Errorf("%s: name = %q, want %q", tc.kind, f.Name(), tc.name)
+		}
+	}
+	cfg := base
+	cfg.TableEntries = 1000
+	if _, err := New(cfg); err == nil {
+		t.Error("invalid table entries should fail")
+	}
+}
+
 func TestAliasBuildsIdenticalTable(t *testing.T) {
 	a, err := New(config.FilterConfig{Kind: config.FilterTablePA, TableEntries: 256})
 	if err != nil {

@@ -12,8 +12,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fabric"
 	"repro/internal/filter"
-	"repro/internal/frontend"
-	"repro/internal/prefetch"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/tracefile"
@@ -224,36 +222,6 @@ func appendUnique(dst []string, lists ...[]string) []string {
 	return dst
 }
 
-// expandTraces resolves the traces dimension to registered trace
-// benchmark names: ["all"] becomes the whole registered corpus, names
-// resolve with or without the "trace:" prefix, and an unknown name is a
-// request error (HTTP 400) listing the registered corpus.
-func expandTraces(names []string) ([]string, error) {
-	if len(names) == 1 && names[0] == "all" {
-		reg := tracefile.Registered()
-		if len(reg) == 0 {
-			return nil, fmt.Errorf("no trace corpus registered (start the server with -trace-manifest)")
-		}
-		return reg, nil
-	}
-	out := make([]string, 0, len(names))
-	seen := map[string]bool{}
-	for _, name := range names {
-		full := name
-		if !tracefile.IsTraceBench(full) {
-			full = tracefile.BenchPrefix + name
-		}
-		if _, ok := workload.ByName(full); !ok {
-			return nil, fmt.Errorf("unknown trace %q (registered traces: %v)", name, tracefile.Registered())
-		}
-		if !seen[full] {
-			seen[full] = true
-			out = append(out, full)
-		}
-	}
-	return out, nil
-}
-
 // buildConfig assembles a machine config from request knobs and
 // validates it.
 func buildConfig(filterName string, cacheKB, tableEntries, l1Ports int, prefetchBuffer bool) (config.Config, error) {
@@ -268,7 +236,7 @@ func buildConfig(filterName string, cacheKB, tableEntries, l1Ports int, prefetch
 	default:
 		return config.Config{}, fmt.Errorf("cache_kb must be 8, 16, or 32, got %d", cacheKB)
 	}
-	kind := config.FilterKind(filterName)
+	kind := config.FilterKind(filterName).Canonical()
 	if filterName == "" {
 		kind = config.FilterNone
 	}
@@ -303,15 +271,21 @@ func expandRun(req RunRequest) ([]experiments.MatrixItem, error) {
 	return []experiments.MatrixItem{{Bench: req.Benchmark, Config: cfg}}, nil
 }
 
-// expandSweep turns a validated SweepRequest into its matrix. p supplies
-// the standard-matrix expansion (and carries the benchmark narrowing).
-func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.MatrixItem, error) {
+// expandSweep turns a validated SweepRequest into its matrix and the
+// requested cell count. p supplies the standard-matrix expansion (and
+// carries the benchmark narrowing). The filter, generator and I-side
+// axes expand through the experiments sweep axes, so names canonicalise
+// and dedupe exactly as in pfexperiments; the matrix stays filter-major.
+func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.MatrixItem, int, error) {
 	if err := validateBenchmarks(req.Benchmarks); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	traces, err := expandTraces(req.Traces)
-	if err != nil {
-		return nil, err
+	var traces []string
+	if len(req.Traces) > 0 {
+		var err error
+		if traces, err = experiments.ExpandTraces(req.Traces); err != nil {
+			return nil, 0, err
+		}
 	}
 	if req.Standard {
 		if len(traces) > 0 {
@@ -322,238 +296,76 @@ func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.MatrixI
 			}
 			p.Benchmarks = appendUnique(nil, base, traces)
 		}
-		return p.StandardMatrix(), nil
+		items := p.StandardMatrix()
+		return items, len(items), nil
 	}
 	benches := req.Benchmarks
 	if len(benches) == 0 && len(traces) == 0 {
 		benches = workload.PaperNames()
 	}
 	benches = appendUnique(nil, benches, traces)
-	filters := req.Filters
-	if len(filters) == 0 {
-		filters = []string{string(config.FilterNone), string(config.FilterPA), string(config.FilterPC)}
-	} else if len(filters) == 1 && filters[0] == "all" {
-		// The filters dimension expands to every sweepable backend in the
-		// registry (the static filter needs a profiling run and is skipped).
-		filters = filter.Sweepable()
+	names := req.Filters
+	if len(names) == 0 {
+		names = []string{string(config.FilterNone), string(config.FilterPA), string(config.FilterPC)}
+	} else if len(names) == 1 && names[0] == "all" {
+		names = filter.Sweepable() // expanded here so jobs counts every backend
 	}
-	gens, err := expandGenerators(req.Generators)
+	filters, err := experiments.FilterAxis.Expand(names)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	iprefs, err := expandIPrefetch(req.IPrefetch)
+	var axis *experiments.Axis
+	values := []string{""}
+	switch {
+	case len(req.Generators) > 0 && len(req.IPrefetch) > 0:
+		return nil, 0, fmt.Errorf("the generators and iprefetch axes cannot be combined in one sweep (the front end replaces the D-side generator mix)")
+	case len(req.Generators) > 0:
+		axis = experiments.GeneratorAxis
+		values, err = axis.Expand(req.Generators)
+	case len(req.IPrefetch) > 0:
+		axis = experiments.IPrefetchAxis
+		values, err = axis.Expand(req.IPrefetch)
+	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if len(gens) > 0 && len(iprefs) > 0 {
-		return nil, fmt.Errorf("the generators and iprefetch axes cannot be combined in one sweep (the front end replaces the D-side generator mix)")
-	}
-	items := make([]experiments.MatrixItem, 0, len(benches)*len(filters)*max(1, len(gens)+len(iprefs)))
+	items := make([]experiments.MatrixItem, 0, len(benches)*len(filters)*len(values))
 	for _, f := range filters {
 		cfg, err := buildConfig(f, req.CacheKB, 0, 0, false)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		switch {
-		case len(gens) > 0:
-			for _, g := range gens {
-				gcfg := cfg.WithGenerator(g)
-				for _, b := range benches {
-					items = append(items, experiments.MatrixItem{Bench: b, Config: gcfg, Generator: string(g)})
-				}
+		for _, v := range values {
+			item := experiments.MatrixItem{Config: cfg}
+			switch axis {
+			case experiments.GeneratorAxis:
+				item.Config, item.Generator = axis.Apply(cfg, v), v
+			case experiments.IPrefetchAxis:
+				item.Config, item.IPrefetcher = axis.Apply(cfg, v), v
 			}
-		case len(iprefs) > 0:
-			for _, ip := range iprefs {
-				icfg := cfg.WithIPrefetch(ip)
-				for _, b := range benches {
-					items = append(items, experiments.MatrixItem{Bench: b, Config: icfg, IPrefetcher: string(ip)})
-				}
-			}
-		default:
 			for _, b := range benches {
-				items = append(items, experiments.MatrixItem{Bench: b, Config: cfg})
+				item.Bench = b
+				items = append(items, item)
 			}
 		}
 	}
-	return items, nil
+	// Jobs counts every requested filter, duplicates included; Unique
+	// (after cell dedup) is what runs.
+	return items, len(benches) * len(names) * len(values), nil
 }
 
-// expandIPrefetch resolves the iprefetch dimension: ["all"] becomes
-// every registered instruction-prefetcher kind, names resolve through
-// their aliases, and an unknown kind is a request error (HTTP 400).
-func expandIPrefetch(names []string) ([]config.IPrefetchKind, error) {
-	if len(names) == 1 && names[0] == "all" {
-		reg := frontend.Sweepable()
-		out := make([]config.IPrefetchKind, len(reg))
-		for i, ip := range reg {
-			out[i] = config.IPrefetchKind(ip)
-		}
-		return out, nil
-	}
-	out := make([]config.IPrefetchKind, 0, len(names))
-	seen := map[config.IPrefetchKind]bool{}
-	for _, ip := range names {
-		kind := config.IPrefetchKind(ip).Canonical()
-		if !frontend.Registered(kind) {
-			return nil, fmt.Errorf("unknown instruction prefetcher %q (registered backends: %v)", ip, frontend.Kinds())
-		}
-		if !seen[kind] {
-			seen[kind] = true
-			out = append(out, kind)
-		}
-	}
-	return out, nil
-}
-
-// expandGenerators resolves the generators dimension: ["all"] becomes
-// every registered generator kind, names resolve through their aliases,
-// and an unknown kind is a request error (HTTP 400).
-func expandGenerators(names []string) ([]config.PrefetchKind, error) {
-	if len(names) == 1 && names[0] == "all" {
-		reg := prefetch.Sweepable()
-		out := make([]config.PrefetchKind, len(reg))
-		for i, g := range reg {
-			out[i] = config.PrefetchKind(g)
-		}
-		return out, nil
-	}
-	out := make([]config.PrefetchKind, 0, len(names))
-	seen := map[config.PrefetchKind]bool{}
-	for _, g := range names {
-		kind := config.PrefetchKind(g).Canonical()
-		if !prefetch.Registered(kind) {
-			return nil, fmt.Errorf("unknown generator %q (registered generators: %v)", g, prefetch.Kinds())
-		}
-		if !seen[kind] {
-			seen[kind] = true
-			out = append(out, kind)
-		}
-	}
-	return out, nil
-}
-
-// buildComparison derives the head-to-head rows from the successful
-// sweep cells. IPC deltas are against the benchmark's "none" cell; a
-// benchmark without one reports zero deltas.
-func buildComparison(results []RunResult) []report.FilterComparisonRow {
-	baseIPC := make(map[string]float64)
+// comparisonCells gathers the successful results as comparison cells,
+// paired with their (benchmark, axis value) baselines. A cell carries at
+// most one of the generator and I-prefetcher labels.
+func comparisonCells(results []RunResult) []experiments.Cell {
+	var cells []experiments.Cell
 	for _, r := range results {
-		if r.Run != nil && config.FilterKind(r.Filter).Canonical() == config.FilterNone {
-			baseIPC[r.Benchmark] = r.IPC
+		if r.Run != nil {
+			cells = append(cells, experiments.Cell{Bench: r.Benchmark, Value: r.Generator + r.IPrefetcher, Filter: r.Filter, Run: *r.Run})
 		}
 	}
-	var rows []report.FilterComparisonRow
-	for _, r := range results {
-		if r.Run == nil {
-			continue
-		}
-		cov := 0.0
-		if denom := r.Run.Prefetches.Good + r.Run.L1DemandMisses; denom > 0 {
-			cov = float64(r.Run.Prefetches.Good) / float64(denom)
-		}
-		delta := 0.0
-		if base, ok := baseIPC[r.Benchmark]; ok {
-			delta = r.IPC - base
-		}
-		rows = append(rows, report.FilterComparisonRow{
-			Benchmark: r.Benchmark,
-			Filter:    r.Filter,
-			Good:      r.Run.Prefetches.Good,
-			Bad:       r.Run.Prefetches.Bad,
-			Filtered:  r.Run.Prefetches.Filtered,
-			Accuracy:  r.Run.Prefetches.GoodFraction(),
-			Coverage:  cov,
-			IPC:       r.IPC,
-			IPCDelta:  delta,
-		})
-	}
-	report.SortFilterComparison(rows)
-	return rows
-}
-
-// buildGeneratorComparison derives the cross-product rows from a
-// generator sweep's successful cells. IPC deltas are against the same
-// (benchmark, generator) pair's "none" cell; pairs without one report
-// zero deltas.
-func buildGeneratorComparison(results []RunResult) []report.GeneratorComparisonRow {
-	baseIPC := make(map[string]float64)
-	for _, r := range results {
-		if r.Run != nil && config.FilterKind(r.Filter).Canonical() == config.FilterNone {
-			baseIPC[r.Benchmark+"|"+r.Generator] = r.IPC
-		}
-	}
-	var rows []report.GeneratorComparisonRow
-	for _, r := range results {
-		if r.Run == nil {
-			continue
-		}
-		cov := 0.0
-		if denom := r.Run.Prefetches.Good + r.Run.L1DemandMisses; denom > 0 {
-			cov = float64(r.Run.Prefetches.Good) / float64(denom)
-		}
-		delta := 0.0
-		if base, ok := baseIPC[r.Benchmark+"|"+r.Generator]; ok {
-			delta = r.IPC - base
-		}
-		rows = append(rows, report.GeneratorComparisonRow{
-			Generator: r.Generator,
-			FilterComparisonRow: report.FilterComparisonRow{
-				Benchmark: r.Benchmark,
-				Filter:    r.Filter,
-				Good:      r.Run.Prefetches.Good,
-				Bad:       r.Run.Prefetches.Bad,
-				Filtered:  r.Run.Prefetches.Filtered,
-				Accuracy:  r.Run.Prefetches.GoodFraction(),
-				Coverage:  cov,
-				IPC:       r.IPC,
-				IPCDelta:  delta,
-			},
-		})
-	}
-	report.SortGeneratorComparison(rows)
-	return rows
-}
-
-// buildIPrefetchComparison derives the I-side cross-product rows from
-// an iprefetch sweep's successful cells. IPC deltas are against the
-// same (benchmark, iprefetcher) pair's "none" cell; pairs without one
-// report zero deltas. The Frontend block is nil-guarded: a cell served
-// from a store written before the front end existed degrades to zero
-// I-side counts rather than failing the sweep.
-func buildIPrefetchComparison(results []RunResult) []report.IPrefetchComparisonRow {
-	baseIPC := make(map[string]float64)
-	for _, r := range results {
-		if r.Run != nil && config.FilterKind(r.Filter).Canonical() == config.FilterNone {
-			baseIPC[r.Benchmark+"|"+r.IPrefetcher] = r.IPC
-		}
-	}
-	var rows []report.IPrefetchComparisonRow
-	for _, r := range results {
-		if r.Run == nil {
-			continue
-		}
-		delta := 0.0
-		if base, ok := baseIPC[r.Benchmark+"|"+r.IPrefetcher]; ok {
-			delta = r.IPC - base
-		}
-		row := report.IPrefetchComparisonRow{
-			IPrefetcher: r.IPrefetcher,
-			Benchmark:   r.Benchmark,
-			Filter:      r.Filter,
-			IPC:         r.IPC,
-			IPCDelta:    delta,
-		}
-		if fe := r.Run.Frontend; fe != nil {
-			row.Good = fe.Prefetches.Good
-			row.Bad = fe.Prefetches.Bad
-			row.Filtered = fe.Prefetches.Filtered
-			row.FetchMissRate = fe.FetchMissRate()
-			row.Pollution = fe.Pollution()
-		}
-		rows = append(rows, row)
-	}
-	report.SortIPrefetchComparison(rows)
-	return rows
+	experiments.PairBaselines(cells)
+	return cells
 }
 
 // resultForCell assembles one RunResult from a cell and its outcome,

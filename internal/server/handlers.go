@@ -190,7 +190,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Standard {
 		p.Benchmarks = req.Benchmarks
 	}
-	items, err := expandSweep(req, &p)
+	items, jobs, err := expandSweep(req, &p)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -205,7 +205,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Stream {
-		s.streamSweep(w, r, req, &p, cells, len(items))
+		s.streamSweep(w, r, req, &p, cells, jobs)
 		return
 	}
 
@@ -213,7 +213,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := buildSweepResponse(req, &p, cells, outcomes, len(items), wallNS, true)
+	resp := buildSweepResponse(req, &p, cells, outcomes, jobs, wallNS, true)
 	s.cfg.Metrics.Counter("server.sweep.completed").Inc()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -298,12 +298,13 @@ func buildSweepResponse(req SweepRequest, p *experiments.Params, cells []sweepCe
 		results = append(results, resultForCell(c, o))
 	}
 	resp.Fingerprint = fabric.Fingerprint(runs)
-	if len(req.Generators) > 0 {
-		resp.GeneratorComparison = buildGeneratorComparison(results)
-	} else if len(req.IPrefetch) > 0 {
-		resp.IPrefetchComparison = buildIPrefetchComparison(results)
-	} else {
-		resp.Comparison = buildComparison(results)
+	switch cmp := comparisonCells(results); {
+	case len(req.Generators) > 0:
+		resp.GeneratorComparison = experiments.GeneratorRows(cmp)
+	case len(req.IPrefetch) > 0:
+		resp.IPrefetchComparison = experiments.IPrefetchRows(cmp)
+	default:
+		resp.Comparison = experiments.FilterRows(cmp)
 	}
 	if includeResults {
 		resp.Results = results

@@ -297,7 +297,7 @@ func (s *Server) executeCells(ctx context.Context, p *experiments.Params, cells 
 		fcells := make([]fabric.Cell, len(cells))
 		for i, c := range cells {
 			byKey[c.key] = c
-			fcells[i] = fabric.Cell{Key: c.key, Bench: c.item.Bench, Config: c.item.Config, Generator: c.item.Generator}
+			fcells[i] = fabric.Cell{Key: c.key, Bench: c.item.Bench, Config: c.item.Config}
 		}
 		fp := fabric.Params{Instructions: p.Instructions, Warmup: p.Warmup, Seed: p.Seed}
 		ctxErr := s.cfg.Coordinator.Run(ctx, fp, fcells, p.CostModel(), func(r fabric.Result) {

@@ -653,3 +653,43 @@ func TestSweepIPrefetchAliasCanonicalized(t *testing.T) {
 		t.Fatalf("alias should canonicalize and dedup to nextline, got %v", got)
 	}
 }
+
+// TestSweepFilterAliasCanonicalized: the filter axis resolves like the
+// experiments' — aliases fold onto their canonical kind (one cell, one
+// CAS key, labelled "pa"), and the static filter, which needs a
+// profiling run, is a request error rather than a per-cell failure.
+func TestSweepFilterAliasCanonicalized(t *testing.T) {
+	s, ts := newTestServer(t, Config{QueueDepth: 8, MaxConcurrent: 2, Workers: 4})
+	s.runSim = func(context.Context, *experiments.Params, string, config.Config) (stats.Run, error) {
+		return stats.Run{Instructions: 1, Cycles: 2}, nil
+	}
+	status, body := post(t, ts.URL, "/v1/sweep", `{"benchmarks":["fpppp"],"filters":["pa","table-pa"]}`)
+	if status != 200 {
+		t.Fatalf("alias sweep: status = %d (body %s)", status, body)
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Unique != 1 || len(resp.Results) != 1 || resp.Results[0].Name != "fpppp/pa" {
+		t.Fatalf("pa+table-pa should be one cell fpppp/pa, got unique=%d: %s", resp.Unique, body)
+	}
+	sweepSHA := resp.Results[0].KeySHA
+
+	status, body = post(t, ts.URL, "/v1/sweep", `{"benchmarks":["fpppp"],"filters":["static"]}`)
+	if status != 400 || !strings.Contains(string(body), "static") {
+		t.Fatalf("static in a sweep: status = %d (body %s), want 400 naming static", status, body)
+	}
+
+	status, body = post(t, ts.URL, "/v1/run", `{"benchmark":"fpppp","filter":"table-pa"}`)
+	if status != 200 {
+		t.Fatalf("alias run: status = %d (body %s)", status, body)
+	}
+	var run RunResponse
+	if err := json.Unmarshal(body, &run); err != nil {
+		t.Fatal(err)
+	}
+	if run.Result.Filter != "pa" || run.Result.KeySHA != sweepSHA {
+		t.Fatalf("run table-pa = filter %q key %s, want pa's cell %s", run.Result.Filter, run.Result.KeySHA, sweepSHA)
+	}
+}
