@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench-test bench-pins race lint fuzz-smoke bench-smoke trace-smoke fabric-smoke iprefetch-smoke
+.PHONY: build test bench-test bench-pins race lint fuzz-smoke trace-smoke fabric-smoke iprefetch-smoke
 
 build:
 	$(GO) build ./...
@@ -42,12 +42,14 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/pflint ./...
 
-# FuzzReaderBatch is seeded with whole traces, and minimizing one such
-# input would take the whole budget; -fuzzminimizetime keeps it fuzzing.
+# FuzzReaderBatch is seeded with whole traces and FuzzConvertChampSim
+# with 8 KiB of the ChampSim fixture; minimizing such an input would take
+# the whole budget, so -fuzzminimizetime keeps them fuzzing.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzConfigString -fuzztime=30s ./internal/config/
 	$(GO) test -run=NONE -fuzz=FuzzHistoryTableIndex -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzReaderBatch -fuzztime=30s -fuzzminimizetime=5s ./internal/tracefile/
+	$(GO) test -run=NONE -fuzz=FuzzConvertChampSim -fuzztime=30s -fuzzminimizetime=5s ./internal/tracefile/
 
 # Real-trace pipeline smoke (docs/TRACES.md): convert the checked-in
 # ChampSim fixture, assert the pinned fingerprint, replay the corpus.
@@ -75,9 +77,3 @@ iprefetch-smoke:
 		-n 100000 -warmup 20000
 	$(GO) test -run 'TestIPrefetchFingerprintPinned|TestIPrefetchAliasRunsIdentical' \
 		./internal/experiments/
-
-# Reduced bench matrix; see docs/PERFORMANCE.md for the full policy.
-bench-smoke:
-	$(GO) run ./cmd/pfexperiments -bench-json -jobs 4 \
-		-n 50000 -warmup 10000 -bench mcf,gzip \
-		-bench-out BENCH_smoke.json

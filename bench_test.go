@@ -241,7 +241,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := isa.WriteTrace(&buf, recs); err != nil {
+		if err := tracefile.Encode(&buf, recs, tracefile.WriterOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(buf.Len()))
@@ -252,7 +252,7 @@ func BenchmarkTraceDecode(b *testing.B) {
 	spec, _ := workload.ByName("gcc")
 	recs := isa.Collect(isa.NewLimitSource(spec.New(1), 100_000), 0)
 	var buf bytes.Buffer
-	if err := isa.WriteTrace(&buf, recs); err != nil {
+	if err := tracefile.Encode(&buf, recs, tracefile.WriterOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -260,7 +260,7 @@ func BenchmarkTraceDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := isa.ReadTrace(bytes.NewReader(data)); err != nil {
+		if _, err := tracefile.Decode(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,6 @@
 //	pfexperiments -all -deadline 5m  # abandon queued sims past the deadline
 //	pfexperiments -exp fig12 -csv    # CSV instead of aligned text
 //	pfexperiments -all -n 5000000    # longer runs for tighter statistics
-//	pfexperiments -bench-json        # timed bench matrix -> BENCH_baseline.json
 //	pfexperiments -filters all       # head-to-head filter-backend comparison
 //	pfexperiments -filters pa,perceptron,bloom -bench mcf
 //	pfexperiments -generators all -filters all   # full (generator x filter) cross-product
@@ -47,8 +46,6 @@ func main() {
 		bench    = flag.String("bench", "", "comma-separated benchmark subset (default: all ten)")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the simulation sweep (0 = none); queued sims past it are abandoned")
 		met      = flag.Bool("metrics", false, "print harness telemetry (cache hits/misses, scheduler steals, per-benchmark sim wall time) after the run")
-		benchOut = flag.String("bench-out", "BENCH_baseline.json", "output path for -bench-json")
-		benchJSN = flag.Bool("bench-json", false, "run the timed (benchmark x filter) bench matrix and write a BENCH JSON report")
 		filters  = flag.String("filters", "", "comma-separated filter backends to compare head to head, or \"all\" for every sweepable backend")
 		gens     = flag.String("generators", "", "comma-separated prefetch generators to cross with -filters (or \"all\"); runs the (generator x filter) comparison")
 		iprefs   = flag.String("iprefetch", "", "comma-separated instruction prefetchers to cross with -filters (or \"all\"); enables the front end and runs the (iprefetcher x filter) comparison")
@@ -81,7 +78,7 @@ func main() {
 	if *bench != "" {
 		params.Benchmarks = strings.Split(*bench, ",")
 	}
-	if *met || *benchJSN {
+	if *met {
 		params.Metrics = metrics.New()
 	}
 
@@ -90,36 +87,6 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
-	}
-
-	if *benchJSN {
-		start := time.Now()
-		report, err := params.BenchJSON(ctx, jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: bench-json: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*benchOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: %v\n", err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			_ = f.Close() // the write error takes precedence
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench matrix: %d sims in %.1fs (serial-equivalent %.1fs, speedup %.2fx, %d steals) -> %s\n",
-			len(report.Entries), time.Since(start).Seconds(),
-			time.Duration(report.SerialWallNS).Seconds(), report.Speedup(), report.Steals, *benchOut)
-		if *met {
-			printTelemetry(&params)
-		}
-		return
 	}
 
 	render := func(table *experiments.Table) {
@@ -194,7 +161,7 @@ func main() {
 		}
 		targets = []experiments.Experiment{e}
 	default:
-		fmt.Fprintln(os.Stderr, "pfexperiments: need -exp <id>, -all, or -bench-json; try -list")
+		fmt.Fprintln(os.Stderr, "pfexperiments: need -exp <id> or -all; try -list")
 		os.Exit(1)
 	}
 

@@ -7,7 +7,7 @@
 //	pfsim -bench mcf -filter pc -n 2000000
 //	pfsim -bench gzip -filter pa -l1 32768 -l1lat 4 -ports 4
 //	pfsim -bench wave5 -filter none -buffer
-//	pfsim -tracein trace.pft -filter pa
+//	pfsim -tracein trace.pftc -filter pa
 //
 // Observability:
 //
@@ -26,17 +26,18 @@ import (
 	"sort"
 
 	"repro/internal/config"
-	"repro/internal/isa"
 	simmetrics "repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/tracefile"
 	"repro/internal/workload"
 )
 
 func main() {
 	var (
 		bench    = flag.String("bench", "mcf", "benchmark name (see -list)")
-		traceIn  = flag.String("tracein", "", "run from a PFTRACE1 trace file instead of a benchmark model")
+		traceIn  = flag.String("tracein", "", "run from a PFTC trace file instead of a benchmark model")
 		filter   = flag.String("filter", "none", "pollution filter: none|pa|pc|adaptive|deadblock")
 		entries  = flag.Int("entries", 4096, "history table entries (power of two)")
 		n        = flag.Int64("n", 2_000_000, "measured instructions")
@@ -113,20 +114,6 @@ func main() {
 		MaxInstructions: *n,
 		Warmup:          *warmup,
 	}
-	if *traceIn != "" {
-		f, err := os.Open(*traceIn)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close() //pflint:allow errcheck read-only trace input; a close error cannot lose data
-		r, err := isa.NewReader(f)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Source = r
-		opts.Benchmark = *traceIn
-	}
-
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = trace.New(*traceBuf).WithInterval(*interval)
@@ -138,7 +125,7 @@ func main() {
 		opts.Metrics = reg
 	}
 
-	run, err := sim.Run(opts)
+	run, err := simulate(opts, *traceIn)
 	if err != nil {
 		fatal(err)
 	}
@@ -188,6 +175,34 @@ func main() {
 		}
 		dumpRuntimeMetrics()
 	}
+}
+
+// simulate runs opts, reading the records from the PFTC file traceIn
+// when it is set. A decode error that ends the trace early fails the run
+// rather than reporting the records before the fault.
+func simulate(opts sim.Options, traceIn string) (stats.Run, error) {
+	if traceIn == "" {
+		return sim.Run(opts)
+	}
+	f, err := os.Open(traceIn)
+	if err != nil {
+		return stats.Run{}, err
+	}
+	defer f.Close() //pflint:allow errcheck read-only trace input; a close error cannot lose data
+	r, err := tracefile.NewReader(f, tracefile.ReaderOptions{})
+	if err != nil {
+		return stats.Run{}, fmt.Errorf("%s: %w", traceIn, err)
+	}
+	opts.Source = r
+	opts.Benchmark = traceIn
+	run, err := sim.Run(opts)
+	if err != nil {
+		return stats.Run{}, err
+	}
+	if err := r.Err(); err != nil {
+		return stats.Run{}, fmt.Errorf("%s: %w", traceIn, err)
+	}
+	return run, nil
 }
 
 // writeTrace exports the JSONL event file and prints the interval

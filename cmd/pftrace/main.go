@@ -1,26 +1,21 @@
 // Command pftrace generates, converts, inspects, and verifies binary
-// trace files, decoupling workload generation from simulation. It speaks
-// two formats: the legacy PFTRACE1 stream and the chunked, checksummed
-// PFTC corpus format (docs/TRACES.md); info, dump, and analyze sniff the
-// magic and accept either.
+// trace files in the chunked, checksummed PFTC format (docs/TRACES.md),
+// decoupling workload generation from simulation.
 //
 // Usage:
 //
-//	pftrace gen -bench em3d -n 1000000 -o em3d.pft
-//	pftrace gen -bench mcf -n 1000000 -format pftc -o mcf.pftc
+//	pftrace gen -bench em3d -n 1000000 -o em3d.pftc
 //	pftrace convert -o mcf.pftc mcf.champsim.gz
 //	pftrace convert -o mcf.pftc -manifest corpus.json -name mcf mcf.champsim.gz
-//	pftrace info em3d.pft
+//	pftrace info em3d.pftc
 //	pftrace info -chunks mcf.pftc      # per-chunk sizes, CRCs, sha256s
 //	pftrace info -json mcf.pftc        # machine-readable (CI fingerprint pinning)
-//	pftrace dump -n 20 em3d.pft
-//	pftrace analyze em3d.pft           # reuse-distance / working-set profile
+//	pftrace dump -n 20 em3d.pftc
+//	pftrace analyze em3d.pftc          # reuse-distance / working-set profile
 //	pftrace analyze -bench mcf -n 500000
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -56,7 +51,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  pftrace gen     -bench <name> -n <count> [-seed S] [-format pftrace1|pftc] -o <file>
+  pftrace gen     -bench <name> -n <count> [-seed S] [-chunk-bytes N] -o <file>
   pftrace convert -o <out.pftc> [-chunk-bytes N] [-name NAME -manifest FILE] <in.champsim[.gz]>
   pftrace info    [-chunks] [-json] <file>
   pftrace dump    [-n count] <file>
@@ -74,8 +69,7 @@ func cmdGen(args []string) {
 	bench := fs.String("bench", "mcf", "benchmark model")
 	n := fs.Int64("n", 1_000_000, "records to generate")
 	seed := fs.Uint64("seed", 1, "generation seed")
-	format := fs.String("format", "pftrace1", "output format: pftrace1 (legacy) or pftc (chunked, checksummed)")
-	chunkBytes := fs.Int("chunk-bytes", 0, "pftc target chunk payload bytes (0 = default)")
+	chunkBytes := fs.Int("chunk-bytes", 0, "target chunk payload bytes (0 = default 64 KiB)")
 	out := fs.String("o", "", "output file (required)")
 	_ = fs.Parse(args)
 	if *out == "" {
@@ -90,55 +84,29 @@ func cmdGen(args []string) {
 		fatal(err)
 	}
 	src := isa.NewLimitSource(spec.New(*seed), *n)
-	switch *format {
-	case "pftrace1":
-		w, err := isa.NewWriter(f)
-		if err != nil {
-			fatal(err)
-		}
-		for {
-			rec, ok := src.Next()
-			if !ok {
-				break
-			}
-			if err := w.Write(rec); err != nil {
-				fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			fatal(err)
-		}
-		// Close errors on a written file can lose buffered data; check
-		// them. (Early fatal paths exit the process, releasing the fd.)
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d records to %s\n", w.Count(), *out)
-	case "pftc":
-		w, err := tracefile.NewWriter(f, tracefile.WriterOptions{ChunkBytes: *chunkBytes})
-		if err != nil {
-			fatal(err)
-		}
-		for {
-			rec, ok := src.Next()
-			if !ok {
-				break
-			}
-			if err := w.Write(rec); err != nil {
-				fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d records (%d chunks) to %s\nfingerprint %x\n",
-			w.Count(), len(w.Chunks()), *out, w.Fingerprint())
-	default:
-		fatal(fmt.Errorf("unknown format %q (want pftrace1 or pftc)", *format))
+	w, err := tracefile.NewWriter(f, tracefile.WriterOptions{ChunkBytes: *chunkBytes})
+	if err != nil {
+		fatal(err)
 	}
+	for {
+		rec, ok := src.Next()
+		if !ok {
+			break
+		}
+		if err := w.Write(rec); err != nil {
+			fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		fatal(err)
+	}
+	// Close errors on a written file can lose buffered data; check them.
+	// (Early fatal paths exit the process, releasing the fd.)
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %d records (%d chunks) to %s\nfingerprint %x\n",
+		w.Count(), len(w.Chunks()), *out, w.Fingerprint())
 }
 
 func cmdConvert(args []string) {
@@ -210,50 +178,30 @@ func cmdConvert(args []string) {
 	fmt.Printf("manifest %s: %s%s -> %s\n", *manifest, tracefile.BenchPrefix, bench, file)
 }
 
-// traceReader is the decode surface shared by the legacy PFTRACE1 reader
-// and the PFTC reader.
-type traceReader interface {
-	isa.Source
-	Err() error
-}
-
-// openTrace opens a trace of either format, sniffing the magic. The
-// returned cleanup closes the file.
-func openTrace(path string) (traceReader, func(), bool) {
+// openTrace opens a PFTC trace for streaming. The returned cleanup
+// closes the file.
+func openTrace(path string) (*tracefile.Reader, func()) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
 	}
-	cleanup := func() { _ = f.Close() } // read-only
-	br := bufio.NewReaderSize(f, 1<<16)
-	head, _ := br.Peek(len(tracefile.Magic))
-	if bytes.Equal(head, tracefile.Magic[:]) {
-		r, err := tracefile.NewReader(br, tracefile.ReaderOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		return r, cleanup, true
-	}
-	r, err := isa.NewReader(br)
+	r, err := tracefile.NewReader(f, tracefile.ReaderOptions{})
 	if err != nil {
 		fatal(err)
 	}
-	return r, cleanup, false
+	return r, func() { _ = f.Close() } // read-only
 }
 
 func cmdInfo(args []string) {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	chunks := fs.Bool("chunks", false, "print the per-chunk table (PFTC only)")
-	jsonOut := fs.Bool("json", false, "emit the full-scan summary as JSON (PFTC only)")
+	chunks := fs.Bool("chunks", false, "print the per-chunk table")
+	jsonOut := fs.Bool("json", false, "emit the full-scan summary as JSON")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
 	}
-	r, cleanup, pftc := openTrace(fs.Arg(0))
+	r, cleanup := openTrace(fs.Arg(0))
 	defer cleanup()
-	if (*chunks || *jsonOut) && !pftc {
-		fatal(fmt.Errorf("%s is a legacy PFTRACE1 trace; -chunks/-json need PFTC", fs.Arg(0)))
-	}
 	var counts [5]uint64
 	var total, deps uint64
 	for {
@@ -270,18 +218,16 @@ func cmdInfo(args []string) {
 	if err := r.Err(); err != nil {
 		fatal(err)
 	}
-	var info tracefile.Info
-	if pftc {
-		// Second pass: per-chunk descriptors plus full verification (CRCs
-		// and the canonical stream fingerprint against the trailer).
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		defer func() { _ = f.Close() }() // read-only
-		if info, err = tracefile.Inspect(f); err != nil {
-			fatal(err)
-		}
+	// Second pass: per-chunk descriptors plus full verification (CRCs
+	// and the canonical stream fingerprint against the trailer).
+	f, err := os.Open(fs.Arg(0))
+	if err != nil {
+		fatal(err)
+	}
+	defer func() { _ = f.Close() }() // read-only
+	info, err := tracefile.Inspect(f)
+	if err != nil {
+		fatal(err)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -291,26 +237,20 @@ func cmdInfo(args []string) {
 		}
 		return
 	}
-	if pftc {
-		fmt.Printf("format    PFTC v%d (verified)\n", info.Version)
-	} else {
-		fmt.Printf("format    PFTRACE1\n")
-	}
+	fmt.Printf("format    PFTC v%d (verified)\n", info.Version)
 	fmt.Printf("records   %d\n", total)
 	fmt.Printf("alu       %d\n", counts[isa.OpALU])
 	fmt.Printf("load      %d (%d dependent)\n", counts[isa.OpLoad], deps)
 	fmt.Printf("store     %d\n", counts[isa.OpStore])
 	fmt.Printf("branch    %d\n", counts[isa.OpBranch])
 	fmt.Printf("prefetch  %d\n", counts[isa.OpPrefetch])
-	if pftc {
-		fmt.Printf("chunks    %d\n", len(info.Chunks))
-		fmt.Printf("sha256    %s\n", info.Fingerprint)
-		if *chunks {
-			fmt.Println()
-			fmt.Printf("%5s  %8s  %8s  %-8s  %s\n", "chunk", "records", "bytes", "crc32c", "sha256")
-			for i, c := range info.Chunks {
-				fmt.Printf("%5d  %8d  %8d  %08x  %s\n", i, c.Records, c.Bytes, c.CRC32C, c.SHA256)
-			}
+	fmt.Printf("chunks    %d\n", len(info.Chunks))
+	fmt.Printf("sha256    %s\n", info.Fingerprint)
+	if *chunks {
+		fmt.Println()
+		fmt.Printf("%5s  %8s  %8s  %-8s  %s\n", "chunk", "records", "bytes", "crc32c", "sha256")
+		for i, c := range info.Chunks {
+			fmt.Printf("%5d  %8d  %8d  %08x  %s\n", i, c.Records, c.Bytes, c.CRC32C, c.SHA256)
 		}
 	}
 }
@@ -322,7 +262,7 @@ func cmdDump(args []string) {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	r, cleanup, _ := openTrace(fs.Arg(0))
+	r, cleanup := openTrace(fs.Arg(0))
 	defer cleanup()
 	for i := 0; i < *n; i++ {
 		rec, ok := r.Next()
@@ -364,7 +304,7 @@ func cmdAnalyze(args []string) {
 		}
 		src = isa.NewLimitSource(spec.New(*seed), *n)
 	case fs.NArg() == 1:
-		r, cleanup, _ := openTrace(fs.Arg(0))
+		r, cleanup := openTrace(fs.Arg(0))
 		defer cleanup()
 		src = r
 	default:

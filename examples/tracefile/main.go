@@ -1,7 +1,7 @@
 // Tracefile: decouple workload generation from simulation. Generate a
-// trace from a benchmark model, write it to disk in the PFTRACE1 binary
-// format, read it back, and simulate from the file — the workflow for
-// feeding the simulator externally captured traces.
+// trace from a benchmark model, write it to disk in the PFTC binary
+// format (docs/TRACES.md), read it back, and simulate from the file —
+// the workflow for feeding the simulator externally captured traces.
 //
 //	go run ./examples/tracefile
 package main
@@ -21,7 +21,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer func() { _ = os.RemoveAll(dir) }() // best-effort temp cleanup
-	path := filepath.Join(dir, "em3d.pft")
+	path := filepath.Join(dir, "strided.pftc")
 
 	// 1. Generate a trace by simulating nothing: pull records straight
 	//    from the workload model via a capture run, or simply collect from

@@ -97,14 +97,11 @@ var (
 		Title: "Filter backends head to head (default machine)",
 		Kinds: filter.Sweepable,
 		Resolve: func(name string) (string, error) {
-			kind := config.FilterKind(name).Canonical()
+			kind, err := filter.Registry.Resolve(name)
 			if kind == config.FilterStatic {
-				return "", errors.New("the static filter needs a profiling run and cannot join the sweep")
+				return "", errors.New("the static filter needs a profiling run and cannot run in one pass")
 			}
-			if !filter.Registered(kind) {
-				return "", fmt.Errorf("unknown filter %q (registered backends: %v)", name, filter.Kinds())
-			}
-			return string(kind), nil
+			return string(kind), err
 		},
 		Apply: func(cfg config.Config, kind string) config.Config {
 			return cfg.WithFilter(config.FilterKind(kind))
@@ -114,11 +111,8 @@ var (
 		Title: "Generator zoo crossed with filters (default machine)",
 		Kinds: prefetch.Sweepable,
 		Resolve: func(name string) (string, error) {
-			kind := config.PrefetchKind(name).Canonical()
-			if !prefetch.Registered(kind) {
-				return "", fmt.Errorf("unknown generator %q (registered generators: %v)", name, prefetch.Kinds())
-			}
-			return string(kind), nil
+			kind, err := prefetch.Registry.Resolve(name)
+			return string(kind), err
 		},
 		Apply: func(cfg config.Config, kind string) config.Config {
 			return cfg.WithGenerator(config.PrefetchKind(kind))
@@ -126,13 +120,10 @@ var (
 	}
 	IPrefetchAxis = &Axis{
 		Title: "Instruction-prefetcher zoo crossed with filters (front end enabled)",
-		Kinds: frontend.Sweepable,
+		Kinds: frontend.Registry.Kinds,
 		Resolve: func(name string) (string, error) {
-			kind := config.IPrefetchKind(name).Canonical()
-			if !frontend.Registered(kind) {
-				return "", fmt.Errorf("unknown instruction prefetcher %q (registered backends: %v)", name, frontend.Kinds())
-			}
-			return string(kind), nil
+			kind, err := frontend.Registry.Resolve(name)
+			return string(kind), err
 		},
 		Apply: func(cfg config.Config, kind string) config.Config {
 			return cfg.WithIPrefetch(config.IPrefetchKind(kind))

@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,32 +30,21 @@ func good(line, pc uint64) core.Feedback {
 // --- registry ---
 
 func TestRegistryKinds(t *testing.T) {
-	for _, k := range []config.FilterKind{
-		config.FilterNone, config.FilterPA, config.FilterPC,
-		config.FilterAdaptive, config.FilterDeadBlock, config.FilterStatic,
-		config.FilterPerceptron, config.FilterBloom, config.FilterTournament,
-	} {
-		if !Registered(k) {
-			t.Errorf("kind %q not registered", k)
-		}
+	want := []string{"adaptive", "bloom", "deadblock", "none", "pa", "pc", "perceptron", "static", "tournament"}
+	if got := Registry.Kinds(); !slices.Equal(got, want) {
+		t.Fatalf("Registry.Kinds() = %v, want %v", got, want)
 	}
 	// Aliases resolve to their canonical kinds.
-	if !Registered(config.FilterTablePA) || !Registered(config.FilterTablePC) {
-		t.Error("table-pa/table-pc aliases should resolve to registered kinds")
-	}
-	kinds := Kinds()
-	for i := 1; i < len(kinds); i++ {
-		if kinds[i-1] >= kinds[i] {
-			t.Fatalf("Kinds() not sorted/unique: %v", kinds)
+	for alias, kind := range map[config.FilterKind]config.FilterKind{
+		config.FilterTablePA: config.FilterPA, config.FilterTablePC: config.FilterPC,
+	} {
+		if got, err := Registry.Resolve(string(alias)); err != nil || got != kind {
+			t.Errorf("Resolve(%q) = %q, %v; want %q", alias, got, err, kind)
 		}
 	}
-	for _, k := range Sweepable() {
-		if k == string(config.FilterStatic) {
-			t.Error("Sweepable() must exclude the static filter")
-		}
-	}
-	if len(Sweepable()) != len(kinds)-1 {
-		t.Errorf("Sweepable() = %v, want Kinds() minus static (%v)", Sweepable(), kinds)
+	sweep := slices.DeleteFunc(slices.Clone(want), func(k string) bool { return k == "static" })
+	if got := Sweepable(); !slices.Equal(got, sweep) {
+		t.Errorf("Sweepable() = %v, want Kinds() minus static (%v)", got, sweep)
 	}
 }
 

@@ -1,6 +1,8 @@
 package frontend
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -68,12 +70,11 @@ func TestNextLineDegree(t *testing.T) {
 // sorted kinds, alias resolution, and the unknown-kind error naming
 // the registered set.
 func TestRegistry(t *testing.T) {
-	kinds := Kinds()
-	if len(kinds) != 2 || kinds[0] != "mana" || kinds[1] != "nextline" {
-		t.Fatalf("Kinds() = %v, want [mana nextline]", kinds)
+	if kinds := Registry.Kinds(); !slices.Equal(kinds, []string{"mana", "nextline"}) {
+		t.Fatalf("Registry.Kinds() = %v, want [mana nextline]", kinds)
 	}
-	if !Registered(config.IPrefetchFDIPAlias) {
-		t.Fatal("fetch-directed alias must resolve to the nextline constructor")
+	if kind, err := Registry.Resolve(string(config.IPrefetchFDIPAlias)); err != nil || kind != config.IPrefetchNextLine {
+		t.Fatalf("fetch-directed resolved to %q, %v; want nextline", kind, err)
 	}
 	fe := config.DefaultFrontend()
 	fe.IPrefetch = config.IPrefetchNextLine
@@ -84,10 +85,7 @@ func TestRegistry(t *testing.T) {
 	if p.Name() != "nextline" {
 		t.Fatalf("alias built %q, want nextline", p.Name())
 	}
-	if _, err := New("bogus", fe); err == nil {
-		t.Fatal("unknown kind must error")
-	}
-	if got := Sweepable(); len(got) != 2 {
-		t.Fatalf("Sweepable() = %v", got)
+	if _, err := New("bogus", fe); err == nil || !strings.Contains(err.Error(), "mana") {
+		t.Fatalf("unknown kind must error listing the registered set, got %v", err)
 	}
 }

@@ -46,7 +46,7 @@ func BudgetReport() []BudgetLine {
 	var lines []BudgetLine
 	cfg := config.Default()
 
-	for _, kind := range filter.Kinds() {
+	for _, kind := range filter.Registry.Kinds() {
 		line := BudgetLine{Kind: "filter", Name: kind}
 		f, err := newFilterBackend(kind, cfg.Filter)
 		if err != nil {
@@ -62,7 +62,7 @@ func BudgetReport() []BudgetLine {
 	// charged to the backend (the shadow fields ride the existing tags).
 	l2, l2err := cache.New(cfg.L2, xrand.New(cfg.Seed))
 	env := prefetch.Env{L2: l2}
-	for _, kind := range prefetch.Kinds() {
+	for _, kind := range prefetch.Registry.Kinds() {
 		line := BudgetLine{Kind: "generator", Name: kind}
 		// WithGenerator installs the backend's default table budgets —
 		// the same cell configuration the sweep matrices run.
@@ -79,7 +79,7 @@ func BudgetReport() []BudgetLine {
 		lines = append(lines, line)
 	}
 
-	for _, kind := range frontend.Kinds() {
+	for _, kind := range frontend.Registry.Kinds() {
 		line := BudgetLine{Kind: "iprefetch", Name: kind}
 		fcfg := cfg.WithIPrefetch(config.IPrefetchKind(kind)).Frontend
 		ip, err := frontend.New(config.IPrefetchKind(kind), *fcfg)

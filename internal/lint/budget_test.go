@@ -21,9 +21,9 @@ func TestBudgetCoversEveryBackend(t *testing.T) {
 	}
 
 	expect := map[string][]string{
-		"filter":    filter.Kinds(),
-		"generator": prefetch.Kinds(),
-		"iprefetch": frontend.Kinds(),
+		"filter":    filter.Registry.Kinds(),
+		"generator": prefetch.Registry.Kinds(),
+		"iprefetch": frontend.Registry.Kinds(),
 	}
 	total := 0
 	for kind, names := range expect {

@@ -236,14 +236,14 @@ func buildConfig(filterName string, cacheKB, tableEntries, l1Ports int, prefetch
 	default:
 		return config.Config{}, fmt.Errorf("cache_kb must be 8, 16, or 32, got %d", cacheKB)
 	}
-	kind := config.FilterKind(filterName).Canonical()
 	if filterName == "" {
-		kind = config.FilterNone
+		filterName = string(config.FilterNone)
 	}
-	if !filter.Registered(kind) {
-		return config.Config{}, fmt.Errorf("unknown filter %q (registered backends: %v)", filterName, filter.Kinds())
+	kind, err := experiments.FilterAxis.Resolve(filterName)
+	if err != nil {
+		return config.Config{}, err
 	}
-	cfg = cfg.WithFilter(kind)
+	cfg = cfg.WithFilter(config.FilterKind(kind))
 	if tableEntries > 0 {
 		cfg = cfg.WithTableEntries(tableEntries)
 	}

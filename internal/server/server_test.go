@@ -87,6 +87,7 @@ func TestHandlerTable(t *testing.T) {
 		{"missing benchmark", "POST", "/v1/run", `{}`, 400, "benchmark"},
 		{"unknown benchmark", "POST", "/v1/run", `{"benchmark":"not-a-benchmark"}`, 400, "unknown benchmark"},
 		{"unknown filter", "POST", "/v1/run", `{"benchmark":"mcf","filter":"bogus"}`, 400, "unknown filter"},
+		{"static filter", "POST", "/v1/run", `{"benchmark":"fpppp","filter":"static"}`, 400, "static filter needs a profiling run"},
 		{"bad cache size", "POST", "/v1/run", `{"benchmark":"mcf","cache_kb":13}`, 400, "cache_kb"},
 		{"bad table entries", "POST", "/v1/run", `{"benchmark":"mcf","table_entries":100}`, 400, "power of two"},
 		{"instructions cap", "POST", "/v1/run", `{"benchmark":"mcf","instructions":2000}`, 400, "cap"},

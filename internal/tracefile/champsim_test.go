@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/isa"
@@ -40,9 +43,9 @@ func TestConvertChampSim(t *testing.T) {
 	instrs := []champSimInstr{
 		{ip: 0x401003, srcMem: [champSimSrcMem]uint64{0x10000040, 0x10000080}}, // two loads, unaligned ip
 		{ip: 0x401008, destMem: [champSimDestMem]uint64{0x20000000}},           // one store
-		{ip: 0x40100c, isBranch: true, taken: true},                           // taken: target = next ip
-		{ip: 0x401055},                                                        // pure ALU
-		{ip: 0x401060, isBranch: true, taken: false},                          // not-taken branch
+		{ip: 0x40100c, isBranch: true, taken: true},                            // taken: target = next ip
+		{ip: 0x401055}, // pure ALU
+		{ip: 0x401060, isBranch: true, taken: false}, // not-taken branch
 		{ip: 0x401064, srcMem: [champSimSrcMem]uint64{0x10000100},
 			destMem: [champSimDestMem]uint64{0x20000040}}, // load + store, no ALU record
 	}
@@ -131,4 +134,52 @@ func TestMaybeGzip(t *testing.T) {
 			t.Fatalf("%s: %d instructions, want 1", name, st.Instructions)
 		}
 	}
+}
+
+// FuzzConvertChampSim: on any input the converter either errors, or
+// writes a PFTC stream that decodes to exactly the records it counted
+// and fingerprints to the value it reported.
+func FuzzConvertChampSim(f *testing.F) {
+	fx, err := os.Open(filepath.Join("testdata", "sample.champsim.gz"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer func() { _ = fx.Close() }() // read-only
+	src, err := MaybeGzip(fx)
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, err := io.ReadAll(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A 128-instruction prefix keeps each execution fast; 256-byte chunks
+	// still split its output across several chunks.
+	head := raw[:128*champSimRecLen]
+	f.Add(head)
+	f.Add(head[:len(head)-champSimRecLen/2]) // truncated mid-record
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var out bytes.Buffer
+		st, err := ConvertChampSim(bytes.NewReader(data), &out, WriterOptions{ChunkBytes: 256})
+		if err != nil {
+			return
+		}
+		if st.Instructions != uint64(len(data)/champSimRecLen) {
+			t.Fatalf("converted %d instructions from %d bytes", st.Instructions, len(data))
+		}
+		recs, err := Decode(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("Decode of converted trace: %v", err)
+		}
+		if uint64(len(recs)) != st.Records {
+			t.Fatalf("decoded %d records, converter counted %d", len(recs), st.Records)
+		}
+		info, err := Inspect(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("Inspect of converted trace: %v", err)
+		}
+		if info.Fingerprint != st.Fingerprint {
+			t.Fatalf("Inspect fingerprint %s, converter reported %s", info.Fingerprint, st.Fingerprint)
+		}
+	})
 }

@@ -296,4 +296,44 @@ func TestWriterRejectsInvalidRecord(t *testing.T) {
 	if err := w.Write(isa.Record{Op: isa.OpLoad, PC: 2}); err == nil { // misaligned PC
 		t.Fatal("Write accepted a misaligned PC")
 	}
+	// The writer is poisoned after an error.
+	if err := w.Write(isa.ALU(4)); err == nil {
+		t.Fatal("writes after an error should keep failing")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close after an error should fail")
+	}
+}
+
+// TestCompressionDensity: sequential ALU records (PC delta +4, no
+// address) cost about 2 payload bytes each, and Count tracks every
+// record written.
+func TestCompressionDensity(t *testing.T) {
+	recs := make([]isa.Record, 10000)
+	for i := range recs {
+		recs[i] = isa.ALU(uint64(0x400000 + i*isa.InstrBytes))
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != uint64(len(recs)) {
+		t.Fatalf("Count = %d, want %d", w.Count(), len(recs))
+	}
+	payload := 0
+	for _, c := range w.Chunks() {
+		payload += int(c.Bytes)
+	}
+	if per := float64(payload) / float64(len(recs)); per > 3 {
+		t.Fatalf("sequential ALU records cost %.1f bytes each, want <= 3", per)
+	}
 }

@@ -31,6 +31,8 @@
 package repro
 
 import (
+	"io"
+
 	"repro/internal/analysis"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -42,6 +44,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/taxonomy"
+	"repro/internal/tracefile"
 	"repro/internal/workload"
 )
 
@@ -113,9 +116,9 @@ const (
 )
 
 // FilterBackends returns every backend registered in the pollution-
-// filter zoo (internal/filter), sorted, including aliases such as
-// "table-pa".
-func FilterBackends() []string { return filter.Kinds() }
+// filter zoo (internal/filter), sorted. Aliases such as "table-pa" are
+// not listed; they resolve to their canonical kinds.
+func FilterBackends() []string { return filter.Registry.Kinds() }
 
 // SweepableFilterBackends returns the backends a head-to-head sweep can
 // run directly — every registered kind except "static", which needs a
@@ -219,12 +222,15 @@ func AnalyzeTrace(src Source, lineBytes int, max int64) (LocalityProfile, error)
 	return analysis.AnalyzeSource(src, lineBytes, max)
 }
 
-// WriteTrace and ReadTrace round-trip traces through the binary PFTRACE1
-// format; see cmd/pftrace for the file tool.
-var (
-	WriteTrace = isa.WriteTrace
-	ReadTrace  = isa.ReadTrace
-)
+// WriteTrace encodes recs to w as one PFTC stream, the chunked,
+// checksummed trace format (docs/TRACES.md), at default options; see
+// cmd/pftrace for the file tool.
+func WriteTrace(w io.Writer, recs []Record) error {
+	return tracefile.Encode(w, recs, tracefile.WriterOptions{})
+}
+
+// ReadTrace decodes a whole PFTC stream, verifying its fingerprint.
+func ReadTrace(r io.Reader) ([]Record, error) { return tracefile.Decode(r) }
 
 // Lint runs the repository's static-analysis suite (internal/lint, the
 // engine behind cmd/pflint) over the packages matching patterns, resolved

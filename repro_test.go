@@ -111,6 +111,11 @@ func TestPublicTraceRoundTrip(t *testing.T) {
 	if len(got) != len(recs) {
 		t.Fatalf("round trip %d records", len(got))
 	}
+	for i := range recs {
+		if got[i] != recs[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
+		}
+	}
 	// And a trace can drive a simulation through the public API.
 	big := make([]repro.Record, 0, 20000)
 	for i := 0; i < 20000; i++ {
