@@ -114,14 +114,10 @@ func main() {
 	// The comparison modes share one sweep: -iprefetch or -generators
 	// picks the third axis, -filters the filters, -traces the corpus.
 	if *iprefs != "" || *gens != "" || *filters != "" || *traces != "" && *exp == "" && !*all {
-		mode := "filters"
-		var axis *experiments.Axis
-		var values []string
-		switch {
-		case *iprefs != "":
-			mode, axis, values = "iprefetch", experiments.IPrefetchAxis, kinds(*iprefs)
-		case *gens != "":
-			mode, axis, values = "generators", experiments.GeneratorAxis, kinds(*gens)
+		axis, values, err := experiments.SweepAxis(kinds(*gens), kinds(*iprefs))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pfexperiments: %v\n", err)
+			os.Exit(1)
 		}
 		title := axis.TableTitle()
 		if axis == nil && *filters == "" {
@@ -134,15 +130,15 @@ func main() {
 			}
 			render(experiments.TraceCorpusTable(m))
 			fmt.Println()
-			mode, title = "traces", experiments.TraceTitle
+			title = experiments.TraceTitle
 			params.Benchmarks = corpus
 		}
 		cells, err := params.Sweep(ctx, axis, values, kinds(*filters), jobs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: %s: %v\n", mode, err)
+			fmt.Fprintf(os.Stderr, "pfexperiments: sweep: %v\n", err)
 			os.Exit(1)
 		}
-		render(experiments.ComparisonTable(title, axis, cells))
+		render(experiments.ComparisonTable(title, cells))
 		if *met {
 			printTelemetry(&params)
 		}

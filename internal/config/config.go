@@ -881,7 +881,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// MarshalJSON round-trips through an alias to keep the default encoder.
+// String renders the config as indented JSON.
 func (c Config) String() string {
 	b, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {

@@ -44,7 +44,7 @@ func TestFilterComparisonPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := rowsHash(t, FilterRows(cells)); got != filterComparisonSHA256 {
+		if got := rowsHash(t, Rows(cells)); got != filterComparisonSHA256 {
 			t.Errorf("workers=%d fingerprint = %s, want %s", workers, got, filterComparisonSHA256)
 		}
 	}
@@ -68,7 +68,7 @@ func TestTraceComparisonPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := rowsHash(t, FilterRows(cells)); got != traceComparisonSHA256 {
+		if got := rowsHash(t, Rows(cells)); got != traceComparisonSHA256 {
 			t.Errorf("workers=%d fingerprint = %s, want %s", workers, got, traceComparisonSHA256)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/metrics"
+	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -76,14 +77,15 @@ func (p *Params) benchmarks() []string {
 	return workload.PaperNames()
 }
 
-// cacheKey identifies one memoizable simulation. Every field that can
-// change the result is in the key EXPLICITLY — benchmark, instruction
-// budget, warmup, and seed — ahead of the full canonical config encoding.
+// CacheKey identifies one memoizable simulation; two requests with equal
+// keys share one simulation (see runMemo). Every field that can change
+// the result is in the key EXPLICITLY — benchmark, instruction budget,
+// warmup, and seed — ahead of the full canonical config encoding.
 // The seed and budget segments are deliberately redundant with the config
 // JSON: the key must stay collision-free even for a caller that builds a
 // config without stamping p.Seed into it first (the bug class this
 // construction closes; see TestCacheKeyIncludesSeedAndBudget).
-func (p *Params) cacheKey(bench string, cfg config.Config) string {
+func (p *Params) CacheKey(bench string, cfg config.Config) string {
 	cfg.Seed = p.Seed
 	b, err := json.Marshal(cfg)
 	if err != nil {
@@ -103,17 +105,18 @@ var runMemo = sched.NewMemo[stats.Run](1024)
 
 // run executes (and memoizes) one simulation.
 func (p *Params) run(bench string, cfg config.Config) (stats.Run, error) {
-	return p.runCtx(context.Background(), bench, cfg)
+	return p.RunSim(context.Background(), bench, cfg)
 }
 
-// runCtx is run with cancellation: the context is honoured between cache
-// probe and simulation start (simulations themselves are short and run to
-// completion once started). It is safe for concurrent use; goroutines
+// RunSim is run with cancellation: cache probe, then process-wide
+// single-flight through the bounded memo. The context is honoured between
+// cache probe and simulation start (simulations themselves are short and
+// run to completion once started). It is safe for concurrent use; goroutines
 // racing on the same key single-flight through runMemo, so every distinct
 // (benchmark, config, seed, budget) simulates exactly once per process.
-func (p *Params) runCtx(ctx context.Context, bench string, cfg config.Config) (stats.Run, error) {
+func (p *Params) RunSim(ctx context.Context, bench string, cfg config.Config) (stats.Run, error) {
 	cfg.Seed = p.Seed
-	key := p.cacheKey(bench, cfg)
+	key := p.CacheKey(bench, cfg)
 	if r, ok := p.cachedRun(key); ok {
 		p.Metrics.Counter("experiments.cache.hits").Inc()
 		return r, nil
@@ -173,7 +176,7 @@ type Experiment struct {
 
 // Table aliases report.Table so callers don't need a second import; see
 // the report package for rendering.
-type Table = reportTable
+type Table = report.Table
 
 var registry []Experiment
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -257,9 +258,9 @@ func TestCacheKeyIncludesSeedAndBudget(t *testing.T) {
 		"instructions": {Instructions: 2000, Warmup: 100, Seed: 1},
 		"warmup":       {Instructions: 1000, Warmup: 200, Seed: 1},
 	}
-	baseKey := base.cacheKey("mcf", cfg)
+	baseKey := base.CacheKey("mcf", cfg)
 	for name, p := range variants {
-		if got := p.cacheKey("mcf", cfg); got == baseKey {
+		if got := p.CacheKey("mcf", cfg); got == baseKey {
 			t.Errorf("cache key ignores %s: %q", name, got)
 		}
 	}
@@ -268,16 +269,16 @@ func TestCacheKeyIncludesSeedAndBudget(t *testing.T) {
 	// the Params seed, so a stale cfg.Seed cannot alias across seeds.
 	stale := cfg
 	stale.Seed = 999
-	if base.cacheKey("mcf", stale) != base.cacheKey("mcf", cfg) {
+	if base.CacheKey("mcf", stale) != base.CacheKey("mcf", cfg) {
 		t.Error("cache key depends on caller-stamped cfg.Seed instead of Params.Seed")
 	}
 
 	// Distinct configs (e.g. different filters) must yield distinct keys.
-	if base.cacheKey("mcf", cfg.WithFilter(config.FilterPC)) == baseKey {
+	if base.CacheKey("mcf", cfg.WithFilter(config.FilterPC)) == baseKey {
 		t.Error("cache key ignores the filter configuration")
 	}
 	// And distinct benchmarks must, too.
-	if base.cacheKey("gzip", cfg) == baseKey {
+	if base.CacheKey("gzip", cfg) == baseKey {
 		t.Error("cache key ignores the benchmark name")
 	}
 }
@@ -319,12 +320,12 @@ func TestFilterComparisonBaselineDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := FilterRows(cells)
+	rows := Rows(cells)
 	// none + pa (table-pa dedups onto pa) = 2 rows.
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2 (alias must dedup): %+v", len(rows), rows)
 	}
-	var none, pa *report.FilterComparisonRow
+	var none, pa *report.ComparisonRow
 	for i := range rows {
 		switch rows[i].Filter {
 		case "none":
@@ -347,5 +348,39 @@ func TestFilterComparisonBaselineDelta(t *testing.T) {
 	}
 	if pa.Accuracy < 0 || pa.Accuracy > 1 || pa.Coverage < 0 || pa.Coverage > 1 {
 		t.Errorf("derived metrics out of range: %+v", *pa)
+	}
+}
+
+// TestSweepAxis: the generator and instruction-prefetcher name lists
+// pick at most one third axis, and naming both is an error, not a
+// silently dropped axis.
+func TestSweepAxis(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		gens, iprefs []string
+		axis         *Axis
+		values       []string
+		err          string
+	}{
+		{"no axis", nil, nil, nil, nil, ""},
+		{"generators", []string{"nsp", "ghb"}, nil, GeneratorAxis, []string{"nsp", "ghb"}, ""},
+		{"iprefetch", nil, []string{"all"}, IPrefetchAxis, []string{"all"}, ""},
+		{"both", []string{"nsp"}, []string{"mana"}, nil, nil, "cannot be combined"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			axis, values, err := SweepAxis(tc.gens, tc.iprefs)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if axis != tc.axis || !reflect.DeepEqual(values, tc.values) {
+				t.Fatalf("got (%v, %v), want (%v, %v)", axis, values, tc.axis, tc.values)
+			}
+		})
 	}
 }

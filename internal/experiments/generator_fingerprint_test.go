@@ -32,7 +32,7 @@ func generatorHash(t *testing.T, gen string, workers int) string {
 	if err != nil {
 		t.Fatalf("Sweep(%s, workers=%d): %v", gen, workers, err)
 	}
-	return rowsHash(t, GeneratorRows(cells))
+	return rowsHash(t, Rows(cells))
 }
 
 // TestGeneratorFingerprintPinned extends the determinism contract to the

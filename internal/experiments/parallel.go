@@ -54,21 +54,16 @@ func (p *Params) storeRun(key string, r stats.Run) {
 	p.cache[key] = r
 }
 
-// workItem is one simulation of the standard matrix.
-type workItem struct {
-	bench string
-	cfg   config.Config
-}
-
-// standardMatrix enumerates every (benchmark, config) pair the
-// paper-figure experiments request: the three-filter triples at 8KB and
-// 32KB, the no-prefetch Table 2 runs, the table-size and port sweeps, the
-// buffer schemes, and the 16KB comparison.
-func (p *Params) standardMatrix() []workItem {
-	var items []workItem
+// StandardMatrix enumerates every (benchmark, config) cell the
+// paper-figure experiments request, the matrix Prewarm schedules: the
+// three-filter triples at 8KB and 32KB, the no-prefetch Table 2 runs, the
+// table-size and port sweeps, the buffer schemes, and the 16KB
+// comparison. Narrow it by setting Params.Benchmarks.
+func (p *Params) StandardMatrix() []Cell {
+	var cells []Cell
 	add := func(cfg config.Config) {
 		for _, b := range p.benchmarks() {
-			items = append(items, workItem{bench: b, cfg: cfg})
+			cells = append(cells, Cell{Bench: b, Filter: string(cfg.Filter.Kind), Config: cfg})
 		}
 	}
 	// Table 2: prefetch off.
@@ -94,14 +89,14 @@ func (p *Params) standardMatrix() []workItem {
 	// §5.2.1: 16KB comparison and the adaptive filter.
 	add(config.Default16K().WithFilter(config.FilterNone))
 	add(config.Default().WithFilter(config.FilterAdaptive))
-	return items
+	return cells
 }
 
-// costModel builds the longest-runs-first estimator for the scheduler
+// CostModel builds the longest-runs-first estimator for the scheduler
 // from whatever per-benchmark wall-time history the registry holds. With
 // no registry (or no history yet) every job costs the same and sharding
 // falls back to deterministic key order.
-func (p *Params) costModel() sched.CostModel {
+func (p *Params) CostModel() sched.CostModel {
 	return sched.CostFromSnapshot(p.Metrics.Snapshot(), "experiments.sim.wall_ns.", 1)
 }
 
@@ -118,32 +113,32 @@ func (p *Params) Prewarm(workers int) error {
 // message so the report is deterministic regardless of steal order.
 func (p *Params) PrewarmCtx(ctx context.Context, workers int) error {
 	start := time.Now()
-	items := p.standardMatrix()
+	cells := p.StandardMatrix()
 
 	// Deduplicate by cache key so each simulation is scheduled exactly
 	// once (sched single-flights duplicate keys anyway; deduplicating
 	// here keeps the job count honest for telemetry).
-	seen := make(map[string]workItem, len(items))
-	order := make([]string, 0, len(items))
-	for _, it := range items {
-		key := p.cacheKey(it.bench, it.cfg)
+	seen := make(map[string]Cell, len(cells))
+	order := make([]string, 0, len(cells))
+	for _, c := range cells {
+		key := p.CacheKey(c.Bench, c.Config)
 		if _, dup := seen[key]; !dup {
 			if _, hit := p.cachedRun(key); !hit {
-				seen[key] = it
+				seen[key] = c
 				order = append(order, key)
 			}
 		}
 	}
 
-	cost := p.costModel()
+	cost := p.CostModel()
 	jobs := make([]sched.Job, 0, len(seen))
 	for _, key := range order {
-		it := seen[key]
+		c := seen[key]
 		jobs = append(jobs, sched.Job{
 			Key:  key,
-			Cost: cost(it.bench),
+			Cost: cost(c.Bench),
 			Run: func(ctx context.Context) (any, error) {
-				_, err := p.runCtx(ctx, it.bench, it.cfg)
+				_, err := p.RunSim(ctx, c.Bench, c.Config)
 				return nil, err
 			},
 		})

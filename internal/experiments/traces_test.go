@@ -105,7 +105,7 @@ func TestTraceComparisonDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		rows := FilterRows(cells)
+		rows := Rows(cells)
 		if len(rows) == 0 {
 			t.Fatalf("workers=%d: no rows", workers)
 		}

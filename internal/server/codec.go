@@ -24,7 +24,8 @@ import (
 type RunRequest struct {
 	Benchmark string `json:"benchmark"`
 	// Filter is the pollution-filter kind: "none" (default), "pa", "pc",
-	// "static", "adaptive", or "deadblock".
+	// "adaptive", "deadblock", "perceptron", "bloom" or "tournament";
+	// aliases resolve. "static" needs a profiling run and is rejected.
 	Filter string `json:"filter,omitempty"`
 	// CacheKB is the L1 data cache size: 8 (default), 16, or 32.
 	CacheKB int `json:"cache_kb,omitempty"`
@@ -50,7 +51,9 @@ type RunRequest struct {
 type SweepRequest struct {
 	// Standard expands the full standard evaluation matrix (every
 	// (benchmark, config) pair the paper figures request), optionally
-	// narrowed by Benchmarks. Filters/CacheKB are ignored when set.
+	// narrowed by Benchmarks and extended by Traces. Filters/CacheKB are
+	// ignored when set; Generators or IPrefetch with it is a request
+	// error, since the matrix has no third axis.
 	Standard bool `json:"standard,omitempty"`
 
 	// Benchmarks to sweep; empty means the paper's ten.
@@ -59,16 +62,16 @@ type SweepRequest struct {
 	Filters []string `json:"filters,omitempty"`
 	// Generators adds a third sweep axis: each named prefetch generator
 	// (internal/prefetch registry; aliases resolve) runs alone against
-	// every (benchmark, filter) cell, and the response carries the
-	// per-(benchmark, generator, filter) comparison. ["all"] expands to
-	// every registered generator. Empty keeps the config's default
-	// generator mix and the plain filters comparison.
+	// every (benchmark, filter) cell, and the comparison rows carry the
+	// generator. ["all"] expands to every registered generator. Empty
+	// keeps the config's default generator mix and the plain filters
+	// comparison.
 	Generators []string `json:"generators,omitempty"`
 	// IPrefetch adds the I-side sweep axis: each named instruction
 	// prefetcher (internal/frontend registry; aliases resolve) runs
 	// with the front end enabled against every (benchmark, filter)
-	// cell, and the response carries the per-(benchmark, iprefetcher,
-	// filter) comparison. ["all"] expands to every registered backend.
+	// cell, and the comparison rows carry the iprefetcher and the L1I's
+	// metrics. ["all"] expands to every registered backend.
 	// Mutually exclusive with Generators: enabling the front end
 	// replaces the D-side generator mix, so crossing the two axes in
 	// one sweep would mislabel the cells.
@@ -95,8 +98,9 @@ type SweepRequest struct {
 
 // RunResult is one simulation's outcome inside a response.
 type RunResult struct {
-	// Name labels the cell as "<benchmark>/<filter>", or
-	// "<benchmark>/<generator>/<filter>" on a generator sweep.
+	// Name labels the cell as "<benchmark>/<filter>",
+	// "<benchmark>/<generator>/<filter>" on a generator sweep, or
+	// "<benchmark>/i:<iprefetcher>/<filter>" on an I-side sweep.
 	Name      string `json:"name"`
 	Benchmark string `json:"benchmark"`
 	// Generator is the prefetch generator of a generator-axis cell;
@@ -153,19 +157,12 @@ type SweepResponse struct {
 	// CASHits counts cells served from the content-addressed store
 	// without simulating (fabric execution only).
 	CASHits int `json:"cas_hits,omitempty"`
-	// Comparison is the head-to-head view of the successful cells:
-	// per-(benchmark, filter) classification counts, accuracy, coverage,
-	// and IPC delta against the benchmark's unfiltered ("none") cell when
-	// the sweep includes one.
-	Comparison []report.FilterComparisonRow `json:"comparison,omitempty"`
-	// GeneratorComparison replaces Comparison on generator sweeps: one
-	// row per (benchmark, generator, filter) cell, IPC deltas against
-	// the same (benchmark, generator) pair's unfiltered cell.
-	GeneratorComparison []report.GeneratorComparisonRow `json:"generator_comparison,omitempty"`
-	// IPrefetchComparison replaces Comparison on I-side sweeps: one row
-	// per (benchmark, iprefetcher, filter) cell, IPC deltas against the
-	// same (benchmark, iprefetcher) pair's unfiltered cell.
-	IPrefetchComparison []report.IPrefetchComparisonRow `json:"iprefetch_comparison,omitempty"`
+	// Comparison is the head-to-head view of the successful cells: one
+	// row per cell with its axis label, classification counts, accuracy,
+	// coverage (and on I-side sweeps the fetch-miss rate), and IPC delta
+	// against the unfiltered ("none") cell of the same (benchmark, axis
+	// value) when the sweep includes one.
+	Comparison []report.ComparisonRow `json:"comparison,omitempty"`
 }
 
 // StreamLine is one line of an NDJSON streaming sweep response
@@ -259,8 +256,8 @@ func buildConfig(filterName string, cacheKB, tableEntries, l1Ports int, prefetch
 	return cfg, nil
 }
 
-// expandRun turns a validated RunRequest into its single matrix item.
-func expandRun(req RunRequest) ([]experiments.MatrixItem, error) {
+// expandRun turns a validated RunRequest into its single cell.
+func expandRun(req RunRequest) ([]experiments.Cell, error) {
 	if err := validateBenchmarks([]string{req.Benchmark}); err != nil {
 		return nil, err
 	}
@@ -268,26 +265,32 @@ func expandRun(req RunRequest) ([]experiments.MatrixItem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []experiments.MatrixItem{{Bench: req.Benchmark, Config: cfg}}, nil
+	return []experiments.Cell{{Bench: req.Benchmark, Filter: string(cfg.Filter.Kind), Config: cfg}}, nil
 }
 
-// expandSweep turns a validated SweepRequest into its matrix and the
+// expandSweep turns a validated SweepRequest into its cells and the
 // requested cell count. p supplies the standard-matrix expansion (and
 // carries the benchmark narrowing). The filter, generator and I-side
 // axes expand through the experiments sweep axes, so names canonicalise
-// and dedupe exactly as in pfexperiments; the matrix stays filter-major.
-func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.MatrixItem, int, error) {
+// and dedupe exactly as in pfexperiments; the cells stay filter-major.
+func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.Cell, int, error) {
 	if err := validateBenchmarks(req.Benchmarks); err != nil {
+		return nil, 0, err
+	}
+	axis, axisNames, err := experiments.SweepAxis(req.Generators, req.IPrefetch)
+	if err != nil {
 		return nil, 0, err
 	}
 	var traces []string
 	if len(req.Traces) > 0 {
-		var err error
 		if traces, err = experiments.ExpandTraces(req.Traces); err != nil {
 			return nil, 0, err
 		}
 	}
 	if req.Standard {
+		if axis != nil {
+			return nil, 0, fmt.Errorf("the standard matrix cannot be crossed with the generators or iprefetch axis")
+		}
 		if len(traces) > 0 {
 			// The trace axis extends the standard matrix's benchmark set.
 			base := p.Benchmarks
@@ -296,8 +299,8 @@ func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.MatrixI
 			}
 			p.Benchmarks = appendUnique(nil, base, traces)
 		}
-		items := p.StandardMatrix()
-		return items, len(items), nil
+		cells := p.StandardMatrix()
+		return cells, len(cells), nil
 	}
 	benches := req.Benchmarks
 	if len(benches) == 0 && len(traces) == 0 {
@@ -314,96 +317,56 @@ func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.MatrixI
 	if err != nil {
 		return nil, 0, err
 	}
-	var axis *experiments.Axis
 	values := []string{""}
-	switch {
-	case len(req.Generators) > 0 && len(req.IPrefetch) > 0:
-		return nil, 0, fmt.Errorf("the generators and iprefetch axes cannot be combined in one sweep (the front end replaces the D-side generator mix)")
-	case len(req.Generators) > 0:
-		axis = experiments.GeneratorAxis
-		values, err = axis.Expand(req.Generators)
-	case len(req.IPrefetch) > 0:
-		axis = experiments.IPrefetchAxis
-		values, err = axis.Expand(req.IPrefetch)
+	if axis != nil {
+		if values, err = axis.Expand(axisNames); err != nil {
+			return nil, 0, err
+		}
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	items := make([]experiments.MatrixItem, 0, len(benches)*len(filters)*len(values))
+	cells := make([]experiments.Cell, 0, len(benches)*len(filters)*len(values))
 	for _, f := range filters {
 		cfg, err := buildConfig(f, req.CacheKB, 0, 0, false)
 		if err != nil {
 			return nil, 0, err
 		}
 		for _, v := range values {
-			item := experiments.MatrixItem{Config: cfg}
-			switch axis {
-			case experiments.GeneratorAxis:
-				item.Config, item.Generator = axis.Apply(cfg, v), v
-			case experiments.IPrefetchAxis:
-				item.Config, item.IPrefetcher = axis.Apply(cfg, v), v
+			c := experiments.Cell{Filter: f, Config: cfg}
+			if axis != nil {
+				axis.Apply(&c, v)
 			}
 			for _, b := range benches {
-				item.Bench = b
-				items = append(items, item)
+				c.Bench = b
+				cells = append(cells, c)
 			}
 		}
 	}
 	// Jobs counts every requested filter, duplicates included; Unique
 	// (after cell dedup) is what runs.
-	return items, len(benches) * len(names) * len(values), nil
-}
-
-// comparisonCells gathers the successful results as comparison cells,
-// paired with their (benchmark, axis value) baselines. A cell carries at
-// most one of the generator and I-prefetcher labels.
-func comparisonCells(results []RunResult) []experiments.Cell {
-	var cells []experiments.Cell
-	for _, r := range results {
-		if r.Run != nil {
-			cells = append(cells, experiments.Cell{Bench: r.Benchmark, Value: r.Generator + r.IPrefetcher, Filter: r.Filter, Run: *r.Run})
-		}
-	}
-	experiments.PairBaselines(cells)
-	return cells
+	return cells, len(benches) * len(names) * len(values), nil
 }
 
 // resultForCell assembles one RunResult from a cell and its outcome,
 // stamping the content address and fabric provenance.
 func resultForCell(c sweepCell, o cellOutcome) RunResult {
-	err := o.err
-	if err == nil && o.run == nil {
-		err = fmt.Errorf("cell produced no result")
-	}
-	res := resultFor(c.item, o.run, o.wallNS, err)
-	res.KeySHA = fabric.KeySHA(c.key)
-	res.Source = o.source
-	return res
-}
-
-// resultFor assembles one RunResult from a matrix item and its run.
-func resultFor(item experiments.MatrixItem, r *stats.Run, wallNS int64, err error) RunResult {
-	name := item.Bench + "/" + string(item.Config.Filter.Kind)
-	if item.Generator != "" {
-		name = item.Bench + "/" + item.Generator + "/" + string(item.Config.Filter.Kind)
-	}
-	if item.IPrefetcher != "" {
-		name = item.Bench + "/i:" + item.IPrefetcher + "/" + string(item.Config.Filter.Kind)
-	}
 	out := RunResult{
-		Name:        name,
-		Benchmark:   item.Bench,
-		Generator:   item.Generator,
-		IPrefetcher: item.IPrefetcher,
-		Filter:      string(item.Config.Filter.Kind),
-		WallNS:      wallNS,
+		Name:        c.Name(),
+		Benchmark:   c.Bench,
+		Generator:   c.Generator,
+		IPrefetcher: c.IPrefetcher,
+		Filter:      c.Filter,
+		WallNS:      o.wallNS,
+		KeySHA:      fabric.KeySHA(c.key),
+		Source:      o.source,
 	}
-	if err != nil {
-		out.Error = err.Error()
-		return out
+	switch {
+	case o.err != nil:
+		out.Error = o.err.Error()
+	case o.run == nil:
+		out.Error = "cell produced no result"
+	default:
+		out.Run = o.run
+		out.IPC = o.run.IPC()
+		out.L1MissRate = o.run.L1MissRate()
 	}
-	out.Run = r
-	out.IPC = r.IPC()
-	out.L1MissRate = r.L1MissRate()
 	return out
 }

@@ -30,7 +30,7 @@ import (
 func fakeSimFor(sims *atomic.Int64) func(context.Context, *experiments.Params, string, config.Config) (stats.Run, error) {
 	return func(_ context.Context, p *experiments.Params, bench string, cfg config.Config) (stats.Run, error) {
 		key := p.CacheKey(bench, cfg)
-		// Mirror the production path's store contract (experiments.runCtx):
+		// Mirror the production path's store contract (experiments.RunSim):
 		// probe the persistent store before simulating, fill it after.
 		if p.Store != nil {
 			if r, ok := p.Store.GetRun(key); ok {

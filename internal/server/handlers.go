@@ -138,14 +138,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "instructions %d exceeds the per-request cap %d", req.Instructions, s.cfg.MaxInstructions)
 		return
 	}
-	items, err := expandRun(req)
+	run, err := expandRun(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	p := s.paramsFor(req.Instructions, req.Warmup, req.Seed)
-	cells := cellsFor(&p, items)
+	cells := cellsFor(&p, run)
 	outcomes, _, ok := s.admitAndExecute(w, r, req.DeadlineMS, &p, cells)
 	if !ok {
 		return
@@ -190,7 +190,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Standard {
 		p.Benchmarks = req.Benchmarks
 	}
-	items, jobs, err := expandSweep(req, &p)
+	expanded, jobs, err := expandSweep(req, &p)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -198,14 +198,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// Deduplicate identical cells (first occurrence wins) and enforce
 	// the sweep-size bound on the deduplicated matrix.
-	cells := cellsFor(&p, items)
+	cells := cellsFor(&p, expanded)
 	if len(cells) > s.cfg.MaxSweepJobs {
 		s.writeError(w, http.StatusRequestEntityTooLarge, "sweep expands to %d jobs, cap is %d", len(cells), s.cfg.MaxSweepJobs)
 		return
 	}
 
 	if req.Stream {
-		s.streamSweep(w, r, req, &p, cells, jobs)
+		s.streamSweep(w, r, req.DeadlineMS, &p, cells, jobs)
 		return
 	}
 
@@ -213,7 +213,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := buildSweepResponse(req, &p, cells, outcomes, jobs, wallNS, true)
+	resp := buildSweepResponse(&p, cells, outcomes, jobs, wallNS, true)
 	s.cfg.Metrics.Counter("server.sweep.completed").Inc()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -224,7 +224,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // 200 status commits immediately — clients must not wait for headers
 // while cells execute — so later failures (deadline, cancellation) ride
 // the summary line's "error" field instead of the status code.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, p *experiments.Params, cells []sweepCell, jobs int) {
+func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, deadlineMS int64, p *experiments.Params, cells []sweepCell, jobs int) {
 	if !s.admit() {
 		s.cfg.Metrics.Counter("server.rejected.backpressure").Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
@@ -233,7 +233,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 	}
 	defer s.releaseSlot()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req.DeadlineMS))
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(deadlineMS))
 	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -260,7 +260,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 	if err != nil {
 		s.cfg.Metrics.Counter("server.rejected.deadline").Inc()
 	}
-	summary := buildSweepResponse(req, p, cells, outcomes, jobs, wall.Nanoseconds(), false)
+	summary := buildSweepResponse(p, cells, outcomes, jobs, wall.Nanoseconds(), false)
 	line := StreamLine{Type: "summary", Summary: &summary}
 	if err != nil {
 		line.Error = err.Error()
@@ -273,8 +273,9 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req SweepRe
 }
 
 // buildSweepResponse assembles the sweep summary (and, when
-// includeResults is set, the per-cell results) from the outcome map.
-func buildSweepResponse(req SweepRequest, p *experiments.Params, cells []sweepCell, outcomes map[string]cellOutcome, jobs int, wallNS int64, includeResults bool) SweepResponse {
+// includeResults is set, the per-cell results) from the outcome map. The
+// comparison covers the successful cells.
+func buildSweepResponse(p *experiments.Params, cells []sweepCell, outcomes map[string]cellOutcome, jobs int, wallNS int64, includeResults bool) SweepResponse {
 	resp := SweepResponse{
 		Seed:         p.Seed,
 		Instructions: p.Instructions,
@@ -285,10 +286,13 @@ func buildSweepResponse(req SweepRequest, p *experiments.Params, cells []sweepCe
 	}
 	results := make([]RunResult, 0, len(cells))
 	runs := make(map[string]stats.Run, len(cells))
+	var ran []experiments.Cell
 	for _, c := range cells {
 		o := outcomes[c.key]
 		if o.err == nil && o.run != nil {
 			runs[c.key] = *o.run
+			c.Run = *o.run
+			ran = append(ran, c.Cell)
 		} else {
 			resp.Errors++
 		}
@@ -298,14 +302,7 @@ func buildSweepResponse(req SweepRequest, p *experiments.Params, cells []sweepCe
 		results = append(results, resultForCell(c, o))
 	}
 	resp.Fingerprint = fabric.Fingerprint(runs)
-	switch cmp := comparisonCells(results); {
-	case len(req.Generators) > 0:
-		resp.GeneratorComparison = experiments.GeneratorRows(cmp)
-	case len(req.IPrefetch) > 0:
-		resp.IPrefetchComparison = experiments.IPrefetchRows(cmp)
-	default:
-		resp.Comparison = experiments.FilterRows(cmp)
-	}
+	resp.Comparison = experiments.Rows(ran)
 	if includeResults {
 		resp.Results = results
 	}
@@ -375,7 +372,7 @@ func (s *Server) handleCellPost(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cells := []sweepCell{{item: experiments.MatrixItem{Bench: req.Bench, Config: *req.Config}, key: key}}
+	cells := []sweepCell{{Cell: experiments.Cell{Bench: req.Bench, Config: *req.Config}, key: key}}
 	outcomes, _, ok := s.admitAndExecute(w, r, req.DeadlineMS, &p, cells)
 	if !ok {
 		return

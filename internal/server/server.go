@@ -136,7 +136,7 @@ type Server struct {
 	inflight sync.WaitGroup
 
 	// runSim executes one simulation; tests substitute a stub. The
-	// default routes through the harness memo (experiments.RunSim).
+	// default routes through the harness memo (Params.RunSim).
 	runSim func(ctx context.Context, p *experiments.Params, bench string, cfg config.Config) (stats.Run, error)
 }
 
@@ -232,12 +232,12 @@ func (s *Server) deadlineFor(deadlineMS int64) time.Duration {
 	return d
 }
 
-// sweepCell pairs one deduplicated matrix item with its cache key — the
+// sweepCell pairs one deduplicated cell with its cache key — the
 // execution unit every serving path (local pool, fabric, streaming)
 // works in.
 type sweepCell struct {
-	item experiments.MatrixItem
-	key  string
+	experiments.Cell
+	key string
 }
 
 // cellOutcome is one cell's result, independent of where it ran.
@@ -250,20 +250,20 @@ type cellOutcome struct {
 	source string
 }
 
-// cellsFor builds the deduplicated cell list for a matrix (first
-// occurrence wins), preserving item order.
-func cellsFor(p *experiments.Params, items []experiments.MatrixItem) []sweepCell {
-	seen := make(map[string]bool, len(items))
-	cells := make([]sweepCell, 0, len(items))
-	for _, it := range items {
-		key := p.CacheKey(it.Bench, it.Config)
+// cellsFor deduplicates cells by cache key (first occurrence wins),
+// preserving their order.
+func cellsFor(p *experiments.Params, cells []experiments.Cell) []sweepCell {
+	seen := make(map[string]bool, len(cells))
+	out := make([]sweepCell, 0, len(cells))
+	for _, c := range cells {
+		key := p.CacheKey(c.Bench, c.Config)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		cells = append(cells, sweepCell{item: it, key: key})
+		out = append(out, sweepCell{Cell: c, key: key})
 	}
-	return cells
+	return out
 }
 
 // executeCells runs the deduplicated cells and returns one outcome per
@@ -297,7 +297,7 @@ func (s *Server) executeCells(ctx context.Context, p *experiments.Params, cells 
 		fcells := make([]fabric.Cell, len(cells))
 		for i, c := range cells {
 			byKey[c.key] = c
-			fcells[i] = fabric.Cell{Key: c.key, Bench: c.item.Bench, Config: c.item.Config}
+			fcells[i] = fabric.Cell{Key: c.key, Bench: c.Bench, Config: c.Config}
 		}
 		fp := fabric.Params{Instructions: p.Instructions, Warmup: p.Warmup, Seed: p.Seed}
 		ctxErr := s.cfg.Coordinator.Run(ctx, fp, fcells, p.CostModel(), func(r fabric.Result) {
@@ -317,10 +317,10 @@ func (s *Server) executeCells(ctx context.Context, p *experiments.Params, cells 
 		c := c
 		jobs = append(jobs, sched.Job{
 			Key:  c.key,
-			Cost: cost(c.item.Bench),
+			Cost: cost(c.Bench),
 			Run: func(ctx context.Context) (any, error) {
 				start := time.Now()
-				r, err := s.runSim(ctx, p, c.item.Bench, c.item.Config)
+				r, err := s.runSim(ctx, p, c.Bench, c.Config)
 				o := cellOutcome{wallNS: time.Since(start).Nanoseconds(), err: err}
 				if err == nil {
 					o.run = &r

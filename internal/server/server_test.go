@@ -96,6 +96,8 @@ func TestHandlerTable(t *testing.T) {
 		{"sweep unknown benchmark", "POST", "/v1/sweep", `{"benchmarks":["nope"]}`, 400, "unknown benchmark"},
 		{"sweep unknown filter", "POST", "/v1/sweep", `{"benchmarks":["mcf"],"filters":["bogus"]}`, 400, "unknown filter"},
 		{"oversized sweep", "POST", "/v1/sweep", `{}`, 413, "cap is 4"},
+		{"standard with generators", "POST", "/v1/sweep", `{"standard":true,"benchmarks":["gcc"],"generators":["nsp"]}`, 400, "standard matrix cannot be crossed"},
+		{"standard with iprefetch", "POST", "/v1/sweep", `{"standard":true,"benchmarks":["gcc"],"iprefetch":["mana"]}`, 400, "standard matrix cannot be crossed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -523,13 +525,13 @@ func TestSweepGeneratorsAllCrossProduct(t *testing.T) {
 			t.Fatalf("generator %q should cross >= 6 filters, got %d (%v)", g, len(filters), filters)
 		}
 	}
-	if len(resp.Comparison) != 0 {
-		t.Fatalf("generator sweep should use generator_comparison, got plain comparison: %d rows", len(resp.Comparison))
+	if len(resp.Comparison) != len(resp.Results) {
+		t.Fatalf("generator comparison rows = %d, results = %d", len(resp.Comparison), len(resp.Results))
 	}
-	if len(resp.GeneratorComparison) != len(resp.Results) {
-		t.Fatalf("generator comparison rows = %d, results = %d", len(resp.GeneratorComparison), len(resp.Results))
-	}
-	for _, c := range resp.GeneratorComparison {
+	for _, c := range resp.Comparison {
+		if c.Generator == "" || c.IPrefetcher != "" {
+			t.Fatalf("generator row must carry the generator label only: %+v", c)
+		}
 		if c.Filter == "none" && c.IPCDelta != 0 {
 			t.Fatalf("baseline delta must be 0: %+v", c)
 		}
@@ -621,14 +623,13 @@ func TestSweepIPrefetchAllCrossProduct(t *testing.T) {
 			t.Fatalf("iprefetch=all should cross %q with 2 filters, got %v", ip, iprefs[ip])
 		}
 	}
-	if len(resp.Comparison) != 0 || len(resp.GeneratorComparison) != 0 {
-		t.Fatalf("iprefetch sweep must use iprefetch_comparison only (plain=%d gen=%d)",
-			len(resp.Comparison), len(resp.GeneratorComparison))
+	if len(resp.Comparison) != len(resp.Results) {
+		t.Fatalf("iprefetch comparison rows = %d, results = %d", len(resp.Comparison), len(resp.Results))
 	}
-	if len(resp.IPrefetchComparison) != len(resp.Results) {
-		t.Fatalf("iprefetch comparison rows = %d, results = %d", len(resp.IPrefetchComparison), len(resp.Results))
-	}
-	for _, c := range resp.IPrefetchComparison {
+	for _, c := range resp.Comparison {
+		if c.IPrefetcher == "" || c.Generator != "" {
+			t.Fatalf("iprefetch row must carry the iprefetcher label only: %+v", c)
+		}
 		if c.Filter == "none" && c.IPCDelta != 0 {
 			t.Fatalf("baseline delta must be 0: %+v", c)
 		}
