@@ -31,22 +31,21 @@ import (
 // tag; the set index is recoverable from it, and keeping the whole address
 // makes eviction feedback and inclusion checks trivial.
 type Line struct {
-	Valid bool
-	Dirty bool
-	Tag   uint64 // full line address
-
+	// The flags and PFSource share the first word, so a Line is 56 bytes.
+	Valid, Dirty bool
 	// Pollution-filter metadata (paper §4).
-	PIB       bool        // brought in by a prefetch
-	RIB       bool        // demand-referenced since fill (valid only if PIB)
-	TriggerPC uint64      // PC that triggered the prefetch (0 for demand fills)
-	SoftPF    bool        // prefetch was a software prefetch instruction
-	PFSource  core.Source // generator of the prefetch (SrcOther for demand fills)
-
+	PIB      bool        // brought in by a prefetch
+	RIB      bool        // demand-referenced since fill (valid only if PIB)
+	SoftPF   bool        // prefetch was a software prefetch instruction
+	PFSource core.Source // generator of the prefetch (SrcOther for demand fills)
 	// Shadow-directory prefetching metadata (used when this cache is the
-	// L2; see internal/prefetch.SDP).
+	// L2; see internal/prefetch.SDP), with Shadow among the words below.
 	ShadowValid bool
-	Shadow      uint64 // next line missed after this line was last accessed
-	Confirm     bool   // the shadow prefetch was used since last issued
+	Confirm     bool // the shadow prefetch was used since last issued
+
+	Tag       uint64 // full line address
+	TriggerPC uint64 // PC that triggered the prefetch (0 for demand fills)
+	Shadow    uint64 // next line missed after this line was last accessed
 
 	// DeadSig is the dead-block predictor's per-line signature: a hash of
 	// the PC that last touched the line (see internal/deadblock). Zero
@@ -89,9 +88,9 @@ const invalidTag = ^uint64(0)
 // Storage is a single flat Line slice (set-major) instead of a
 // slice-of-sets: one indirection fewer per access, and neighbouring ways
 // share cache lines of the HOST machine. The tag match itself scans a
-// dense parallel []uint64 — a Line is ~100 bytes, so probing Line.Tag
-// directly would touch one host cache line per way, while the dense
-// array packs 8 ways per host line. Lookup/tag-match is the simulator's
+// dense parallel []uint64 — a Line is 56 bytes, so probing Line.Tag
+// directly would touch about one host cache line per way, while the
+// dense array packs 8 ways per host line. Lookup/tag-match is the simulator's
 // hottest operation (every demand access, duplicate squash, and
 // residency re-check lands here); see docs/PERFORMANCE.md.
 type Cache struct {

@@ -30,15 +30,15 @@ import (
 
 const notReady = ^uint64(0)
 
-// robEntry is one in-flight instruction.
+// robEntry is one in-flight instruction: 32 bytes, words first.
 type robEntry struct {
-	op      isa.Op
 	pc      uint64
 	addr    uint64
+	readyAt uint64 // completion cycle; notReady until known
+	op      isa.Op
 	dep     bool // serialized behind the previous entry
 	isStore bool
-	issued  bool   // memory op has been sent to the hierarchy
-	readyAt uint64 // completion cycle; notReady until known
+	issued  bool // memory op has been sent to the hierarchy
 }
 
 // Result aggregates what one run produced at the core level.
@@ -314,8 +314,8 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 					c.res.ROBStallCycles++
 					break
 				}
-				r, ok := in.next()
-				if !ok {
+				r := in.next()
+				if r == nil {
 					break
 				}
 				if feEnabled {
@@ -341,7 +341,9 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 				seq := c.robTail
 				c.robTail++
 				e := c.slot(seq)
-				*e = robEntry{op: r.Op, pc: r.PC, addr: r.Addr, dep: r.Dep, readyAt: notReady}
+				// Field by field, not a literal copy: see feed.next.
+				e.pc, e.addr, e.readyAt = r.PC, r.Addr, notReady
+				e.op, e.dep, e.isStore, e.issued = r.Op, r.Dep, false, false
 				switch r.Op {
 				case isa.OpALU:
 					e.readyAt = cycle + 1

@@ -20,16 +20,17 @@ type feed struct {
 	buf     [feedBatch]isa.Record
 }
 
-// next returns the next record, or false once the source has ended or
-// the budget is spent.
+// next returns the next record, valid until the next refill, or nil once
+// the source has ended or the budget is spent.
+// A pointer, not a copy: a >4-field struct copied after byte stores stalls store forwarding.
 //
 //pflint:hotpath
-func (f *feed) next() (isa.Record, bool) {
+func (f *feed) next() *isa.Record {
 	if f.pos == f.n && !f.refill() {
-		return isa.Record{}, false
+		return nil
 	}
 	f.pos++
-	return f.buf[f.pos-1], true
+	return &f.buf[f.pos-1]
 }
 
 // unread pushes back the record next just returned; the following next

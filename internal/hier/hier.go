@@ -789,22 +789,19 @@ func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (don
 		d.Tax.OnDemandRef(lineAddr)
 	}
 
-	ev := prefetch.Event{PC: pc, LineAddr: lineAddr, IsStore: isStore}
-
 	if line, hit := d.L1.Lookup(lineAddr); hit {
 		d.L1.Stats.DemandHits++
 		if d.Dead != nil {
 			d.Dead.OnAccess(line, pc)
 		}
-		ev.L1Hit = true
 		// The NSP tag is "consumed" by the first demand reference: a hit
 		// on a not-yet-referenced prefetched line triggers the next-line
 		// prefetch; later hits do not re-trigger.
-		ev.L1HitTagged = d.reference(line, now, pc)
+		tagged := d.reference(line, now, pc)
 		if isStore {
 			line.Dirty = true
 		}
-		h.observe(now, ev)
+		h.observe(now, pc, lineAddr, isStore, true, tagged, false)
 		return now + d.lat
 	}
 	d.L1.Stats.DemandMisses++
@@ -815,8 +812,7 @@ func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (don
 	}
 
 	if done, ok := d.merge(now, lineAddr, isStore); ok {
-		ev.L1Hit = true // the lower levels never see this access
-		h.observe(now, ev)
+		h.observe(now, pc, lineAddr, isStore, true, false, false) // the lower levels never see this access
 		return done
 	}
 
@@ -841,8 +837,7 @@ func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (don
 			if isStore {
 				installed.Dirty = true
 			}
-			ev.L1Hit = true // from the prefetchers' perspective: no L2 access
-			h.observe(now, ev)
+			h.observe(now, pc, lineAddr, isStore, true, false, false) // to the prefetchers: no L2 access
 			return now + d.lat
 		}
 	}
@@ -856,14 +851,12 @@ func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (don
 			if d.Dead != nil {
 				d.Dead.OnFill(installed, pc)
 			}
-			ev.L1Hit = true // the lower levels never see this access
-			h.observe(now, ev)
+			h.observe(now, pc, lineAddr, isStore, true, false, false) // the lower levels never see this access
 			return now + d.lat + 1
 		}
 	}
 
 	ready, l2hit := h.l2Access(now+d.lat, lineAddr, false)
-	ev.L2Hit = l2hit
 	installed := d.fill(lineAddr, false)
 	if d.Dead != nil {
 		d.Dead.OnFill(installed, pc)
@@ -871,7 +864,7 @@ func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (don
 	if isStore {
 		installed.Dirty = true
 	}
-	h.observe(now, ev)
+	h.observe(now, pc, lineAddr, isStore, false, false, l2hit)
 	return ready
 }
 
@@ -944,10 +937,13 @@ func (h *Hierarchy) SoftwarePrefetch(now uint64, pc, addr uint64) {
 // whatever they generate. The candidate sink is the pre-built h.emitFn,
 // stamping candidates with h.now (maintained by every entry point that
 // carries a cycle argument, including this one).
-func (h *Hierarchy) observe(now uint64, ev prefetch.Event) {
+// Fields, not an Event: a >4-field struct written flag by flag and copied stalls store forwarding.
+//
+//pflint:hotpath
+func (h *Hierarchy) observe(now, pc, lineAddr uint64, isStore, l1Hit, tagged, l2Hit bool) {
 	h.now = now
-	ev.Cycle = now
-	h.HW.Observe(ev, h.emitFn)
+	h.HW.Observe(prefetch.Event{PC: pc, LineAddr: lineAddr, Cycle: now, IsStore: isStore,
+		L1Hit: l1Hit, L1HitTagged: tagged, L2Hit: l2Hit}, h.emitFn)
 }
 
 // IssuePrefetches lets up to ports queued prefetches start their fills at

@@ -242,7 +242,8 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 	pkgs, err := Load(root,
 		"./internal/cpu", "./internal/hier", "./internal/cache",
 		"./internal/prefetch", "./internal/filter", "./internal/core",
-		"./internal/frontend", "./internal/tracefile", "./internal/workload")
+		"./internal/frontend", "./internal/tracefile", "./internal/workload",
+		"./internal/predictor")
 	if err != nil {
 		t.Fatalf("Load hot-path packages: %v", err)
 	}
@@ -257,7 +258,7 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 		"cpu.(*CPU).idleUntil", "hier.(*Hierarchy).NextEvent",
 		"cpu.(*feed).next", "tracefile.(*Reader).NextBatch", "workload.(*gen).NextBatch",
 		"hier.(*inflightHeap).push", "hier.(*inflightHeap).pop",
-		"hier.(*side).submit", "hier.(*side).complete",
+		"hier.(*side).submit", "hier.(*side).complete", "hier.(*Hierarchy).observe",
 		"cache.(*Cache).find", "cache.(*Cache).Lookup", "cache.(*Cache).Insert",
 		"prefetch.(*Queue).Contains", "prefetch.(*Queue).Enqueue", "prefetch.(*Queue).Dequeue",
 		"prefetch.pcIndex",
@@ -270,6 +271,7 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 		"core.(*TableFilter).Predict", "core.(*TableFilter).Allow", "core.(*TableFilter).Train",
 		"frontend.(*FetchUnit).Step", "frontend.(*NextLine).Observe",
 		"frontend.(*MANA).index", "frontend.(*MANA).Observe", "frontend.(*MANA).commit",
+		"predictor.(*BTB).Lookup", "predictor.(*BTB).Insert", "predictor.(*Unit).Resolve",
 	}
 	for _, fn := range required {
 		if !annotated[fn] {

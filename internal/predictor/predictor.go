@@ -8,7 +8,10 @@
 // saturating at [0, 3]; values >= 2 predict taken.
 package predictor
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // SatCounter is a 2-bit saturating counter. The zero value is a strongly
 // not-taken counter.
@@ -79,9 +82,6 @@ func NewCounterTable(entries int, initial SatCounter) (*CounterTable, error) {
 	return t, nil
 }
 
-// Mask returns the index mask (entries - 1).
-func (t *CounterTable) Mask() uint64 { return t.mask }
-
 // At returns the counter at idx (masked).
 func (t *CounterTable) At(idx uint64) SatCounter { return t.counters[idx&t.mask] }
 
@@ -130,19 +130,23 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 // Entries returns the table length.
 func (b *Bimodal) Entries() int { return b.table.Len() }
 
-// btbEntry is one BTB way: a tag and the cached target.
+// btbEntry is one BTB way: a tag (emptyTag when empty) and the cached target.
 type btbEntry struct {
-	valid  bool
 	tag    uint64
 	target uint64
 	lru    uint64 // larger = more recently used
 }
 
+// emptyTag marks an empty way. A real tag is pc>>2>>setBits, never all ones.
+const emptyTag = ^uint64(0)
+
 // BTB is a set-associative branch target buffer with true-LRU replacement.
 type BTB struct {
-	sets    [][]btbEntry
-	setMask uint64
-	tick    uint64
+	ways     []btbEntry // set-major: ways of set s at [s*assoc, (s+1)*assoc)
+	assoc    int
+	setMask  uint64
+	tagShift uint // set-index bits above the instruction offset
+	tick     uint64
 }
 
 // NewBTB allocates a BTB with the given power-of-two set count and
@@ -154,24 +158,28 @@ func NewBTB(sets, assoc int) (*BTB, error) {
 	if assoc <= 0 {
 		return nil, fmt.Errorf("predictor: BTB associativity must be positive, got %d", assoc)
 	}
-	b := &BTB{sets: make([][]btbEntry, sets), setMask: uint64(sets - 1)}
-	for i := range b.sets {
-		b.sets[i] = make([]btbEntry, assoc)
+	b := &BTB{ways: make([]btbEntry, sets*assoc), assoc: assoc, setMask: uint64(sets - 1),
+		tagShift: uint(bits.TrailingZeros(uint(sets)))}
+	for i := range b.ways {
+		b.ways[i].tag = emptyTag
 	}
 	return b, nil
 }
 
-func (b *BTB) split(pc uint64) (set, tag uint64) {
+// set returns pc's set of ways and its tag.
+func (b *BTB) set(pc uint64) (ways []btbEntry, tag uint64) {
 	idx := pc >> 2
-	return idx & b.setMask, idx >> uint(trailingOnes(b.setMask))
+	base := int(idx&b.setMask) * b.assoc
+	return b.ways[base : base+b.assoc], idx >> b.tagShift
 }
 
 // Lookup returns the cached target for pc, if present.
+//
+//pflint:hotpath
 func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
-	set, tag := b.split(pc)
-	ways := b.sets[set]
+	ways, tag := b.set(pc)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].tag == tag {
 			b.tick++
 			ways[i].lru = b.tick
 			return ways[i].target, true
@@ -182,18 +190,19 @@ func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 
 // Insert records the resolved target for a taken branch at pc, evicting the
 // least-recently-used way on conflict.
+//
+//pflint:hotpath
 func (b *BTB) Insert(pc, target uint64) {
-	set, tag := b.split(pc)
-	ways := b.sets[set]
+	ways, tag := b.set(pc)
 	b.tick++
 	victim := 0
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].tag == tag {
 			ways[i].target = target
 			ways[i].lru = b.tick
 			return
 		}
-		if !ways[i].valid {
+		if ways[i].tag == emptyTag {
 			victim = i
 			break
 		}
@@ -201,17 +210,7 @@ func (b *BTB) Insert(pc, target uint64) {
 			victim = i
 		}
 	}
-	ways[victim] = btbEntry{valid: true, tag: tag, target: target, lru: b.tick}
-}
-
-// trailingOnes counts the number of set low bits in a contiguous low mask.
-func trailingOnes(mask uint64) int {
-	n := 0
-	for mask&1 == 1 {
-		n++
-		mask >>= 1
-	}
-	return n
+	ways[victim] = btbEntry{tag: tag, target: target, lru: b.tick}
 }
 
 // Unit couples a bimodal predictor with a BTB and tracks accuracy, giving
@@ -241,6 +240,8 @@ func NewUnit(bimodalEntries, btbSets, btbAssoc int) (*Unit, error) {
 // reports whether the prediction was correct. A taken prediction with a BTB
 // miss or a wrong cached target counts as a misprediction, matching
 // fetch-redirect behaviour.
+//
+//pflint:hotpath
 func (u *Unit) Resolve(pc uint64, taken bool, target uint64) (correct bool) {
 	predTaken := u.Bimodal.Predict(pc)
 	correct = predTaken == taken
