@@ -24,8 +24,10 @@ import (
 	"os"
 	"runtime/metrics"
 	"sort"
+	"strings"
 
 	"repro/internal/config"
+	"repro/internal/filter"
 	simmetrics "repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -38,7 +40,7 @@ func main() {
 	var (
 		bench    = flag.String("bench", "mcf", "benchmark name (see -list)")
 		traceIn  = flag.String("tracein", "", "run from a PFTC trace file instead of a benchmark model")
-		filter   = flag.String("filter", "none", "pollution filter: none|pa|pc|adaptive|deadblock")
+		filterF  = flag.String("filter", "none", "pollution filter: "+strings.Join(filter.Sweepable(), "|"))
 		entries  = flag.Int("entries", 4096, "history table entries (power of two)")
 		n        = flag.Int64("n", 2_000_000, "measured instructions")
 		warmup   = flag.Int64("warmup", 1_000_000, "warmup instructions (excluded from stats)")
@@ -98,7 +100,7 @@ func main() {
 	} else if *l1size >= 32*1024 {
 		cfg.L1.LatencyCycles = 4
 	}
-	cfg.Filter.Kind = config.FilterKind(*filter)
+	cfg.Filter.Kind = config.FilterKind(*filterF)
 	cfg.Filter.TableEntries = *entries
 	cfg.Buffer.Enable = *buffer
 	cfg.Prefetch.EnableNSP = !*noNSP

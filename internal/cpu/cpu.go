@@ -218,21 +218,25 @@ func (c *CPU) depSatisfied(seq, now uint64) bool {
 }
 
 // idleUntil returns the next cycle after now in which a stage can act,
-// given that no dispatched memory op waits to issue. While dispatch is
-// blocked — by a fetch stall (an L1I miss or a branch redirect) or by a
-// full ROB — nothing changes until the stall ends, the ROB head completes,
-// or the hierarchy's NextEvent arrives; the cycles before the earliest of
-// those are provably idle. A skipped cycle that would have found the ROB
-// full with fetch running counts as a ROB stall, charged here in bulk;
-// no other per-cycle counter moves in an idle cycle.
+// given that every memory op still waiting to issue is held by its Dep
+// predecessor, the earliest of which completes at depWake (notReady when
+// none waits). While dispatch is blocked — by a fetch stall (an L1I miss
+// or a branch redirect), a full ROB, or a memory op that found the LSQ
+// full (lsqBlocked) — nothing changes until the stall ends, the ROB head
+// completes, a held op's predecessor completes, or the hierarchy's
+// NextEvent arrives; the cycles before the earliest of those are provably
+// idle. A skipped cycle with fetch running would have stalled dispatch on
+// the ROB, or failing that on the LSQ, and is charged to that counter here
+// in bulk; no other per-cycle counter moves in an idle cycle.
 //
 //pflint:hotpath
-func (c *CPU) idleUntil(now uint64) uint64 {
+func (c *CPU) idleUntil(now, depWake uint64, lsqBlocked bool) uint64 {
 	fetchStalled := now+1 < c.fetchStallUntil
-	if !fetchStalled && !c.robFull() {
+	robFull := c.robFull()
+	if !fetchStalled && !robFull && !lsqBlocked {
 		return now + 1
 	}
-	next := c.h.NextEvent(now)
+	next := min(c.h.NextEvent(now), depWake)
 	if fetchStalled {
 		next = min(next, c.fetchStallUntil)
 	}
@@ -240,8 +244,12 @@ func (c *CPU) idleUntil(now uint64) uint64 {
 		next = min(next, c.slot(c.robHead).readyAt)
 	}
 	next = max(next, now+1)
-	if !fetchStalled {
+	switch {
+	case fetchStalled: // dispatch is not attempted, so nothing stalls it
+	case robFull:
 		c.res.ROBStallCycles += next - now - 1
+	default:
+		c.res.LSQStallCycles += next - now - 1
 	}
 	return next
 }
@@ -308,6 +316,7 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 		}
 
 		// --- Dispatch (up to issue width) ---
+		lsqBlocked := false
 		if cycle >= c.fetchStallUntil {
 			for i := 0; i < c.cfg.IssueWidth; i++ {
 				if c.robFull() {
@@ -336,6 +345,7 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 				if r.Op.IsMem() && c.lsqCount >= c.cfg.LSQEntries {
 					in.unread()
 					c.res.LSQStallCycles++
+					lsqBlocked = true
 					break
 				}
 				seq := c.robTail
@@ -394,6 +404,7 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 		used := 0
 		blocked := false
 		mshrBlocked := false
+		depWake := notReady // earliest completion of a Dep predecessor holding an op
 		if c.pendingMem > 0 {
 			// Skip the prefix of the window that can never issue again:
 			// issued memory ops and non-memory entries stay that way until
@@ -416,6 +427,7 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 				}
 				remaining--
 				if !c.depSatisfied(seq, cycle) {
+					depWake = min(depWake, c.slot(seq-1).readyAt)
 					continue
 				}
 				if used >= ports {
@@ -467,11 +479,12 @@ func (c *CPU) Run(src isa.Source, maxInstr, warmup int64) Result {
 			c.h.IssueIPrefetches(cycle, 1)
 		}
 
-		// --- Jump over idle cycles: with no memory op left to issue and
-		// no warmup reset due, a blocked dispatch leaves every stage idle
-		// until idleUntil's cycle ---
-		if c.pendingMem == 0 && (warm || c.res.Instructions < uint64(warmup)) && !done() {
-			cycle = c.idleUntil(cycle) - 1
+		// --- Jump over idle cycles: with every memory op left to issue
+		// held by its Dep predecessor (none waits on a port or an MSHR)
+		// and no warmup reset due, a blocked dispatch leaves every stage
+		// idle until idleUntil's cycle ---
+		if !blocked && !mshrBlocked && (warm || c.res.Instructions < uint64(warmup)) && !done() {
+			cycle = c.idleUntil(cycle, depWake, lsqBlocked) - 1
 		}
 	}
 

@@ -287,3 +287,61 @@ func TestMSHRUnlimitedByDefault(t *testing.T) {
 		t.Fatal("the Table 1 machine leaves MSHRs unbounded")
 	}
 }
+
+// TestBlockedStallsChargeOneLoadLatency checks the cycle and LSQ-stall
+// totals of dispatch blocked on a full LSQ and of Dep-chained loads
+// against figures derived from a single cold load, so the idle cycles the
+// core jumps over are charged exactly as ticking through them would charge
+// them. With every prefetcher off and one miss in flight at a time, each
+// cold load takes the same d cycles from issue to completion: a lone load
+// dispatched and issued at cycle 1 retires at cycle 1+d.
+func TestBlockedStallsChargeOneLoadLatency(t *testing.T) {
+	const n = 12
+	// Distinct cold lines, 1 MiB apart: every load misses to memory.
+	addr := func(i int) uint64 { return 0x10_000_000 + uint64(i)<<20 }
+	pc := func(i int) uint64 { return 0x400000 + uint64(i)*4 }
+
+	one, _ := newCPU(t, quietConfig())
+	lone := one.Run(isa.NewSliceSource([]isa.Record{isa.Load(pc(0), addr(0))}), 0, 0)
+	if lone.Instructions != 1 || lone.Cycles < 2 {
+		t.Fatalf("one-load run: %d instructions in %d cycles", lone.Instructions, lone.Cycles)
+	}
+	d := lone.Cycles - 1
+
+	// Each case keeps one miss in flight, so load k issues at 1+(k-1)d and
+	// retires at 1+kd. With L LSQ entries, load k+L dispatches the cycle
+	// load k retires, and every cycle from 1 until the last load dispatches
+	// stalls dispatch on the LSQ: (n-L)d cycles when L < n.
+	for _, tc := range []struct {
+		name string
+		load func(pc, addr uint64) isa.Record
+		lsq  int
+	}{
+		{"lsq-full", isa.Load, 1},              // independent loads, one LSQ entry
+		{"dep-chain", isa.DepLoad, 64},         // the chain fits in the LSQ
+		{"dep-chain-lsq-full", isa.DepLoad, 4}, // held loads fill the LSQ
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quietConfig()
+			cfg.CPU.LSQEntries = tc.lsq
+			c, _ := newCPU(t, cfg)
+			recs := make([]isa.Record, n)
+			for i := range recs {
+				recs[i] = tc.load(pc(i), addr(i))
+			}
+			res := c.Run(isa.NewSliceSource(recs), 0, 0)
+			if res.Instructions != n {
+				t.Fatalf("retired %d, want %d", res.Instructions, n)
+			}
+			if want := 1 + n*d; res.Cycles != want {
+				t.Errorf("Cycles = %d, want 1+%d*%d = %d", res.Cycles, n, d, want)
+			}
+			if want := uint64(n-min(n, tc.lsq)) * d; res.LSQStallCycles != want {
+				t.Errorf("LSQStallCycles = %d, want %d", res.LSQStallCycles, want)
+			}
+			if res.ROBStallCycles != 0 {
+				t.Errorf("ROBStallCycles = %d, want 0", res.ROBStallCycles)
+			}
+		})
+	}
+}

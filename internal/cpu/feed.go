@@ -21,13 +21,14 @@ type feed struct {
 }
 
 // next returns the next record, valid until the next refill, or nil once
-// the source has ended or the budget is spent.
+// the source has ended or the budget is spent. The refill stays off the
+// fast path, which keeps next small enough to inline.
 // A pointer, not a copy: a >4-field struct copied after byte stores stalls store forwarding.
 //
 //pflint:hotpath
 func (f *feed) next() *isa.Record {
-	if f.pos == f.n && !f.refill() {
-		return nil
+	if f.pos == f.n {
+		return f.refill()
 	}
 	f.pos++
 	return &f.buf[f.pos-1]
@@ -47,22 +48,22 @@ func (f *feed) drained() bool {
 	return f.pos == f.n && (f.ended || (f.limit > 0 && f.fetched >= f.limit))
 }
 
-// refill reads the next batch into the emptied buffer and reports
-// whether it got any records.
-func (f *feed) refill() bool {
+// refill reads the next batch into the emptied buffer and returns its
+// first record as next would, or nil when it got no records.
+func (f *feed) refill() *isa.Record {
 	want := int64(feedBatch)
 	if f.limit > 0 {
 		want = min(want, f.limit-f.fetched)
 	}
 	if f.ended || want <= 0 {
-		return false
+		return nil
 	}
 	n := isa.Fill(f.src, f.buf[:want])
 	if n == 0 {
 		f.ended = true
-		return false
+		return nil
 	}
 	f.fetched += int64(n)
-	f.pos, f.n = 0, n
-	return true
+	f.pos, f.n = 1, n
+	return &f.buf[0]
 }
