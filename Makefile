@@ -36,10 +36,13 @@ bench-pins:
 race:
 	$(GO) test -race ./internal/sched/ ./internal/server/ ./internal/metrics/ ./internal/experiments/ ./internal/fabric/ ./internal/frontend/ ./internal/tracefile/
 
-# Static analysis: go vet plus pflint, the project linter
-# (docs/LINTING.md). A finding anywhere fails the target.
+# Static analysis: go vet, gofmt over the tracked Go files (not ".",
+# which would take in the benchmark's .bench_build/), and pflint, the
+# project linter (docs/LINTING.md). A finding anywhere fails the target.
 lint:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/pflint ./...
 
 # FuzzReaderBatch is seeded with whole traces and FuzzConvertChampSim

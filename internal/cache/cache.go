@@ -23,6 +23,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/slab"
 	"repro/internal/xrand"
 )
 
@@ -76,10 +77,19 @@ func (s Stats) MissRate() float64 {
 	return float64(s.DemandMisses) / float64(s.DemandAccesses)
 }
 
-// invalidTag marks an empty frame in the dense tag array. It cannot
-// shadow a real line address: line addresses are byte addresses shifted
-// right by the offset bits, so the all-ones pattern is out of range.
-const invalidTag = ^uint64(0)
+// The dense tag array stores a resident line's address complemented,
+// so a zeroed array is an empty cache and an empty frame holds 0. No
+// real line complements to 0: line addresses are byte addresses shifted
+// right by the offset bits, so the all-ones address is out of range.
+func storedTag(lineAddr uint64) uint64 { return ^lineAddr }
+
+// The line and tag arrays of every cache come from, and go back to,
+// these pools: a sweep builds one machine per cell, and an L2's arrays
+// are about a megabyte.
+var (
+	linePool slab.Pool[Line]
+	tagPool  slab.Pool[uint64]
+)
 
 // Cache is a set-associative cache with configurable replacement.
 // It is a purely functional state model: timing (latency, ports, bus) is
@@ -96,7 +106,7 @@ const invalidTag = ^uint64(0)
 type Cache struct {
 	cfg      config.CacheConfig
 	lines    []Line   // set-major: ways of set s at [s*assoc, (s+1)*assoc)
-	tags     []uint64 // tags[i] mirrors lines[i].Tag when valid, else invalidTag
+	tags     []uint64 // storedTag(lines[i].Tag) when valid, else 0
 	assoc    int
 	setMask  uint64
 	offBits  uint
@@ -120,21 +130,27 @@ func New(cfg config.CacheConfig, rng *xrand.Rand) (*Cache, error) {
 	frames := cfg.Sets() * cfg.Assoc
 	c := &Cache{
 		cfg:     cfg,
-		lines:   make([]Line, frames),
-		tags:    make([]uint64, frames),
+		lines:   linePool.Get(frames),
+		tags:    tagPool.Get(frames),
 		assoc:   cfg.Assoc,
 		setMask: uint64(cfg.Sets() - 1),
 		offBits: log2(uint64(cfg.LineBytes)),
 		rng:     rng,
 		policy:  cfg.Replacement,
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
 	if rng != nil {
 		c.replRand = func(ways int) int { return rng.Intn(ways) }
 	}
 	return c, nil
+}
+
+// Release hands the cache's arrays back for the next cache of the same
+// geometry. The cache must not be used afterwards; its arrays are gone,
+// so a stray access panics instead of reading another run's state.
+func (c *Cache) Release() {
+	linePool.Put(c.lines)
+	tagPool.Put(c.tags)
+	c.lines, c.tags = nil, nil
 }
 
 func log2(v uint64) uint {
@@ -159,16 +175,17 @@ func (c *Cache) ByteAddr(lineAddr uint64) uint64 { return lineAddr << c.offBits 
 func (c *Cache) setIndex(lineAddr uint64) uint64 { return lineAddr & c.setMask }
 
 // find scans the dense tag array for lineAddr's frame and returns its
-// flat index, or -1. The tag array can only hold lineAddr at a frame
-// whose Line actually stores it (Insert/Invalidate/Flush keep the two in
-// lockstep), so no re-confirmation against the Line is needed.
+// flat index, or -1. The tag array can only hold lineAddr's stored tag at
+// a frame whose Line actually stores it (Insert/Invalidate/Flush keep the
+// two in lockstep), so no re-confirmation against the Line is needed.
 //
 //pflint:hotpath
 func (c *Cache) find(lineAddr uint64) int {
 	base := int(c.setIndex(lineAddr)) * c.assoc
 	tags := c.tags[base : base+c.assoc]
+	want := storedTag(lineAddr)
 	for i, t := range tags {
-		if t == lineAddr {
+		if t == want {
 			return base + i
 		}
 	}
@@ -241,18 +258,19 @@ func (c *Cache) Insert(lineAddr uint64) (installed *Line, evicted Line, hadEvict
 	base := int(c.setIndex(lineAddr)) * c.assoc
 	set := c.lines[base : base+c.assoc]
 	tags := c.tags[base : base+c.assoc]
+	want := storedTag(lineAddr)
 	c.tick++
 
 	slot := -1
 	for i, t := range tags {
-		if t == lineAddr {
+		if t == want {
 			slot = i
 			break
 		}
 	}
 	if slot < 0 {
 		for i, t := range tags {
-			if t == invalidTag {
+			if t == 0 {
 				slot = i
 				break
 			}
@@ -268,7 +286,7 @@ func (c *Cache) Insert(lineAddr uint64) (installed *Line, evicted Line, hadEvict
 		}
 	}
 	set[slot] = Line{Valid: true, Tag: lineAddr, lru: c.tick, fifo: c.tick}
-	tags[slot] = lineAddr
+	tags[slot] = want
 	return &set[slot], evicted, hadEviction
 }
 
@@ -280,8 +298,9 @@ func (c *Cache) Insert(lineAddr uint64) (installed *Line, evicted Line, hadEvict
 func (c *Cache) PeekVictim(lineAddr uint64) (*Line, bool) {
 	base := int(c.setIndex(lineAddr)) * c.assoc
 	set := c.lines[base : base+c.assoc]
+	want := storedTag(lineAddr)
 	for _, t := range c.tags[base : base+c.assoc] {
-		if t == invalidTag || t == lineAddr {
+		if t == 0 || t == want {
 			return nil, false
 		}
 	}
@@ -309,7 +328,7 @@ func (c *Cache) Invalidate(lineAddr uint64) (Line, bool) {
 	if i := c.find(lineAddr); i >= 0 {
 		old := c.lines[i]
 		c.lines[i] = Line{}
-		c.tags[i] = invalidTag
+		c.tags[i] = 0
 		return old, true
 	}
 	return Line{}, false
@@ -377,7 +396,7 @@ func (c *Cache) Flush() (writebacks int) {
 			writebacks++
 		}
 		c.lines[i] = Line{}
-		c.tags[i] = invalidTag
+		c.tags[i] = 0
 	}
 	return writebacks
 }

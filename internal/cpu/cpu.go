@@ -147,6 +147,10 @@ func New(cfg config.CPUConfig, h *hier.Hierarchy) (*CPU, error) {
 	return c, nil
 }
 
+// Release hands the branch unit's BTB array back for the next core's.
+// The core must not be used afterwards.
+func (c *CPU) Release() { c.branch.BTB.Release() }
+
 // Branch exposes the branch unit (stats, tests).
 func (c *CPU) Branch() *predictor.Unit { return c.branch }
 

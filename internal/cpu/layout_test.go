@@ -34,24 +34,33 @@ func TestHotStateLayout(t *testing.T) {
 // TestMachineBuildAllocs pins how many allocations building one machine
 // takes, built the way sim.Run builds it: filter, hierarchy, core. Every
 // cell of a sweep pays for this before its first cycle, so a structure
-// that allocates once per set (the BTB has 4,096) shows up as setup time.
+// that allocates once per set (the BTB has 4,096, the correlation table
+// 1,024) shows up as setup time.
 func TestMachineBuildAllocs(t *testing.T) {
-	cfg := config.Default()
-	allocs := testing.AllocsPerRun(3, func() {
-		f, err := filter.New(cfg.Filter)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"default", config.Default()},
+		{"corr", config.Default().WithGenerator(config.PrefetchCorrelation)},
+	} {
+		cfg := c.cfg
+		allocs := testing.AllocsPerRun(3, func() {
+			f, err := filter.New(cfg.Filter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := hier.New(cfg, f, xrand.New(cfg.Seed^0xfeed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(cfg.CPU, h); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 300 {
+			t.Errorf("building one %s machine makes %.0f allocations, over 300: a structure allocating once per set or per entry costs setup_s on every cell (store it as one flat slice)", c.name, allocs)
 		}
-		h, err := hier.New(cfg, f, xrand.New(cfg.Seed^0xfeed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := New(cfg.CPU, h); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 300 {
-		t.Errorf("building one config.Default() machine makes %.0f allocations, over 300: a structure allocating once per set or per entry costs setup_s on every cell (store it as one flat slice)", allocs)
+		t.Logf("%s: %.0f allocations per machine", c.name, allocs)
 	}
-	t.Logf("%.0f allocations per machine", allocs)
 }

@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -84,13 +85,31 @@ func (c *CAS) Get(key string) (stats.Run, bool, error) {
 	return run, ok, err
 }
 
+// ErrBadAddress is GetSHA's answer to anything but a content address.
+var ErrBadAddress = errors.New("fabric: cas: address must be 64 lowercase hex chars")
+
 // GetSHA returns the (key, run) stored under a content address — the
-// sha-only lookup the HTTP protocol uses.
+// sha-only lookup the HTTP protocol uses. The address comes from the
+// caller and becomes a file path, so anything but the 64 lowercase hex
+// characters KeySHA writes is refused before the store is touched.
 func (c *CAS) GetSHA(sha string) (string, stats.Run, bool, error) {
-	if len(sha) != 64 {
-		return "", stats.Run{}, false, fmt.Errorf("fabric: cas: address must be 64 hex chars, got %d", len(sha))
+	if !isAddress(sha) {
+		return "", stats.Run{}, false, ErrBadAddress
 	}
 	return c.load(sha, "")
+}
+
+// isAddress reports whether sha has the form KeySHA returns.
+func isAddress(sha string) bool {
+	if len(sha) != sha256.Size*2 {
+		return false
+	}
+	for i := 0; i < len(sha); i++ {
+		if c := sha[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // load reads one envelope. wantKey, when non-empty, must match the

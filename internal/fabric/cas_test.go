@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -95,6 +96,36 @@ func TestCASGetSHARejectsBadAddress(t *testing.T) {
 	c, _ := openTestCAS(t)
 	if _, _, _, err := c.GetSHA("short"); err == nil {
 		t.Fatal("GetSHA accepted a 5-char address")
+	}
+}
+
+// TestCASGetSHARefusesPathsOutsideStore: an address is a file name, so
+// one made of "../" steps must not reach a JSON file beside the store,
+// and the answer must not tell whether such a file exists.
+func TestCASGetSHARefusesPathsOutsideStore(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "p")
+	c, err := OpenCAS(filepath.Join(base, "store"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// path(sha) joins the store, sha[:2] (".." is base) and sha+".json",
+	// so this 64-char address names base/xxx….json.
+	name := strings.Repeat("x", 59)
+	sha := "../p/" + name
+	if len(sha) != 64 {
+		t.Fatalf("address is %d chars, want 64", len(sha))
+	}
+	outside, err := json.Marshal(envelope{Key: "outside", Run: testRun(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(base, name+".json"), outside, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []string{sha, "/" + sha[1:], strings.ToUpper(KeySHA("k"))} {
+		if _, _, ok, err := c.GetSHA(addr); ok || !errors.Is(err, ErrBadAddress) {
+			t.Errorf("GetSHA(%q): ok=%v err=%v, want ErrBadAddress", addr, ok, err)
+		}
 	}
 }
 

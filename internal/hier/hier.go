@@ -387,6 +387,16 @@ func New(cfg config.Config, filter core.Filter, rng *xrand.Rand) (*Hierarchy, er
 	return h, nil
 }
 
+// Release hands the caches' line and tag arrays back for the next
+// machine's. The hierarchy must not be used afterwards.
+func (h *Hierarchy) Release() {
+	h.L1.Release()
+	h.L2.Release()
+	if h.i.L1 != nil {
+		h.i.L1.Release()
+	}
+}
+
 // Config returns the machine configuration.
 func (h *Hierarchy) Config() config.Config { return h.cfg }
 

@@ -114,9 +114,9 @@ const (
 var knownRules = map[string]bool{
 	RuleDetTime: true, RuleDetRand: true, RuleDetEnv: true, RuleDetMapRange: true,
 	RuleHotAlloc: true, RuleHotAppend: true, RuleHotFmt: true, RuleHotIface: true, RuleHotClosure: true,
-	RuleHooksGuard: true,
-	RuleConfigCov:  true,
-	RuleErrcheck:   true,
+	RuleHooksGuard:   true,
+	RuleConfigCov:    true,
+	RuleErrcheck:     true,
 	RuleLockBlocking: true, RuleLockLeak: true,
 	RuleCtxDrop: true, RuleCtxBackground: true, RuleCtxGoroutine: true,
 	RuleHWMap: true, RuleHWUnsized: true, RuleHWGrowth: true,

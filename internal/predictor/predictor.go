@@ -11,6 +11,8 @@ package predictor
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/slab"
 )
 
 // SatCounter is a 2-bit saturating counter. The zero value is a strongly
@@ -130,15 +132,20 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 // Entries returns the table length.
 func (b *Bimodal) Entries() int { return b.table.Len() }
 
-// btbEntry is one BTB way: a tag (emptyTag when empty) and the cached target.
+// btbEntry is one BTB way: a stored tag (0 when empty) and the cached
+// target.
 type btbEntry struct {
 	tag    uint64
 	target uint64
 	lru    uint64 // larger = more recently used
 }
 
-// emptyTag marks an empty way. A real tag is pc>>2>>setBits, never all ones.
-const emptyTag = ^uint64(0)
+// A way stores its tag complemented, so a zeroed array is an empty BTB.
+// A real tag is pc>>2>>setBits, never all ones, so no stored tag is 0.
+func storedTag(tag uint64) uint64 { return ^tag }
+
+// wayPool recycles BTB way arrays: the Table 1 BTB is 16,384 ways.
+var wayPool slab.Pool[btbEntry]
 
 // BTB is a set-associative branch target buffer with true-LRU replacement.
 type BTB struct {
@@ -158,19 +165,22 @@ func NewBTB(sets, assoc int) (*BTB, error) {
 	if assoc <= 0 {
 		return nil, fmt.Errorf("predictor: BTB associativity must be positive, got %d", assoc)
 	}
-	b := &BTB{ways: make([]btbEntry, sets*assoc), assoc: assoc, setMask: uint64(sets - 1),
-		tagShift: uint(bits.TrailingZeros(uint(sets)))}
-	for i := range b.ways {
-		b.ways[i].tag = emptyTag
-	}
-	return b, nil
+	return &BTB{ways: wayPool.Get(sets * assoc), assoc: assoc, setMask: uint64(sets - 1),
+		tagShift: uint(bits.TrailingZeros(uint(sets)))}, nil
 }
 
-// set returns pc's set of ways and its tag.
+// Release hands the way array back for the next BTB of the same size.
+// The BTB must not be used afterwards.
+func (b *BTB) Release() {
+	wayPool.Put(b.ways)
+	b.ways = nil
+}
+
+// set returns pc's set of ways and its stored tag.
 func (b *BTB) set(pc uint64) (ways []btbEntry, tag uint64) {
 	idx := pc >> 2
 	base := int(idx&b.setMask) * b.assoc
-	return b.ways[base : base+b.assoc], idx >> b.tagShift
+	return b.ways[base : base+b.assoc], storedTag(idx >> b.tagShift)
 }
 
 // Lookup returns the cached target for pc, if present.
@@ -202,7 +212,7 @@ func (b *BTB) Insert(pc, target uint64) {
 			ways[i].lru = b.tick
 			return
 		}
-		if ways[i].tag == emptyTag {
+		if ways[i].tag == 0 {
 			victim = i
 			break
 		}

@@ -231,10 +231,10 @@ func TestUnitValidation(t *testing.T) {
 }
 
 // TestBTBEntryLayout pins a BTB way at three words: the tag doubles as
-// the valid bit (emptyTag), so a 4-way set fits in 96 bytes. A larger
+// the valid bit (a zero tag), so a 4-way set fits in 96 bytes. A larger
 // entry costs host cache lines on every branch the core resolves.
 func TestBTBEntryLayout(t *testing.T) {
 	if size := unsafe.Sizeof(btbEntry{}); size > 24 {
-		t.Errorf("btbEntry is %d bytes, over its 24-byte budget: a larger struct costs host cache lines on every Lookup and Insert (mark empty ways with emptyTag, not a flag)", size)
+		t.Errorf("btbEntry is %d bytes, over its 24-byte budget: a larger struct costs host cache lines on every Lookup and Insert (mark empty ways with a zero tag, not a flag)", size)
 	}
 }

@@ -28,7 +28,8 @@ type corrEntry struct {
 
 // Correlation is the pair-correlation miss prefetcher.
 type Correlation struct {
-	sets    [][]corrEntry
+	entries []corrEntry // set-major: ways of set s at [s*assoc, (s+1)*assoc)
+	assoc   int
 	setMask uint64
 	tick    uint64
 
@@ -48,21 +49,18 @@ func NewCorrelation(sets, assoc int) (*Correlation, error) {
 	if assoc <= 0 {
 		return nil, fmt.Errorf("prefetch: correlation associativity must be positive, got %d", assoc)
 	}
-	c := &Correlation{sets: make([][]corrEntry, sets), setMask: uint64(sets - 1)}
-	for i := range c.sets {
-		c.sets[i] = make([]corrEntry, assoc)
-	}
-	return c, nil
+	return &Correlation{entries: make([]corrEntry, sets*assoc), assoc: assoc, setMask: uint64(sets - 1)}, nil
 }
 
-func (c *Correlation) split(lineAddr uint64) (uint64, uint64) {
-	return lineAddr & c.setMask, lineAddr >> 1 // full-ish tag; cheap
+// split returns lineAddr's set of ways and its tag.
+func (c *Correlation) split(lineAddr uint64) ([]corrEntry, uint64) {
+	base := int(lineAddr&c.setMask) * c.assoc
+	return c.entries[base : base+c.assoc], lineAddr >> 1 // full-ish tag; cheap
 }
 
 // lookup returns the correlated next line for a miss address.
 func (c *Correlation) lookup(lineAddr uint64) (uint64, bool) {
-	si, tag := c.split(lineAddr)
-	set := c.sets[si]
+	set, tag := c.split(lineAddr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			c.tick++
@@ -75,8 +73,7 @@ func (c *Correlation) lookup(lineAddr uint64) (uint64, bool) {
 
 // update records (prev → next) in the table.
 func (c *Correlation) update(prev, next uint64) {
-	si, tag := c.split(prev)
-	set := c.sets[si]
+	set, tag := c.split(prev)
 	c.tick++
 	victim := 0
 	for i := range set {

@@ -300,12 +300,16 @@ func TestCellEndpointExecuteAndFill(t *testing.T) {
 		t.Fatalf("filled entry not readable from the CAS (ok=%v run=%+v)", ok, run)
 	}
 
-	// Errors: bad sha length, unknown sha, unknown benchmark.
+	// Errors: bad sha length, unknown sha, non-hex sha, unknown benchmark.
 	if status, _ := get(t, ts.URL, "/v1/cell?sha=abc"); status != http.StatusBadRequest {
 		t.Fatalf("short sha: status %d, want 400", status)
 	}
 	if status, _ := get(t, ts.URL, "/v1/cell?sha="+strings.Repeat("0", 64)); status != http.StatusNotFound {
 		t.Fatalf("unknown sha: status %d, want 404", status)
+	}
+	// A 64-char address that is a path out of the store is not an address.
+	if status, _ := get(t, ts.URL, "/v1/cell?sha=..%2F..%2F"+strings.Repeat("x", 58)); status != http.StatusBadRequest {
+		t.Fatalf("path-shaped sha: status %d, want 400", status)
 	}
 	if status, _ := post(t, ts.URL, "/v1/cell", `{"bench":"nope","config":`+mustJSON(t, cfg)+`}`); status != http.StatusBadRequest {
 		t.Fatalf("unknown benchmark: status %d, want 400", status)

@@ -397,11 +397,11 @@ func (s *Server) handleCellGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sha := r.URL.Query().Get("sha")
-	if len(sha) != 64 {
-		s.writeError(w, http.StatusBadRequest, "sha must be 64 hex chars, got %d", len(sha))
+	key, run, ok, err := s.cfg.CAS.GetSHA(sha)
+	if errors.Is(err, fabric.ErrBadAddress) {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key, run, ok, err := s.cfg.CAS.GetSHA(sha)
 	if err != nil {
 		// A corrupt or mismatched entry reads as a miss; say why.
 		s.writeError(w, http.StatusNotFound, "%v", err)

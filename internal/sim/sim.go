@@ -116,6 +116,9 @@ func Run(opts Options) (stats.Run, error) {
 	if err != nil {
 		return stats.Run{}, err
 	}
+	// The machine's big arrays go back for the next run once the result
+	// is built: nothing in a stats.Run points into them.
+	defer h.Release()
 	if opts.Taxonomy {
 		// The victim-reuse window approximates L1 residency in fills.
 		tr, err := taxonomy.NewTracker(cfg.L1.SizeBytes / cfg.L1.LineBytes)
@@ -128,6 +131,7 @@ func Run(opts Options) (stats.Run, error) {
 	if err != nil {
 		return stats.Run{}, err
 	}
+	defer c.Release()
 	if opts.Trace != nil || opts.Metrics != nil {
 		h.AttachObservability(opts.Trace, opts.Metrics)
 		c.AttachMetrics(opts.Metrics)

@@ -47,9 +47,9 @@ type Writer struct {
 	w      *bufio.Writer
 	target int
 
-	chunk   []byte // current chunk payload
+	chunk     []byte // current chunk payload
 	chunkRecs uint32
-	lastPC  uint64 // per-chunk PC-delta state
+	lastPC    uint64 // per-chunk PC-delta state
 
 	canonPC uint64    // canonical (never-reset) PC-delta state
 	canon   hash.Hash // sha256 over the canonical encoding
