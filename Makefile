@@ -50,6 +50,7 @@ lint:
 # the whole budget, so -fuzzminimizetime keeps them fuzzing.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzConfigString -fuzztime=30s ./internal/config/
+	$(GO) test -run=NONE -fuzz=FuzzCellRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzHistoryTableIndex -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzReaderBatch -fuzztime=30s -fuzzminimizetime=5s ./internal/tracefile/
 	$(GO) test -run=NONE -fuzz=FuzzConvertChampSim -fuzztime=30s -fuzzminimizetime=5s ./internal/tracefile/

@@ -35,7 +35,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment ID (table1, table2, fig1..fig16, baselines, extras, ablation, taxonomy, energy, adaptivity, variance, multiprog, aggression, memlat, filters, generators, traces, iprefetch)")
+		exp      = flag.String("exp", "", "experiment ID ("+strings.Join(experiments.IDs(), ", ")+")")
 		all      = flag.Bool("all", false, "run every experiment")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")

@@ -11,9 +11,13 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"unicode/utf8"
 )
 
 // FilterKind selects the pollution filter variant attached to the machine.
+// The kinds that exist are the keys of internal/filter's registry, and
+// sim.Validate resolves a config's names there; this package checks
+// only numbers and structure.
 type FilterKind string
 
 // Filter variants evaluated in the paper plus the extensions this repo adds.
@@ -60,20 +64,10 @@ func (k FilterKind) Canonical() FilterKind {
 	return k
 }
 
-// Valid reports whether k (or its canonical form) names a known filter
-// kind.
-func (k FilterKind) Valid() bool {
-	switch k.Canonical() {
-	case FilterNone, FilterPA, FilterPC, FilterStatic, FilterAdaptive, FilterDeadBlock,
-		FilterPerceptron, FilterBloom, FilterTournament:
-		return true
-	}
-	return false
-}
-
 // PrefetchKind names one prefetch generator backend in the generator
 // zoo (internal/prefetch's registry), mirroring FilterKind for the
-// filter zoo.
+// filter zoo. A config selects generators by the Enable* flags, so it
+// never holds a PrefetchKind to resolve.
 type PrefetchKind string
 
 // Prefetch generators known to the simulator: the paper's two hardware
@@ -113,24 +107,8 @@ func (k PrefetchKind) Canonical() PrefetchKind {
 	return k
 }
 
-// Valid reports whether k (or its canonical form) names a known
-// prefetch generator kind.
-func (k PrefetchKind) Valid() bool {
-	switch k.Canonical() {
-	case PrefetchNSP, PrefetchSDP, PrefetchStride, PrefetchCorrelation, PrefetchBerti, PrefetchGHB:
-		return true
-	}
-	return false
-}
-
-// PrefetchKinds returns every canonical generator kind in the
-// deterministic composite order the hierarchy builds them in.
-func PrefetchKinds() []PrefetchKind {
-	return []PrefetchKind{PrefetchNSP, PrefetchSDP, PrefetchStride, PrefetchCorrelation, PrefetchBerti, PrefetchGHB}
-}
-
 // IPrefetchKind names an instruction-prefetch backend from the
-// internal/frontend registry.
+// internal/frontend registry, where sim.Validate resolves it.
 type IPrefetchKind string
 
 // Instruction prefetchers known to the simulator.
@@ -160,16 +138,6 @@ func (k IPrefetchKind) Canonical() IPrefetchKind {
 		return IPrefetchNextLine
 	}
 	return k
-}
-
-// Valid reports whether k (or its canonical form) names a known
-// instruction-prefetch kind.
-func (k IPrefetchKind) Valid() bool {
-	switch k.Canonical() {
-	case IPrefetchNone, IPrefetchNextLine, IPrefetchMANA:
-		return true
-	}
-	return false
 }
 
 // ReplacementPolicy selects how a set-associative cache picks a victim.
@@ -218,12 +186,14 @@ func (c CacheConfig) Sets() int {
 // Validate checks geometric and physical sanity.
 func (c CacheConfig) Validate(name string) error {
 	switch {
-	case c.SizeBytes <= 0:
-		return fmt.Errorf("%s: size must be positive, got %d", name, c.SizeBytes)
+	case c.SizeBytes <= 0 || c.SizeBytes > maxCacheBytes:
+		return fmt.Errorf("%s: size must be in [1,%d], got %d", name, maxCacheBytes, c.SizeBytes)
 	case c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("%s: line size must be a positive power of two, got %d", name, c.LineBytes)
-	case c.Assoc <= 0:
-		return fmt.Errorf("%s: associativity must be positive, got %d", name, c.Assoc)
+	case c.LineBytes > c.SizeBytes || c.SizeBytes/c.LineBytes > maxCacheLines:
+		return fmt.Errorf("%s: %d-byte lines in %d bytes must number in [1,%d]", name, c.LineBytes, c.SizeBytes, maxCacheLines)
+	case c.Assoc <= 0 || c.Assoc > c.SizeBytes/c.LineBytes:
+		return fmt.Errorf("%s: associativity must be in [1,%d], got %d", name, c.SizeBytes/c.LineBytes, c.Assoc)
 	case c.SizeBytes%(c.LineBytes*c.Assoc) != 0:
 		return fmt.Errorf("%s: size %d not divisible by line*assoc (%d*%d)", name, c.SizeBytes, c.LineBytes, c.Assoc)
 	case c.Sets()&(c.Sets()-1) != 0:
@@ -264,20 +234,20 @@ func (c CPUConfig) Validate() error {
 		return fmt.Errorf("cpu: issue width must be positive, got %d", c.IssueWidth)
 	case c.RetireWidth <= 0:
 		return fmt.Errorf("cpu: retire width must be positive, got %d", c.RetireWidth)
-	case c.ROBEntries <= 0:
-		return fmt.Errorf("cpu: ROB entries must be positive, got %d", c.ROBEntries)
-	case c.LSQEntries <= 0:
-		return fmt.Errorf("cpu: LSQ entries must be positive, got %d", c.LSQEntries)
+	case !entries(c.ROBEntries):
+		return fmt.Errorf("cpu: ROB entries must be in [1,%d], got %d", maxEntries, c.ROBEntries)
+	case !entries(c.LSQEntries):
+		return fmt.Errorf("cpu: LSQ entries must be in [1,%d], got %d", maxEntries, c.LSQEntries)
 	case c.BranchPenalty < 0:
 		return fmt.Errorf("cpu: branch penalty must be non-negative, got %d", c.BranchPenalty)
-	case c.BimodalEntries <= 0 || c.BimodalEntries&(c.BimodalEntries-1) != 0:
-		return fmt.Errorf("cpu: bimodal entries must be a positive power of two, got %d", c.BimodalEntries)
-	case c.BTBSets <= 0 || c.BTBSets&(c.BTBSets-1) != 0:
-		return fmt.Errorf("cpu: BTB sets must be a positive power of two, got %d", c.BTBSets)
-	case c.BTBAssoc <= 0:
-		return fmt.Errorf("cpu: BTB associativity must be positive, got %d", c.BTBAssoc)
-	case c.MSHRs < 0:
-		return fmt.Errorf("cpu: MSHRs must be non-negative, got %d", c.MSHRs)
+	case !pow2Entries(c.BimodalEntries):
+		return fmt.Errorf("cpu: bimodal entries must be a power of two in [1,%d], got %d", maxEntries, c.BimodalEntries)
+	case !pow2Entries(c.BTBSets):
+		return fmt.Errorf("cpu: BTB sets must be a power of two in [1,%d], got %d", maxEntries, c.BTBSets)
+	case c.BTBAssoc <= 0 || c.BTBSets > maxEntries/c.BTBAssoc:
+		return fmt.Errorf("cpu: BTB associativity must be positive with sets*assoc at most %d, got %d*%d", maxEntries, c.BTBSets, c.BTBAssoc)
+	case c.MSHRs < 0 || c.MSHRs > maxEntries:
+		return fmt.Errorf("cpu: MSHRs must be in [0,%d], got %d", maxEntries, c.MSHRs)
 	}
 	return nil
 }
@@ -352,32 +322,55 @@ const (
 	DefaultGHBMaxDegree     = 4
 )
 
-// maxTableLog2 bounds every log2-sized generator budget: 2^16 entries is
-// already far beyond hardware-realistic SRAM for these structures.
-const maxTableLog2 = 16
+// Upper bounds on every size a config names. They sit far beyond any
+// hardware-realistic structure, and they keep a config from untrusted
+// input from asking for more memory or per-event work than a host has.
+const (
+	// maxTableLog2 bounds every log2-sized table budget.
+	maxTableLog2 = 16
+	// maxEntries bounds every entry count, and the product of sets and
+	// ways: tables, queues, buffers, the ROB and the LSQ.
+	maxEntries = 1 << maxTableLog2
+	// maxCacheBytes and maxCacheLines bound one cache's capacity.
+	maxCacheBytes = 64 << 20
+	maxCacheLines = 1 << 20
+	// maxDegree bounds every prefetch degree: candidates per trigger.
+	maxDegree = 16
+)
 
-// Enabled returns the enabled generator kinds in the deterministic
-// order the hierarchy composes them: the historical NSP → SDP → stride
-// → correlation order, then the zoo additions.
+// entries reports whether n is a usable entry count.
+func entries(n int) bool { return n > 0 && n <= maxEntries }
+
+// pow2Entries reports whether n is a usable power-of-two entry count.
+func pow2Entries(n int) bool { return entries(n) && n&(n-1) == 0 }
+
+// generatorFlag pairs a generator kind with its enable flag.
+type generatorFlag struct {
+	kind PrefetchKind
+	on   *bool
+}
+
+// generatorFlags is the one list of generator enable flags, in the
+// deterministic order the hierarchy composes them: the historical
+// NSP → SDP → stride → correlation order, then the zoo additions.
+func (c *PrefetchConfig) generatorFlags() [6]generatorFlag {
+	return [...]generatorFlag{
+		{PrefetchNSP, &c.EnableNSP},
+		{PrefetchSDP, &c.EnableSDP},
+		{PrefetchStride, &c.EnableStride},
+		{PrefetchCorrelation, &c.EnableCorrelation},
+		{PrefetchBerti, &c.EnableBerti},
+		{PrefetchGHB, &c.EnableGHB},
+	}
+}
+
+// Enabled returns the enabled generator kinds in composition order.
 func (c PrefetchConfig) Enabled() []PrefetchKind {
 	var kinds []PrefetchKind
-	if c.EnableNSP {
-		kinds = append(kinds, PrefetchNSP)
-	}
-	if c.EnableSDP {
-		kinds = append(kinds, PrefetchSDP)
-	}
-	if c.EnableStride {
-		kinds = append(kinds, PrefetchStride)
-	}
-	if c.EnableCorrelation {
-		kinds = append(kinds, PrefetchCorrelation)
-	}
-	if c.EnableBerti {
-		kinds = append(kinds, PrefetchBerti)
-	}
-	if c.EnableGHB {
-		kinds = append(kinds, PrefetchGHB)
+	for _, g := range c.generatorFlags() {
+		if *g.on {
+			kinds = append(kinds, g.kind)
+		}
 	}
 	return kinds
 }
@@ -385,16 +378,16 @@ func (c PrefetchConfig) Enabled() []PrefetchKind {
 // Validate checks the prefetch parameters.
 func (c PrefetchConfig) Validate() error {
 	switch {
-	case c.QueueEntries <= 0:
-		return fmt.Errorf("prefetch: queue entries must be positive, got %d", c.QueueEntries)
-	case c.Degree <= 0:
-		return fmt.Errorf("prefetch: degree must be positive, got %d", c.Degree)
-	case c.EnableStride && (c.StrideEntries <= 0 || c.StrideEntries&(c.StrideEntries-1) != 0):
-		return fmt.Errorf("prefetch: stride entries must be a positive power of two, got %d", c.StrideEntries)
-	case c.EnableCorrelation && (c.CorrelationSets <= 0 || c.CorrelationSets&(c.CorrelationSets-1) != 0):
-		return fmt.Errorf("prefetch: correlation sets must be a positive power of two, got %d", c.CorrelationSets)
-	case c.EnableCorrelation && c.CorrelationAssoc <= 0:
-		return fmt.Errorf("prefetch: correlation associativity must be positive, got %d", c.CorrelationAssoc)
+	case !entries(c.QueueEntries):
+		return fmt.Errorf("prefetch: queue entries must be in [1,%d], got %d", maxEntries, c.QueueEntries)
+	case c.Degree <= 0 || c.Degree > maxDegree:
+		return fmt.Errorf("prefetch: degree must be in [1,%d], got %d", maxDegree, c.Degree)
+	case c.EnableStride && !pow2Entries(c.StrideEntries):
+		return fmt.Errorf("prefetch: stride entries must be a power of two in [1,%d], got %d", maxEntries, c.StrideEntries)
+	case c.EnableCorrelation && !pow2Entries(c.CorrelationSets):
+		return fmt.Errorf("prefetch: correlation sets must be a power of two in [1,%d], got %d", maxEntries, c.CorrelationSets)
+	case c.EnableCorrelation && (c.CorrelationAssoc <= 0 || c.CorrelationSets > maxEntries/c.CorrelationAssoc):
+		return fmt.Errorf("prefetch: correlation associativity must be positive with sets*assoc at most %d, got %d*%d", maxEntries, c.CorrelationSets, c.CorrelationAssoc)
 	}
 	if c.EnableBerti {
 		for _, b := range []struct {
@@ -416,8 +409,8 @@ func (c PrefetchConfig) Validate() error {
 			return fmt.Errorf("prefetch: ghb log2 budget must be in [1,%d], got %d", maxTableLog2, c.GHBLog2)
 		case c.GHBIndexLog2 <= 0 || c.GHBIndexLog2 > maxTableLog2:
 			return fmt.Errorf("prefetch: ghb index log2 budget must be in [1,%d], got %d", maxTableLog2, c.GHBIndexLog2)
-		case c.GHBMaxDegree <= 0 || c.GHBMaxDegree > 16:
-			return fmt.Errorf("prefetch: ghb max degree must be in [1,16], got %d", c.GHBMaxDegree)
+		case c.GHBMaxDegree <= 0 || c.GHBMaxDegree > maxDegree:
+			return fmt.Errorf("prefetch: ghb max degree must be in [1,%d], got %d", maxDegree, c.GHBMaxDegree)
 		}
 	}
 	return nil
@@ -478,10 +471,8 @@ type FilterConfig struct {
 // Validate checks the filter parameters.
 func (c FilterConfig) Validate() error {
 	switch {
-	case !c.Kind.Valid():
-		return fmt.Errorf("filter: unknown kind %q", c.Kind)
-	case c.TableEntries <= 0 || c.TableEntries&(c.TableEntries-1) != 0:
-		return fmt.Errorf("filter: table entries must be a positive power of two, got %d", c.TableEntries)
+	case !pow2Entries(c.TableEntries):
+		return fmt.Errorf("filter: table entries must be a power of two in [1,%d], got %d", maxEntries, c.TableEntries)
 	case c.InitialCounter > 3:
 		return fmt.Errorf("filter: initial counter must be a 2-bit value, got %d", c.InitialCounter)
 	case c.Threshold > 3:
@@ -491,17 +482,17 @@ func (c FilterConfig) Validate() error {
 		if c.AdaptiveAccuracy <= 0 || c.AdaptiveAccuracy >= 1 {
 			return fmt.Errorf("filter: adaptive accuracy must be in (0,1), got %g", c.AdaptiveAccuracy)
 		}
-		if c.AdaptiveWindow <= 0 {
-			return fmt.Errorf("filter: adaptive window must be positive, got %d", c.AdaptiveWindow)
+		if !entries(c.AdaptiveWindow) {
+			return fmt.Errorf("filter: adaptive window must be in [1,%d], got %d", maxEntries, c.AdaptiveWindow)
 		}
 	}
 	switch {
-	case c.PerceptronEntries < 0 || (c.PerceptronEntries > 0 && c.PerceptronEntries&(c.PerceptronEntries-1) != 0):
-		return fmt.Errorf("filter: perceptron entries must be a power of two, got %d", c.PerceptronEntries)
+	case c.PerceptronEntries != 0 && !pow2Entries(c.PerceptronEntries):
+		return fmt.Errorf("filter: perceptron entries must be 0 or a power of two in [1,%d], got %d", maxEntries, c.PerceptronEntries)
 	case c.PerceptronTheta < 0:
 		return fmt.Errorf("filter: perceptron theta must be non-negative, got %d", c.PerceptronTheta)
-	case c.BloomEntries < 0 || (c.BloomEntries > 0 && c.BloomEntries&(c.BloomEntries-1) != 0):
-		return fmt.Errorf("filter: bloom entries must be a power of two, got %d", c.BloomEntries)
+	case c.BloomEntries != 0 && !pow2Entries(c.BloomEntries):
+		return fmt.Errorf("filter: bloom entries must be 0 or a power of two in [1,%d], got %d", maxEntries, c.BloomEntries)
 	case c.BloomHashes < 0 || c.BloomHashes > 8:
 		return fmt.Errorf("filter: bloom hashes must be in [0,8], got %d", c.BloomHashes)
 	case c.BloomReject < 0 || c.BloomReject > 15:
@@ -509,16 +500,19 @@ func (c FilterConfig) Validate() error {
 	case c.TournamentPselBits < 0 || c.TournamentPselBits > 20:
 		return fmt.Errorf("filter: tournament PSEL bits must be in [0,20], got %d", c.TournamentPselBits)
 	}
-	for _, side := range []FilterKind{c.TournamentA, c.TournamentB} {
-		if side == "" {
-			continue
+	// Which names exist is the registries' business (sim.Validate), but
+	// every name must survive the JSON encoding memo keys are made of:
+	// encoding/json replaces invalid UTF-8, so two such names would
+	// share one key.
+	for _, k := range []FilterKind{c.Kind, c.TournamentA, c.TournamentB} {
+		if !utf8.ValidString(string(k)) {
+			return fmt.Errorf("filter: kind %q is not valid UTF-8", k)
 		}
+	}
+	for _, side := range []FilterKind{c.TournamentA, c.TournamentB} {
 		switch side.Canonical() {
 		case FilterTournament, FilterStatic, FilterDeadBlock:
 			return fmt.Errorf("filter: tournament side cannot be %q", side)
-		}
-		if !side.Valid() {
-			return fmt.Errorf("filter: unknown tournament side %q", side)
 		}
 	}
 	return nil
@@ -534,8 +528,8 @@ type BufferConfig struct {
 
 // Validate checks the buffer parameters.
 func (c BufferConfig) Validate() error {
-	if c.Enable && c.Entries <= 0 {
-		return fmt.Errorf("prefetch buffer: entries must be positive, got %d", c.Entries)
+	if c.Enable && !entries(c.Entries) {
+		return fmt.Errorf("prefetch buffer: entries must be in [1,%d], got %d", maxEntries, c.Entries)
 	}
 	return nil
 }
@@ -634,14 +628,14 @@ func (c FrontendConfig) Validate(l2LineBytes int) error {
 	if c.L1I.LineBytes != l2LineBytes {
 		return fmt.Errorf("frontend: l1i line size %d must equal l2 line size %d", c.L1I.LineBytes, l2LineBytes)
 	}
-	if !c.IPrefetch.Valid() {
-		return fmt.Errorf("frontend: unknown instruction-prefetch kind %q", c.IPrefetch)
+	if !utf8.ValidString(string(c.IPrefetch)) {
+		return fmt.Errorf("frontend: instruction-prefetch kind %q is not valid UTF-8", c.IPrefetch)
 	}
-	if c.QueueEntries <= 0 {
-		return fmt.Errorf("frontend: queue entries must be positive, got %d", c.QueueEntries)
+	if !entries(c.QueueEntries) {
+		return fmt.Errorf("frontend: queue entries must be in [1,%d], got %d", maxEntries, c.QueueEntries)
 	}
-	if c.Degree <= 0 || c.Degree > 16 {
-		return fmt.Errorf("frontend: degree must be in [1,16], got %d", c.Degree)
+	if c.Degree <= 0 || c.Degree > maxDegree {
+		return fmt.Errorf("frontend: degree must be in [1,%d], got %d", maxDegree, c.Degree)
 	}
 	if c.IPrefetch.Canonical() == IPrefetchMANA {
 		if c.ManaRecordsLog2 <= 0 || c.ManaRecordsLog2 > maxTableLog2 {
@@ -785,28 +779,20 @@ func (c Config) WithL1Ports(ports int) Config {
 // budgets. This is the cell configuration of the (generator × filter)
 // cross-product — it isolates one generator's candidate stream so the
 // pollution filter is judged against that generator alone. An unknown
-// kind leaves every generator off; Validate elsewhere rejects it.
+// kind, or "", leaves every generator off: the no-prefetch machine.
 func (c Config) WithGenerator(kind PrefetchKind) Config {
 	p := &c.Prefetch
-	p.EnableNSP, p.EnableSDP, p.EnableStride, p.EnableCorrelation = false, false, false, false
-	p.EnableBerti, p.EnableGHB = false, false
 	p.EnableSoftware = false
-	switch kind.Canonical() {
-	case PrefetchNSP:
-		p.EnableNSP = true
-	case PrefetchSDP:
-		p.EnableSDP = true
-	case PrefetchStride:
-		p.EnableStride = true
-	case PrefetchCorrelation:
-		p.EnableCorrelation = true
+	kind = kind.Canonical()
+	for _, g := range p.generatorFlags() {
+		*g.on = g.kind == kind
+	}
+	switch kind {
 	case PrefetchBerti:
-		p.EnableBerti = true
 		p.BertiHistoryLog2 = DefaultBertiHistoryLog2
 		p.BertiLatencyLog2 = DefaultBertiLatencyLog2
 		p.BertiShadowLog2 = DefaultBertiShadowLog2
 	case PrefetchGHB:
-		p.EnableGHB = true
 		p.GHBLog2 = DefaultGHBLog2
 		p.GHBIndexLog2 = DefaultGHBIndexLog2
 		p.GHBMaxDegree = DefaultGHBMaxDegree
@@ -872,8 +858,8 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.VictimEntries < 0 {
-		return fmt.Errorf("victim entries must be non-negative, got %d", c.VictimEntries)
+	if c.VictimEntries < 0 || c.VictimEntries > maxEntries {
+		return fmt.Errorf("victim entries must be in [0,%d], got %d", maxEntries, c.VictimEntries)
 	}
 	if c.MaxInstructions < 0 {
 		return fmt.Errorf("max instructions must be non-negative, got %d", c.MaxInstructions)

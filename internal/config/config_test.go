@@ -122,7 +122,6 @@ func TestValidateErrors(t *testing.T) {
 		{"zero queue", func(c *Config) { c.Prefetch.QueueEntries = 0 }, "queue"},
 		{"zero degree", func(c *Config) { c.Prefetch.Degree = 0 }, "degree"},
 		{"bad stride", func(c *Config) { c.Prefetch.EnableStride = true; c.Prefetch.StrideEntries = 3 }, "stride"},
-		{"bad filter kind", func(c *Config) { c.Filter.Kind = "magic" }, "filter"},
 		{"non-pow2 table", func(c *Config) { c.Filter.TableEntries = 1000 }, "table"},
 		{"big initial", func(c *Config) { c.Filter.InitialCounter = 4 }, "initial"},
 		{"big threshold", func(c *Config) { c.Filter.Threshold = 7 }, "threshold"},
@@ -133,12 +132,44 @@ func TestValidateErrors(t *testing.T) {
 		{"non-pow2 bloom", func(c *Config) { c.Filter.BloomEntries = 1000 }, "bloom"},
 		{"too many bloom hashes", func(c *Config) { c.Filter.BloomHashes = 9 }, "bloom hashes"},
 		{"bloom reject overflow", func(c *Config) { c.Filter.BloomReject = 16 }, "reject"},
+		{"non-UTF-8 filter kind", func(c *Config) { c.Filter.Kind = "\x98" }, "UTF-8"},
+		{"non-UTF-8 tournament side", func(c *Config) { c.Filter.TournamentB = "p\xc3" }, "UTF-8"},
+		{"non-UTF-8 iprefetcher", func(c *Config) { fe := DefaultFrontend(); fe.IPrefetch = "\xff"; c.Frontend = &fe }, "UTF-8"},
 		{"psel bits overflow", func(c *Config) { c.Filter.TournamentPselBits = 21 }, "PSEL"},
 		{"tournament side static", func(c *Config) { c.Filter.TournamentA = FilterStatic }, "tournament side"},
 		{"tournament side nested", func(c *Config) { c.Filter.TournamentB = FilterTournament }, "tournament side"},
-		{"tournament side unknown", func(c *Config) { c.Filter.TournamentB = "magic" }, "tournament side"},
 		{"buffer zero entries", func(c *Config) { c.Buffer.Enable = true; c.Buffer.Entries = 0 }, "buffer"},
 		{"negative max instructions", func(c *Config) { c.MaxInstructions = -1 }, "max instructions"},
+		// Upper bounds: no config may ask for more memory or per-event
+		// work than a host has.
+		{"huge L1", func(c *Config) { c.L1.SizeBytes = 128 << 20 }, "size"},
+		{"too many L2 lines", func(c *Config) { c.L2.SizeBytes = 64 << 20; c.L2.LineBytes = 8; c.L1.LineBytes = 8 }, "lines"},
+		{"line larger than cache", func(c *Config) { c.L1.LineBytes = 16 << 10 }, "lines"},
+		{"assoc beyond lines", func(c *Config) { c.L1.Assoc = 1 << 40 }, "associativity"},
+		{"overflowing line*assoc", func(c *Config) { c.L1.LineBytes, c.L1.Assoc = 1<<32, 1<<32 }, "lines"},
+		{"huge rob", func(c *Config) { c.CPU.ROBEntries = 1 << 17 }, "ROB"},
+		{"huge lsq", func(c *Config) { c.CPU.LSQEntries = 1 << 40 }, "LSQ"},
+		{"huge bimodal", func(c *Config) { c.CPU.BimodalEntries = 1 << 17 }, "bimodal"},
+		{"huge btb sets", func(c *Config) { c.CPU.BTBSets = 1 << 17; c.CPU.BTBAssoc = 1 }, "BTB sets"},
+		{"huge btb product", func(c *Config) { c.CPU.BTBSets = 1 << 15; c.CPU.BTBAssoc = 4 }, "BTB"},
+		{"overflowing btb product", func(c *Config) { c.CPU.BTBAssoc = 1 << 62 }, "BTB"},
+		{"huge mshrs", func(c *Config) { c.CPU.MSHRs = 1 << 17 }, "MSHRs"},
+		{"huge queue", func(c *Config) { c.Prefetch.QueueEntries = 1 << 17 }, "queue"},
+		{"huge degree", func(c *Config) { c.Prefetch.Degree = 1 << 40 }, "degree"},
+		{"huge stride", func(c *Config) { c.Prefetch.EnableStride = true; c.Prefetch.StrideEntries = 1 << 17 }, "stride"},
+		{"huge correlation sets", func(c *Config) { c.Prefetch.EnableCorrelation = true; c.Prefetch.CorrelationSets = 1 << 17 }, "correlation sets"},
+		{"huge correlation product", func(c *Config) {
+			c.Prefetch.EnableCorrelation = true
+			c.Prefetch.CorrelationSets, c.Prefetch.CorrelationAssoc = 1<<16, 2
+		}, "correlation"},
+		{"huge table", func(c *Config) { c.Filter.TableEntries = 1 << 40 }, "table"},
+		{"huge adaptive window", func(c *Config) { c.Filter.Kind = FilterAdaptive; c.Filter.AdaptiveWindow = 1 << 17 }, "adaptive"},
+		{"huge perceptron", func(c *Config) { c.Filter.PerceptronEntries = 1 << 17 }, "perceptron"},
+		{"huge bloom", func(c *Config) { c.Filter.BloomEntries = 1 << 17 }, "bloom"},
+		{"huge buffer", func(c *Config) { c.Buffer.Enable = true; c.Buffer.Entries = 1 << 17 }, "buffer"},
+		{"huge victim", func(c *Config) { c.VictimEntries = 1 << 17 }, "victim"},
+		{"huge frontend queue", func(c *Config) { fe := DefaultFrontend(); fe.QueueEntries = 1 << 17; c.Frontend = &fe }, "queue"},
+		{"huge l1i", func(c *Config) { fe := DefaultFrontend(); fe.L1I.SizeBytes = 128 << 20; c.Frontend = &fe }, "l1i"},
 	}
 	for _, tc := range cases {
 		c := Default()
@@ -159,20 +190,6 @@ func TestNonPow2SetsRejected(t *testing.T) {
 	c.L1.SizeBytes = 3 * 32 * 1 // 3 sets
 	if err := c.Validate(); err == nil {
 		t.Fatal("3-set cache should be rejected")
-	}
-}
-
-func TestFilterKindValid(t *testing.T) {
-	for _, k := range []FilterKind{
-		FilterNone, FilterPA, FilterPC, FilterStatic, FilterAdaptive,
-		FilterDeadBlock, FilterPerceptron, FilterBloom, FilterTournament,
-	} {
-		if !k.Valid() {
-			t.Errorf("%q should be valid", k)
-		}
-	}
-	if FilterKind("bogus").Valid() {
-		t.Error("bogus kind should be invalid")
 	}
 }
 

@@ -20,14 +20,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "ablation",
-		Title: "Design ablations: table indexing, initial counter, stride prefetcher",
-		Run:   runAblation,
-	})
-}
-
 func runAblation(p *Params) (*Table, error) {
 	t := report.New("Ablations (means over all benchmarks, PA filter unless noted)",
 		"variant", "mean IPC", "bad reduction", "good reduction", "filter reject rate")

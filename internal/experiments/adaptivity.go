@@ -20,14 +20,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "adaptivity",
-		Title: "Dynamic vs static filtering across working-set changes (§2's argument, on the phased workload)",
-		Run:   runAdaptivity,
-	})
-}
-
 func runAdaptivity(p *Params) (*Table, error) {
 	t := report.New("Phase-change adaptivity (phased workload: streaming ↔ random)",
 		"scheme", "IPC", "vs none", "good kept", "bad kept", "filtered")

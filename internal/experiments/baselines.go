@@ -18,14 +18,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "baselines",
-		Title: "All pollution-control baselines side by side (8KB D-cache)",
-		Run:   runBaselines,
-	})
-}
-
 func runBaselines(p *Params) (*Table, error) {
 	t := report.New("Pollution-control baselines (means over all benchmarks, 8KB L1)",
 		"scheme", "mean IPC", "vs none", "bad reduction", "good reduction", "hardware cost")

@@ -13,7 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/config"
@@ -178,77 +178,64 @@ type Experiment struct {
 // the report package for rendering.
 type Table = report.Table
 
-var registry []Experiment
+// all is every experiment, in paper order: the two tables, the figures,
+// then this reproduction's baselines, extensions and zoo sweeps.
+var all = []Experiment{
+	{"table1", "System configuration (Table 1)", runTable1},
+	{"table2", "Benchmark properties: L1/L2 miss rates with prefetch off (Table 2)", runTable2},
+	{"fig1", "Effectiveness of prefetches (Figure 1)", runFig1},
+	{"fig2", "Traffic distribution of L1 cache (Figure 2)", runFig2},
+	{"fig4", "Prefetch miss/hit counts, 8KB D-cache (Figure 4)", onMachine(runFigCounts, config.Default8K(), "8KB")},
+	{"fig5", "Bad/good prefetch ratios, 8KB D-cache (Figure 5)", onMachine(runFigRatio, config.Default8K(), "8KB")},
+	{"fig6", "IPC comparison, 8KB D-cache (Figure 6)", onMachine(runFigIPC, config.Default8K(), "8KB")},
+	{"fig7", "Prefetch miss/hit counts, 32KB D-cache (Figure 7)", onMachine(runFigCounts, config.Default32K(), "32KB")},
+	{"fig8", "Bad/good prefetch ratios, 32KB D-cache (Figure 8)", onMachine(runFigRatio, config.Default32K(), "32KB")},
+	{"fig9", "IPC comparison, 32KB D-cache (Figure 9)", onMachine(runFigIPC, config.Default32K(), "32KB")},
+	{"fig10", "Good prefetches vs history table size (Figure 10)", runFig10},
+	{"fig11", "Bad prefetches vs history table size (Figure 11)", runFig11},
+	{"fig12", "IPC vs history table size (Figure 12)", runFig12},
+	{"fig13", "Bad/good ratio vs number of L1 ports (Figure 13)", runFig13},
+	{"fig14", "IPC vs number of L1 ports (Figure 14)", runFig14},
+	{"fig15", "Bad/good ratio with a dedicated prefetch buffer (Figure 15)", runFig15},
+	{"fig16", "IPC with a dedicated prefetch buffer (Figure 16)", runFig16},
+	{"baselines", "All pollution-control baselines side by side (8KB D-cache)", runBaselines},
+	{"extras", "§5.2.1 textual results: per-prefetcher filtering, 16KB cache, static filter, adaptive filter", runExtras},
+	{"ablation", "Design ablations: table indexing, initial counter, stride prefetcher", runAblation},
+	{"taxonomy", "Full prefetch taxonomy (Srinivasan et al. [17]) vs the paper's 2-way split", runTaxonomy},
+	{"energy", "Memory-system energy: no filter vs PA vs PC (§3's energy motivation)", runEnergy},
+	{"adaptivity", "Dynamic vs static filtering across working-set changes (§2's argument, on the phased workload)", runAdaptivity},
+	{"variance", "Seed-to-seed variance of the headline IPC speedups (Figure 6 across 5 seeds)", runVariance},
+	{"multiprog", "Multiprogramming: filters under context switches (wave5 + mcf interleaved)", runMultiprog},
+	{"aggression", "Prefetch aggressiveness sweep: NSP degree 1/2/4 with and without the PA filter", runAggression},
+	{"memlat", "Memory latency sweep: the filter's value vs the CPU/memory speed gap", runMemlat},
+	sweepExperiment("filters", "Pollution-filter backends head to head (internal/filter zoo)", nil, nil),
+	sweepExperiment("generators", "Prefetch-generator zoo crossed with the filter zoo (internal/prefetch registry)", GeneratorAxis, zooSlice),
+	{"traces", "Trace corpus crossed with filter backends (real-trace replay)", runTraces},
+	sweepExperiment("iprefetch", "Instruction-prefetcher zoo crossed with the filter zoo (internal/frontend registry)", IPrefetchAxis, zooSlice),
+}
 
-func register(e Experiment) { registry = append(registry, e) }
+// onMachine binds a figure's runner to one base machine.
+func onMachine(run func(*Params, config.Config, string) (*Table, error), base config.Config, label string) func(*Params) (*Table, error) {
+	return func(p *Params) (*Table, error) { return run(p, base, label) }
+}
 
 // All returns every experiment in paper order.
-func All() []Experiment {
-	out := make([]Experiment, len(registry))
-	copy(out, registry)
-	sort.SliceStable(out, func(i, j int) bool { return orderKey(out[i].ID) < orderKey(out[j].ID) })
-	return out
-}
-
-// orderKey sorts table1, table2, fig1..fig16, extras, ablation.
-func orderKey(id string) int {
-	switch id {
-	case "table1":
-		return 0
-	case "table2":
-		return 1
-	case "baselines":
-		return 99
-	case "extras":
-		return 100
-	case "ablation":
-		return 101
-	case "taxonomy":
-		return 102
-	case "energy":
-		return 103
-	case "adaptivity":
-		return 104
-	case "variance":
-		return 105
-	case "multiprog":
-		return 106
-	case "aggression":
-		return 107
-	case "memlat":
-		return 108
-	case "filters":
-		return 109
-	case "generators":
-		return 110
-	case "traces":
-		return 111
-	case "iprefetch":
-		return 112
-	}
-	var n int
-	if _, err := fmt.Sscanf(id, "fig%d", &n); err == nil {
-		return 10 + n
-	}
-	return 1000
-}
+func All() []Experiment { return slices.Clone(all) }
 
 // ByID looks an experiment up.
 func ByID(id string) (Experiment, bool) {
-	for _, e := range registry {
-		if e.ID == id {
-			return e, true
-		}
+	i := slices.IndexFunc(all, func(e Experiment) bool { return e.ID == id })
+	if i < 0 {
+		return Experiment{}, false
 	}
-	return Experiment{}, false
+	return all[i], true
 }
 
 // IDs returns every experiment ID in paper order.
 func IDs() []string {
-	all := All()
-	out := make([]string, len(all))
+	ids := make([]string, len(all))
 	for i, e := range all {
-		out[i] = e.ID
+		ids[i] = e.ID
 	}
-	return out
+	return ids
 }

@@ -133,18 +133,6 @@ func TestDefaultParams(t *testing.T) {
 	}
 }
 
-func TestOrderKey(t *testing.T) {
-	if !(orderKey("table1") < orderKey("table2") &&
-		orderKey("table2") < orderKey("fig1") &&
-		orderKey("fig9") < orderKey("fig10") &&
-		orderKey("fig16") < orderKey("extras") &&
-		orderKey("extras") < orderKey("ablation") &&
-		orderKey("ablation") < orderKey("taxonomy") &&
-		orderKey("taxonomy") < orderKey("energy")) {
-		t.Fatal("ordering broken")
-	}
-}
-
 func TestPrewarmFillsCache(t *testing.T) {
 	p := Params{Instructions: 30_000, Warmup: 10_000, Seed: 1, Benchmarks: []string{"fpppp"}}
 	if err := p.Prewarm(4); err != nil {

@@ -20,19 +20,6 @@ import (
 	"repro/internal/taxonomy"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "taxonomy",
-		Title: "Full prefetch taxonomy (Srinivasan et al. [17]) vs the paper's 2-way split",
-		Run:   runTaxonomy,
-	})
-	register(Experiment{
-		ID:    "energy",
-		Title: "Memory-system energy: no filter vs PA vs PC (§3's energy motivation)",
-		Run:   runEnergy,
-	})
-}
-
 // runTaxonomyInstrumented executes one instrumented run outside the memo
 // cache (the tracker is per-run state).
 func runTaxonomyInstrumented(p *Params, bench string, cfg config.Config) (stats.Run, error) {

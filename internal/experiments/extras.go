@@ -12,14 +12,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "extras",
-		Title: "§5.2.1 textual results: per-prefetcher filtering, 16KB cache, static filter, adaptive filter",
-		Run:   runExtras,
-	})
-}
-
 func runExtras(p *Params) (*Table, error) {
 	t := report.New("§5.2.1 extras (means over all benchmarks)",
 		"experiment", "scenario", "good/bad", "bad reduction", "good reduction", "mean IPC", "vs baseline")

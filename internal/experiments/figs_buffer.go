@@ -8,11 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	register(Experiment{ID: "fig15", Title: "Bad/good ratio with a dedicated prefetch buffer (Figure 15)", Run: runFig15})
-	register(Experiment{ID: "fig16", Title: "IPC with a dedicated prefetch buffer (Figure 16)", Run: runFig16})
-}
-
 // bufferSchemes enumerates the four §5.5 machines.
 var bufferSchemes = []struct {
 	label  string

@@ -10,23 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	register(Experiment{ID: "fig1", Title: "Effectiveness of prefetches (Figure 1)", Run: runFig1})
-	register(Experiment{ID: "fig2", Title: "Traffic distribution of L1 cache (Figure 2)", Run: runFig2})
-	register(Experiment{ID: "fig4", Title: "Prefetch miss/hit counts, 8KB D-cache (Figure 4)",
-		Run: func(p *Params) (*Table, error) { return runFigCounts(p, config.Default8K(), "8KB") }})
-	register(Experiment{ID: "fig5", Title: "Bad/good prefetch ratios, 8KB D-cache (Figure 5)",
-		Run: func(p *Params) (*Table, error) { return runFigRatio(p, config.Default8K(), "8KB") }})
-	register(Experiment{ID: "fig6", Title: "IPC comparison, 8KB D-cache (Figure 6)",
-		Run: func(p *Params) (*Table, error) { return runFigIPC(p, config.Default8K(), "8KB") }})
-	register(Experiment{ID: "fig7", Title: "Prefetch miss/hit counts, 32KB D-cache (Figure 7)",
-		Run: func(p *Params) (*Table, error) { return runFigCounts(p, config.Default32K(), "32KB") }})
-	register(Experiment{ID: "fig8", Title: "Bad/good prefetch ratios, 32KB D-cache (Figure 8)",
-		Run: func(p *Params) (*Table, error) { return runFigRatio(p, config.Default32K(), "32KB") }})
-	register(Experiment{ID: "fig9", Title: "IPC comparison, 32KB D-cache (Figure 9)",
-		Run: func(p *Params) (*Table, error) { return runFigIPC(p, config.Default32K(), "32KB") }})
-}
-
 // triple runs a benchmark under no filtering, the PA filter, and the PC
 // filter on the given base machine.
 func (p *Params) triple(bench string, base config.Config) (none, pa, pc stats.Run, err error) {

@@ -16,14 +16,6 @@ var tableSizes = []int{1024, 2048, 4096, 8192, 16384}
 // portCounts is the §5.4 sweep; WithL1Ports pairs each with its latency.
 var portCounts = []int{3, 4, 5}
 
-func init() {
-	register(Experiment{ID: "fig10", Title: "Good prefetches vs history table size (Figure 10)", Run: runFig10})
-	register(Experiment{ID: "fig11", Title: "Bad prefetches vs history table size (Figure 11)", Run: runFig11})
-	register(Experiment{ID: "fig12", Title: "IPC vs history table size (Figure 12)", Run: runFig12})
-	register(Experiment{ID: "fig13", Title: "Bad/good ratio vs number of L1 ports (Figure 13)", Run: runFig13})
-	register(Experiment{ID: "fig14", Title: "IPC vs number of L1 ports (Figure 14)", Run: runFig14})
-}
-
 // sweepTables runs the PA filter across the table-size sweep and hands
 // each (benchmark, size) result to collect.
 func sweepTables(p *Params, collect func(bench string, size int, r stats.Run)) error {

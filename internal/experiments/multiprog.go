@@ -23,14 +23,6 @@ import (
 	"repro/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "multiprog",
-		Title: "Multiprogramming: filters under context switches (wave5 + mcf interleaved)",
-		Run:   runMultiprog,
-	})
-}
-
 // multiprogQuantum is the context-switch interval in records (~a few
 // hundred microseconds of simulated time at these IPCs).
 const multiprogQuantum = 50_000

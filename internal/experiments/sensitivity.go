@@ -19,19 +19,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "aggression",
-		Title: "Prefetch aggressiveness sweep: NSP degree 1/2/4 with and without the PA filter",
-		Run:   runAggression,
-	})
-	register(Experiment{
-		ID:    "memlat",
-		Title: "Memory latency sweep: the filter's value vs the CPU/memory speed gap",
-		Run:   runMemlat,
-	})
-}
-
 func runAggression(p *Params) (*Table, error) {
 	degrees := []int{1, 2, 4}
 	cols := []string{"scheme"}

@@ -26,51 +26,42 @@ import (
 	"repro/internal/workload"
 )
 
-func init() {
-	// The generators and iprefetch experiments cross a representative
-	// filter slice to keep the full suite tractable; pfexperiments and the
-	// serving layer expose the complete cross-products.
-	slice := []string{string(config.FilterPA), string(config.FilterPerceptron)}
-	for _, e := range []struct {
-		id, title string
-		axis      *Axis
-		filters   []string
-	}{
-		{"filters", "Pollution-filter backends head to head (internal/filter zoo)", nil, nil},
-		{"generators", "Prefetch-generator zoo crossed with the filter zoo (internal/prefetch registry)", GeneratorAxis, slice},
-		{"iprefetch", "Instruction-prefetcher zoo crossed with the filter zoo (internal/frontend registry)", IPrefetchAxis, slice},
-	} {
-		e := e
-		register(Experiment{ID: e.id, Title: e.title, Run: func(p *Params) (*Table, error) {
-			cells, err := p.Sweep(context.Background(), e.axis, nil, e.filters, 0)
-			if err != nil {
-				return nil, err
-			}
-			return ComparisonTable(e.axis.TableTitle(), cells), nil
-		}})
+// sweepExperiment is a comparison experiment: axis (nil: filters only)
+// crossed with filters (nil: every sweepable backend) on the default
+// machine, as one comparison table.
+func sweepExperiment(id, title string, axis *Axis, filters []string) Experiment {
+	return Experiment{ID: id, Title: title, Run: func(p *Params) (*Table, error) {
+		cells, err := p.Sweep(context.Background(), axis, nil, filters, 0)
+		if err != nil {
+			return nil, err
+		}
+		return ComparisonTable(axis.TableTitle(), cells), nil
+	}}
+}
+
+// zooSlice is the filter slice the generators and iprefetch experiments
+// cross, which keeps the full suite tractable; pfexperiments and the
+// serving layer expose the complete cross-products.
+var zooSlice = []string{string(config.FilterPA), string(config.FilterPerceptron)}
+
+// runTraces crosses the registered trace corpus with the filter backends.
+func runTraces(p *Params) (*Table, error) {
+	traces := tracefile.Registered()
+	if len(traces) == 0 {
+		t := report.New("Trace corpus crossed with filter backends")
+		t.AddNote("no trace corpus registered; load one with pfexperiments -traces <manifest> (see docs/TRACES.md)")
+		return t, nil
 	}
-	register(Experiment{
-		ID:    "traces",
-		Title: "Trace corpus crossed with filter backends (real-trace replay)",
-		Run: func(p *Params) (*Table, error) {
-			traces := tracefile.Registered()
-			if len(traces) == 0 {
-				t := report.New("Trace corpus crossed with filter backends")
-				t.AddNote("no trace corpus registered; load one with pfexperiments -traces <manifest> (see docs/TRACES.md)")
-				return t, nil
-			}
-			// Params is safely copyable (the cache lock is package-level);
-			// the copy narrows the benchmarks to the corpus without touching
-			// the caller's. Results still share the process-wide run memo.
-			q := *p
-			q.Benchmarks = traces
-			cells, err := q.Sweep(context.Background(), nil, nil, nil, 0)
-			if err != nil {
-				return nil, err
-			}
-			return ComparisonTable(TraceTitle, cells), nil
-		},
-	})
+	// Params is safely copyable (the cache lock is package-level); the
+	// copy narrows the benchmarks to the corpus without touching the
+	// caller's. Results still share the process-wide run memo.
+	q := *p
+	q.Benchmarks = traces
+	cells, err := q.Sweep(context.Background(), nil, nil, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return ComparisonTable(TraceTitle, cells), nil
 }
 
 // TraceTitle heads the comparison table of a trace corpus.

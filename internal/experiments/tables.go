@@ -10,19 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "table1",
-		Title: "System configuration (Table 1)",
-		Run:   runTable1,
-	})
-	register(Experiment{
-		ID:    "table2",
-		Title: "Benchmark properties: L1/L2 miss rates with prefetch off (Table 2)",
-		Run:   runTable2,
-	})
-}
-
 // runTable1 renders the default machine, verifying it matches Table 1.
 func runTable1(p *Params) (*Table, error) {
 	cfg := config.Default()

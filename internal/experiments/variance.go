@@ -18,14 +18,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "variance",
-		Title: "Seed-to-seed variance of the headline IPC speedups (Figure 6 across 5 seeds)",
-		Run:   runVariance,
-	})
-}
-
 // varianceSeeds are the input-instance draws.
 var varianceSeeds = []uint64{1, 2, 3, 5, 8}
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/filter"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tracefile"
 	"repro/internal/workload"
@@ -250,7 +251,7 @@ func buildConfig(filterName string, cacheKB, tableEntries, l1Ports int, prefetch
 	if prefetchBuffer {
 		cfg = cfg.WithPrefetchBuffer(true)
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := sim.Validate(cfg); err != nil {
 		return config.Config{}, err
 	}
 	return cfg, nil

@@ -314,6 +314,27 @@ func TestCellEndpointExecuteAndFill(t *testing.T) {
 	if status, _ := post(t, ts.URL, "/v1/cell", `{"bench":"nope","config":`+mustJSON(t, cfg)+`}`); status != http.StatusBadRequest {
 		t.Fatalf("unknown benchmark: status %d, want 400", status)
 	}
+
+	// A config naming an unregistered kind, or sizing a table past the
+	// bound, is refused in both modes: nothing runs and nothing is filled.
+	for name, mutate := range map[string]func(*config.Config){
+		"unknown filter":          func(c *config.Config) { c.Filter.Kind = "magic" },
+		"unknown tournament side": func(c *config.Config) { c.Filter.TournamentA = "magic" },
+		"unknown iprefetcher":     func(c *config.Config) { *c = c.WithIPrefetch("magic") },
+		"oversized table":         func(c *config.Config) { c.Filter.TableEntries = 1 << 40 },
+	} {
+		bad := config.Default8K()
+		mutate(&bad)
+		for _, run := range []*stats.Run{nil, {Benchmark: "mcf", Instructions: 1000, Cycles: 1}} {
+			req := fabric.CellRequest{Bench: "mcf", Config: &bad, Instructions: 1000, Run: run}
+			if status, b := post(t, ts.URL, "/v1/cell", mustJSON(t, req)); status != http.StatusBadRequest {
+				t.Errorf("%s (fill=%v): status %d, want 400: %s", name, run != nil, status, b)
+			}
+		}
+	}
+	if fills := m.Counter("server.cell.fills").Value(); fills != 1 {
+		t.Errorf("server.cell.fills = %d, want only the one valid fill", fills)
+	}
 }
 
 func TestCellEndpointWithoutCAS(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fabric"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -88,10 +89,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // context expiry into 504. On failure it has already written the
 // response and returns ok=false.
 func (s *Server) admitAndExecute(w http.ResponseWriter, r *http.Request, deadlineMS int64, p *experiments.Params, cells []sweepCell) (outcomes map[string]cellOutcome, wallNS int64, ok bool) {
-	if !s.admit() {
-		s.cfg.Metrics.Counter("server.rejected.backpressure").Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		s.writeError(w, http.StatusTooManyRequests, "admission queue full (%d requests in flight); retry later", cap(s.slots))
+	if !s.admit(w) {
 		return nil, 0, false
 	}
 	defer s.releaseSlot()
@@ -123,9 +121,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	s.cfg.Metrics.Counter("server.run.requests").Inc()
-	if s.draining.Load() {
-		s.cfg.Metrics.Counter("server.rejected.draining").Inc()
-		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
+	if s.rejectDraining(w) {
 		return
 	}
 
@@ -170,9 +166,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	s.cfg.Metrics.Counter("server.sweep.requests").Inc()
-	if s.draining.Load() {
-		s.cfg.Metrics.Counter("server.rejected.draining").Inc()
-		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
+	if s.rejectDraining(w) {
 		return
 	}
 
@@ -225,10 +219,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // while cells execute — so later failures (deadline, cancellation) ride
 // the summary line's "error" field instead of the status code.
 func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, deadlineMS int64, p *experiments.Params, cells []sweepCell, jobs int) {
-	if !s.admit() {
-		s.cfg.Metrics.Counter("server.rejected.backpressure").Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-		s.writeError(w, http.StatusTooManyRequests, "admission queue full (%d requests in flight); retry later", cap(s.slots))
+	if !s.admit(w) {
 		return
 	}
 	defer s.releaseSlot()
@@ -318,9 +309,7 @@ func (s *Server) handleCellPost(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 	s.cfg.Metrics.Counter("server.cell.requests").Inc()
-	if s.draining.Load() {
-		s.cfg.Metrics.Counter("server.rejected.draining").Inc()
-		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
+	if s.rejectDraining(w) {
 		return
 	}
 
@@ -329,20 +318,8 @@ func (s *Server) handleCellPost(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, "%v", err)
 		return
 	}
-	if req.Config == nil {
-		s.writeError(w, http.StatusBadRequest, "config is required")
-		return
-	}
-	if err := validateBenchmarks([]string{req.Bench}); err != nil {
+	if err := validateCell(req, s.cfg.MaxInstructions); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := req.Config.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid config: %v", err)
-		return
-	}
-	if req.Instructions > s.cfg.MaxInstructions {
-		s.writeError(w, http.StatusBadRequest, "instructions %d exceeds the per-request cap %d", req.Instructions, s.cfg.MaxInstructions)
 		return
 	}
 
@@ -384,6 +361,27 @@ func (s *Server) handleCellPost(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cfg.Metrics.Counter("server.cell.completed").Inc()
 	writeJSON(w, http.StatusOK, fabric.CellResponse{Key: key, KeySHA: fabric.KeySHA(key), Run: o.run, WallNS: o.wallNS, Source: "sim"})
+}
+
+// validateCell is the gate a /v1/cell body passes before it runs or
+// fills the store. Fill mode stores a result the server never computed
+// under the key of the request's config, so the config must be one the
+// simulator would accept: sim.Validate checks its numbers, its bounds
+// and its kind names.
+func validateCell(req fabric.CellRequest, maxInstructions int64) error {
+	if req.Config == nil {
+		return errors.New("config is required")
+	}
+	if err := validateBenchmarks([]string{req.Bench}); err != nil {
+		return err
+	}
+	if err := sim.Validate(*req.Config); err != nil {
+		return fmt.Errorf("invalid config: %w", err)
+	}
+	if req.Instructions > maxInstructions {
+		return fmt.Errorf("instructions %d exceeds the per-request cap %d", req.Instructions, maxInstructions)
+	}
+	return nil
 }
 
 // handleCellGet is the sha-addressed CAS lookup: GET /v1/cell?sha=<64

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,14 +186,30 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// admit tries to take an admission slot without blocking.
-func (s *Server) admit() bool {
+// admit tries to take an admission slot without blocking. When the
+// queue is full it answers 429 with Retry-After and returns false; the
+// caller releases a slot it was given.
+func (s *Server) admit(w http.ResponseWriter) bool {
 	select {
 	case s.slots <- struct{}{}:
 		return true
 	default:
+	}
+	s.cfg.Metrics.Counter("server.rejected.backpressure").Inc()
+	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+	s.writeError(w, http.StatusTooManyRequests, "admission queue full (%d requests in flight); retry later", cap(s.slots))
+	return false
+}
+
+// rejectDraining answers 503 while the server drains and reports
+// whether it did.
+func (s *Server) rejectDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
 		return false
 	}
+	s.cfg.Metrics.Counter("server.rejected.draining").Inc()
+	s.writeError(w, http.StatusServiceUnavailable, "server is draining")
+	return true
 }
 
 // releaseSlot returns an admission slot.

@@ -90,6 +90,8 @@ func TestHandlerTable(t *testing.T) {
 		{"static filter", "POST", "/v1/run", `{"benchmark":"fpppp","filter":"static"}`, 400, "static filter needs a profiling run"},
 		{"bad cache size", "POST", "/v1/run", `{"benchmark":"mcf","cache_kb":13}`, 400, "cache_kb"},
 		{"bad table entries", "POST", "/v1/run", `{"benchmark":"mcf","table_entries":100}`, 400, "power of two"},
+		// 2^40 counters would exhaust the host before the run began.
+		{"oversized table entries", "POST", "/v1/run", `{"benchmark":"mcf","table_entries":1099511627776}`, 400, "table entries must be a power of two in [1,65536]"},
 		{"instructions cap", "POST", "/v1/run", `{"benchmark":"mcf","instructions":2000}`, 400, "cap"},
 		{"run wrong method", "GET", "/v1/run", ``, 405, ""},
 		{"sweep bad json", "POST", "/v1/sweep", `[1,2`, 400, "bad request body"},

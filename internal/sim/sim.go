@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	pfilter "repro/internal/filter"
+	"repro/internal/frontend"
 	"repro/internal/hier"
 	"repro/internal/isa"
 	"repro/internal/metrics"
@@ -67,13 +68,42 @@ const DefaultInstructions = 1_000_000
 // start of each run, long enough to populate the L2 and history table.
 const DefaultWarmup = 1_000_000
 
+// Validate checks cfg as Run does before it builds a machine: the
+// numeric and structural rules of config.Validate, then every kind name
+// the config holds, resolved through its registry, so an unknown filter,
+// tournament side or instruction prefetcher is rejected with the
+// registered alternatives. Generators are enable flags, not names, so
+// there is none to resolve.
+func Validate(cfg config.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if _, err := pfilter.Registry.Resolve(string(cfg.Filter.Kind)); err != nil {
+		return err
+	}
+	for _, side := range []config.FilterKind{cfg.Filter.TournamentA, cfg.Filter.TournamentB} {
+		if side == "" {
+			continue
+		}
+		if _, err := pfilter.Registry.Resolve(string(side)); err != nil {
+			return fmt.Errorf("tournament side: %w", err)
+		}
+	}
+	if fe := cfg.Frontend; fe != nil && fe.IPrefetch.Canonical() != config.IPrefetchNone {
+		if _, err := frontend.Registry.Resolve(string(fe.IPrefetch)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Run executes one simulation and returns its measurements.
 func Run(opts Options) (stats.Run, error) {
 	cfg := opts.Config
 	if cfg.L1.SizeBytes == 0 { // zero value: use the paper's default machine
 		cfg = config.Default()
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := Validate(cfg); err != nil {
 		return stats.Run{}, err
 	}
 
@@ -253,12 +283,6 @@ func RunStatic(opts Options, key core.KeyFunc, minGoodFrac float64) (stats.Run, 
 	return Run(measured)
 }
 
-// NoPrefetchConfig returns cfg with every prefetch generator disabled —
-// the Table 2 measurement configuration.
-func NoPrefetchConfig(cfg config.Config) config.Config {
-	cfg.Prefetch.EnableNSP = false
-	cfg.Prefetch.EnableSDP = false
-	cfg.Prefetch.EnableStride = false
-	cfg.Prefetch.EnableSoftware = false
-	return cfg
-}
+// NoPrefetchConfig returns cfg with every prefetch generator and
+// software prefetching disabled — the Table 2 measurement configuration.
+func NoPrefetchConfig(cfg config.Config) config.Config { return cfg.WithGenerator("") }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -63,13 +64,67 @@ func TestExplicitSource(t *testing.T) {
 }
 
 func TestNoPrefetchConfigZeroesPrefetchStats(t *testing.T) {
-	cfg := NoPrefetchConfig(config.Default())
-	r, err := Run(Options{Benchmark: "wave5", Config: cfg, MaxInstructions: 100_000, Warmup: 10_000})
-	if err != nil {
-		t.Fatal(err)
+	// The default machine, plus one machine per generator the default
+	// leaves off: NoPrefetchConfig must switch every generator off.
+	for _, gen := range []config.PrefetchKind{"", config.PrefetchCorrelation, config.PrefetchBerti, config.PrefetchGHB} {
+		base := config.Default()
+		if gen != "" {
+			base = base.WithGenerator(gen)
+		}
+		cfg := NoPrefetchConfig(base)
+		r, err := Run(Options{Benchmark: "mcf", Config: cfg, MaxInstructions: 100_000, Warmup: 10_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Prefetches.Issued != 0 || r.Traffic.PrefetchAccesses != 0 || r.FilterQueries != 0 {
+			t.Errorf("base %q: prefetch machinery leaked: %+v", gen, r.Prefetches)
+		}
 	}
-	if r.Prefetches.Issued != 0 || r.Traffic.PrefetchAccesses != 0 || r.FilterQueries != 0 {
-		t.Fatalf("prefetch machinery leaked: %+v", r.Prefetches)
+}
+
+// TestValidateResolvesKinds checks that Validate names only kinds the
+// registries hold: config.Validate checks numbers and structure, and
+// the filter, tournament-side and instruction-prefetch names resolve
+// through internal/filter and internal/frontend.
+func TestValidateResolvesKinds(t *testing.T) {
+	withFrontend := func(kind config.IPrefetchKind) func(*config.Config) {
+		return func(c *config.Config) {
+			fe := config.DefaultFrontend()
+			fe.IPrefetch = kind
+			c.Frontend = &fe
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*config.Config)
+		want   string // "" means the config is valid
+	}{
+		{"default", func(*config.Config) {}, ""},
+		{"filter alias", func(c *config.Config) { c.Filter.Kind = config.FilterTablePA }, ""},
+		{"static filter", func(c *config.Config) { c.Filter.Kind = config.FilterStatic }, ""},
+		{"bad filter kind", func(c *config.Config) { c.Filter.Kind = "magic" }, "unknown filter \"magic\" (registered backends"},
+		{"empty filter kind", func(c *config.Config) { c.Filter.Kind = "" }, "unknown filter"},
+		{"tournament sides", func(c *config.Config) {
+			c.Filter.Kind = config.FilterTournament
+			c.Filter.TournamentA, c.Filter.TournamentB = config.FilterTablePC, config.FilterBloom
+		}, ""},
+		{"tournament side unknown", func(c *config.Config) { c.Filter.TournamentB = "magic" }, "tournament side: unknown filter"},
+		{"tournament side static", func(c *config.Config) { c.Filter.TournamentA = config.FilterStatic }, "tournament side cannot be"},
+		{"iprefetch none", withFrontend(config.IPrefetchNone), ""},
+		{"iprefetch alias", withFrontend(config.IPrefetchFDIPAlias), ""},
+		{"iprefetch unknown", withFrontend("magic"), "unknown instruction prefetcher \"magic\" (registered backends"},
+		{"iprefetch empty", withFrontend(""), "unknown instruction prefetcher"},
+		{"numbers first", func(c *config.Config) { c.Filter.Kind = "magic"; c.Filter.TableEntries = 1000 }, "table entries"},
+	} {
+		cfg := config.Default()
+		tc.mutate(&cfg)
+		err := Validate(cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected a valid config: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
