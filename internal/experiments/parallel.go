@@ -15,7 +15,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"sort"
 	"sync"
@@ -108,43 +107,58 @@ func (p *Params) Prewarm(workers int) error {
 
 // PrewarmCtx is Prewarm with cancellation: when ctx expires, queued
 // simulations are abandoned (the cache keeps whatever completed) and the
-// context error is reported alongside any simulation failures. Every
-// failure is collected and returned joined (errors.Join), sorted by
-// message so the report is deterministic regardless of steal order.
+// context error is reported alongside any simulation failures (see
+// runCells).
 func (p *Params) PrewarmCtx(ctx context.Context, workers int) error {
 	start := time.Now()
-	cells := p.StandardMatrix()
-
-	// Deduplicate by cache key so each simulation is scheduled exactly
-	// once (sched single-flights duplicate keys anyway; deduplicating
-	// here keeps the job count honest for telemetry).
-	seen := make(map[string]Cell, len(cells))
-	order := make([]string, 0, len(cells))
-	for _, c := range cells {
+	// Each uncached key once, so the telemetry counts simulations.
+	var cells []Cell
+	pending := make(map[string]bool)
+	for _, c := range p.StandardMatrix() {
 		key := p.CacheKey(c.Bench, c.Config)
-		if _, dup := seen[key]; !dup {
-			if _, hit := p.cachedRun(key); !hit {
-				seen[key] = c
-				order = append(order, key)
-			}
+		if _, hit := p.cachedRun(key); !hit && !pending[key] {
+			pending[key] = true
+			cells = append(cells, c)
 		}
 	}
+	err := p.runCells(ctx, cells, workers)
 
+	failed := 0
+	for key := range pending {
+		if _, ok := p.cachedRun(key); !ok {
+			failed++
+		}
+	}
+	p.Metrics.Counter("experiments.prewarm.sims").Add(uint64(len(pending)))
+	p.Metrics.Counter("experiments.prewarm.errors").Add(uint64(failed))
+	p.Metrics.Histogram("experiments.prewarm.wall_ns").Observe(uint64(time.Since(start)))
+	return err
+}
+
+// runCells runs the cells on the work-stealing scheduler, one job per
+// distinct cache key, longest-first by the cost model, and fills each
+// completed cell's Run. Every failure is collected and returned joined
+// (errors.Join) with the context error, sorted by message so the report
+// is deterministic regardless of steal order.
+func (p *Params) runCells(ctx context.Context, cells []Cell, workers int) error {
 	cost := p.CostModel()
-	jobs := make([]sched.Job, 0, len(seen))
-	for _, key := range order {
-		c := seen[key]
-		jobs = append(jobs, sched.Job{
-			Key:  key,
+	jobs := make([]sched.Job, len(cells))
+	for i := range cells {
+		c := &cells[i]
+		jobs[i] = sched.Job{
+			Key:  p.CacheKey(c.Bench, c.Config),
 			Cost: cost(c.Bench),
 			Run: func(ctx context.Context) (any, error) {
-				_, err := p.RunSim(ctx, c.Bench, c.Config)
-				return nil, err
+				return p.RunSim(ctx, c.Bench, c.Config)
 			},
-		})
+		}
 	}
-
 	results, ctxErr := sched.Run(ctx, jobs, sched.Options{Workers: workers, Metrics: p.Metrics})
+	for i := range cells {
+		if run, ok := results[jobs[i].Key].Value.(stats.Run); ok {
+			cells[i].Run = run
+		}
+	}
 
 	var errs []error
 	for _, r := range results {
@@ -152,11 +166,6 @@ func (p *Params) PrewarmCtx(ctx context.Context, workers int) error {
 			errs = append(errs, r.Err)
 		}
 	}
-
-	p.Metrics.Counter("experiments.prewarm.sims").Add(uint64(len(seen)))
-	p.Metrics.Counter("experiments.prewarm.errors").Add(uint64(len(errs)))
-	p.Metrics.Histogram("experiments.prewarm.wall_ns").Observe(uint64(time.Since(start)))
-
 	if ctxErr != nil {
 		// Unstarted jobs already report the context error; append it
 		// BEFORE sorting so dedupJoin sees the copies together no matter
@@ -183,30 +192,15 @@ func dedupJoin(errs []error) error {
 	return errors.Join(out...)
 }
 
-// Fingerprint serializes every cached run in sorted key order — a
+// Fingerprint serializes every cached run with stats.WriteRunSet — a
 // byte-exact digest of the harness state. Two Prewarm invocations that
 // are deterministic and complete (any worker count) must produce
 // identical fingerprints.
 func (p *Params) Fingerprint() []byte {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	keys := make([]string, 0, len(p.cache))
-	for k := range p.cache {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var buf bytes.Buffer
-	for _, k := range keys {
-		buf.WriteString(k)
-		buf.WriteByte('\n')
-		b, err := json.Marshal(p.cache[k])
-		if err != nil {
-			// stats.Run is plain data; Marshal cannot fail in practice.
-			buf.WriteString("marshal error: " + err.Error())
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
+	stats.WriteRunSet(&buf, p.cache)
 	return buf.Bytes()
 }
 

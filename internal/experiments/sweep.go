@@ -13,14 +13,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/config"
 	"repro/internal/filter"
 	"repro/internal/frontend"
 	"repro/internal/prefetch"
 	"repro/internal/report"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/tracefile"
 	"repro/internal/workload"
@@ -265,34 +263,8 @@ func (p *Params) Sweep(ctx context.Context, axis *Axis, values, filters []string
 			}
 		}
 	}
-	cost := p.CostModel()
-	jobs := make([]sched.Job, len(cells))
-	for i := range cells {
-		c := &cells[i]
-		jobs[i] = sched.Job{
-			Key:  c.Name(),
-			Cost: cost(c.Bench),
-			Run: func(ctx context.Context) (any, error) {
-				return p.RunSim(ctx, c.Bench, c.Config)
-			},
-		}
-	}
-	results, ctxErr := sched.Run(ctx, jobs, sched.Options{Workers: workers, Metrics: p.Metrics})
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	var errs []error
-	for _, r := range results {
-		if r.Err != nil {
-			errs = append(errs, r.Err)
-		}
-	}
-	if len(errs) > 0 {
-		sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-		return nil, dedupJoin(errs)
-	}
-	for i := range cells {
-		cells[i].Run = results[jobs[i].Key].Value.(stats.Run)
+	if err := p.runCells(ctx, cells, workers); err != nil {
+		return nil, err
 	}
 	return cells, nil
 }

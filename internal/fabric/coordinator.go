@@ -2,8 +2,8 @@
 // shards a sweep's cells across remote worker processes over HTTP,
 // backed by an on-disk content-addressed store of completed results.
 //
-// It generalizes internal/sched's shard-aware work stealing from
-// goroutines to processes:
+// It runs on internal/sched, with an HTTP dispatch where the in-process
+// harness has a function call:
 //
 //   - Cells are keyed by experiments.CacheKey — the same fully-qualified
 //     key the in-process memo uses — so a cell computed anywhere is a
@@ -11,14 +11,13 @@
 //   - The coordinator probes the CAS first: hot cells are answered from
 //     disk in milliseconds without simulating at all. Only misses are
 //     dealt.
-//   - Misses are sorted longest-first by the scheduler's cost model and
-//     dealt round-robin into per-worker deques. A worker connection that
-//     runs dry pops from its own deque front and steals from the BACK of
-//     a victim's deque — exactly sched's policy, with HTTP dispatch
-//     where sched has a function call.
+//   - Each miss is one sched job, costed by the scheduler's cost model,
+//     so sched deals them longest-first and balances them by stealing.
+//     A job dispatches on a free slot of the worker fleet: each worker
+//     offers PerWorker slots, its number of concurrent in-flight cells.
 //   - Every dispatch carries a lease (a per-request deadline). A worker
 //     that dies, or that misses its lease, forfeits the cell: it is
-//     re-dealt to another worker, and a worker that fails repeatedly is
+//     retried on the next free slot, and a worker that fails repeatedly is
 //     marked dead and dealt nothing further. The sweep completes as long
 //     as one worker survives.
 //   - Completed cells are written to the CAS (atomic rename, immutable
@@ -33,10 +32,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,9 +77,6 @@ type Result struct {
 	Source string
 	// Attempts counts dispatches (1 = first try; >1 means re-dealt).
 	Attempts int
-	// Stolen reports that the executing worker stole the cell from
-	// another worker's deque.
-	Stolen bool
 }
 
 // Options configure a Coordinator.
@@ -112,7 +108,7 @@ type Options struct {
 }
 
 // Coordinator deals sweep cells to workers. Create with New; safe for
-// concurrent use (each Run call has its own dealing state).
+// concurrent use (each Run call has its own slot pool).
 type Coordinator struct {
 	opts Options
 }
@@ -157,122 +153,80 @@ func (c *Coordinator) Workers() []string {
 // CAS returns the coordinator's store (nil if none).
 func (c *Coordinator) CAS() *CAS { return c.opts.CAS }
 
-// dealState is one Run's shared dealing structure: per-worker deques
-// over indices into the cell slice, guarded by one mutex + cond (cells
-// are whole simulations; the lock is touched a few times per cell,
-// never in a hot loop).
-type dealState struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	deques [][]int // per-worker FIFO; front = owner's end, back = thief's end
-	dead   []bool
-	alive  int
-	// outstanding counts cells not yet emitted (queued or in flight).
-	outstanding int
-	cancelled   bool
+// fleet is one Run's view of the workers: a pool of free dispatch
+// slots (each worker's index PerWorker times) and the strikes that mark
+// a worker dead. A dead worker's slots leave the pool as they surface.
+type fleet struct {
+	slots   chan int
+	strikes []atomic.Int32 // consecutive retryable failures
+	dead    []atomic.Bool
+	alive   atomic.Int32
+	allDead chan struct{} // closed when the last worker dies
 }
 
-// take returns the next cell index for worker self, blocking until work
-// arrives (a re-deal), everything is done, the run is cancelled, or
-// self is marked dead. stolen reports the cell came from a victim's
-// deque.
-func (d *dealState) take(self int) (idx int, stolen bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if d.outstanding == 0 || d.cancelled || d.dead[self] {
-			return -1, false
+// errFleetDead fails every cell still waiting for a slot once no worker
+// is left.
+var errFleetDead = errors.New("fabric: every worker is dead")
+
+func (c *Coordinator) newFleet() *fleet {
+	n := len(c.opts.Workers)
+	f := &fleet{
+		slots:   make(chan int, n*c.opts.PerWorker),
+		strikes: make([]atomic.Int32, n),
+		dead:    make([]atomic.Bool, n),
+		allDead: make(chan struct{}),
+	}
+	f.alive.Store(int32(n))
+	for k := 0; k < c.opts.PerWorker; k++ {
+		for w := 0; w < n; w++ {
+			f.slots <- w
 		}
-		if q := d.deques[self]; len(q) > 0 {
-			idx = q[0]
-			d.deques[self] = q[1:]
-			return idx, false
-		}
-		// Scan victims round-robin from the right neighbour, stealing
-		// their cheapest queued cell (dead workers' deques included —
-		// someone must drain them).
-		for k := 1; k < len(d.deques); k++ {
-			v := (self + k) % len(d.deques)
-			if q := d.deques[v]; len(q) > 0 {
-				idx = q[len(q)-1]
-				d.deques[v] = q[:len(q)-1]
-				return idx, true
+	}
+	return f
+}
+
+// take waits for a free slot of a live worker and returns its index.
+func (f *fleet) take(ctx context.Context) (int, error) {
+	for ctx.Err() == nil {
+		select {
+		case w := <-f.slots:
+			if !f.dead[w].Load() {
+				return w, nil
 			}
-		}
-		// Nothing queued, but cells are in flight elsewhere: a failure
-		// may re-deal one our way. Wait for the next event.
-		d.cond.Wait()
-	}
-}
-
-// redeal queues idx for the next alive worker after from.
-func (d *dealState) redeal(idx, from int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	target := from
-	for k := 1; k < len(d.deques); k++ {
-		w := (from + k) % len(d.deques)
-		if !d.dead[w] {
-			target = w
-			break
+		case <-f.allDead:
+			return -1, errFleetDead
+		case <-ctx.Done():
 		}
 	}
-	d.deques[target] = append(d.deques[target], idx)
-	d.cond.Broadcast()
+	return -1, ctx.Err()
 }
 
-// complete marks one cell emitted.
-func (d *dealState) complete() {
-	d.mu.Lock()
-	d.outstanding--
-	if d.outstanding == 0 {
-		d.cond.Broadcast()
+// put returns worker w's slot to the pool unless w has died.
+func (f *fleet) put(w int) {
+	if !f.dead[w].Load() {
+		f.slots <- w
 	}
-	d.mu.Unlock()
 }
 
-// markDead flags a worker dead, reporting whether this call performed
-// the transition (false if the worker was already dead — a worker's fan
-// goroutines race to report the same corpse).
-func (d *dealState) markDead(w int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.dead[w] {
+// strike counts a retryable failure against worker w and reports
+// whether this call marked it dead.
+func (f *fleet) strike(w, deadAfter int) bool {
+	if int(f.strikes[w].Add(1)) < deadAfter || !f.dead[w].CompareAndSwap(false, true) {
 		return false
 	}
-	d.dead[w] = true
-	d.alive--
-	d.cond.Broadcast()
-	return true
-}
-
-// cancel wakes every waiter for shutdown.
-func (d *dealState) cancel() {
-	d.mu.Lock()
-	d.cancelled = true
-	d.cond.Broadcast()
-	d.mu.Unlock()
-}
-
-// drain removes and returns every still-queued cell index.
-func (d *dealState) drain() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var rest []int
-	for w := range d.deques {
-		rest = append(rest, d.deques[w]...)
-		d.deques[w] = nil
+	if f.alive.Add(-1) == 0 {
+		close(f.allDead)
 	}
-	return rest
+	return true
 }
 
 // Run executes cells across the worker fleet and calls emit once per
 // cell as results land (CAS hits first, then remote completions in
-// completion order). emit calls are serialized. cost orders the initial
-// deal longest-first (sched's policy); pass sched.ConstCost(1) when no
-// history exists. Run returns ctx.Err() when cancelled; per-cell
-// failures are reported through emit, not the return value.
+// completion order). emit calls are serialized. Cell keys must be
+// distinct. The CAS misses run as sched jobs, longest-first by cost;
+// pass sched.ConstCost(1) when no history exists. Run returns ctx.Err()
+// when cancelled; per-cell failures are reported through emit, not the
+// return value.
 func (c *Coordinator) Run(ctx context.Context, p Params, cells []Cell, cost sched.CostModel, emit func(Result)) error {
 	m := c.opts.Metrics
 	var emitMu sync.Mutex
@@ -283,7 +237,7 @@ func (c *Coordinator) Run(ctx context.Context, p Params, cells []Cell, cost sche
 	}
 
 	// CAS pass: hot cells never touch a worker.
-	pending := make([]int, 0, len(cells))
+	var misses []int
 	for i := range cells {
 		if c.opts.CAS != nil {
 			if run, ok, _ := c.opts.CAS.Get(cells[i].Key); ok {
@@ -291,122 +245,70 @@ func (c *Coordinator) Run(ctx context.Context, p Params, cells []Cell, cost sche
 				continue
 			}
 		}
-		pending = append(pending, i)
+		misses = append(misses, i)
 	}
-	if len(pending) == 0 {
+	if len(misses) == 0 {
 		return ctx.Err()
 	}
+	m.Counter("fabric.cells.dealt").Add(uint64(len(misses)))
 
-	// Longest-first, ties broken by key: the deal is deterministic.
-	sort.Slice(pending, func(a, b int) bool {
-		ca, cb := cost(cells[pending[a]].Bench), cost(cells[pending[b]].Bench)
-		if ca != cb {
-			return ca > cb
-		}
-		return cells[pending[a]].Key < cells[pending[b]].Key
-	})
-
-	workers := len(c.opts.Workers)
-	d := &dealState{
-		deques:      make([][]int, workers),
-		dead:        make([]bool, workers),
-		alive:       workers,
-		outstanding: len(pending),
+	f := c.newFleet()
+	jobs := make([]sched.Job, len(misses))
+	for k, i := range misses {
+		cell := &cells[i]
+		jobs[k] = sched.Job{Key: cell.Key, Cost: cost(cell.Bench), Run: func(ctx context.Context) (any, error) {
+			send(c.runCell(ctx, f, p, cell))
+			return nil, nil
+		}}
 	}
-	d.cond = sync.NewCond(&d.mu)
-	for pos, idx := range pending {
-		w := pos % workers
-		d.deques[w] = append(d.deques[w], idx)
-	}
-	m.Counter("fabric.cells.dealt").Add(uint64(len(pending)))
-
-	// Wake waiters if the caller cancels mid-sweep.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			d.cancel()
-		case <-watchDone:
-		}
-	}()
-
-	// attempts[idx] is owned by whichever goroutine holds idx; ownership
-	// transfers through the deques under d.mu, so plain ints are sound.
-	// strikes are shared by a worker's fan goroutines, hence atomic.
-	attempts := make([]int, len(cells))
-	strikes := make([]atomic.Int32, workers) // consecutive transport failures
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		for f := 0; f < c.opts.PerWorker; f++ {
-			wg.Add(1)
-			go func(self int) {
-				defer wg.Done()
-				for {
-					idx, stolen := d.take(self)
-					if idx < 0 {
-						return
-					}
-					if stolen {
-						m.Counter("fabric.cells.stolen").Inc()
-					}
-					attempts[idx]++ // this goroutine owns idx until emit or redeal
-					start := time.Now()
-					run, retryable, err := c.dispatch(ctx, c.opts.Workers[self], p, cells[idx])
-					wall := time.Since(start)
-					m.Histogram("fabric.dispatch.wall_ns").Observe(uint64(wall))
-					if err == nil {
-						strikes[self].Store(0)
-						if c.opts.CAS != nil {
-							// A fill failure degrades the next sweep to
-							// re-simulating; it does not fail this one.
-							_ = c.opts.CAS.Put(cells[idx].Key, run)
-						}
-						m.Counter("fabric.cells.completed").Inc()
-						send(Result{
-							Cell: cells[idx], Run: run, Wall: wall,
-							Source: c.opts.Workers[self], Attempts: attempts[idx], Stolen: stolen,
-						})
-						d.complete()
-						continue
-					}
-					if retryable && ctx.Err() == nil && attempts[idx] < c.opts.MaxAttempts {
-						m.Counter("fabric.cells.redealt").Inc()
-						d.redeal(idx, self)
-					} else {
-						m.Counter("fabric.cells.failed").Inc()
-						send(Result{
-							Cell: cells[idx], Err: err, Wall: wall,
-							Source: c.opts.Workers[self], Attempts: attempts[idx], Stolen: stolen,
-						})
-						d.complete()
-					}
-					if retryable {
-						if int(strikes[self].Add(1)) >= c.opts.DeadAfter {
-							if d.markDead(self) {
-								m.Counter("fabric.workers.dead").Inc()
-							}
-							return
-						}
-					}
-				}
-			}(w)
+	results, err := sched.Run(ctx, jobs, sched.Options{Workers: cap(f.slots), Metrics: m})
+	// Cells the cancellation sweep never started.
+	for _, i := range misses {
+		if r := results[cells[i].Key]; r.Worker < 0 {
+			m.Counter("fabric.cells.failed").Inc()
+			send(Result{Cell: cells[i], Err: r.Err})
 		}
 	}
-	wg.Wait()
-	close(watchDone)
+	return err
+}
 
-	// Anything still queued never ran: every worker died, or the run was
-	// cancelled.
-	leftErr := ctx.Err()
-	if leftErr == nil {
-		leftErr = fmt.Errorf("fabric: every worker is dead")
+// runCell dispatches one cell on a free slot until it completes, fails
+// permanently or runs out of attempts; each retry takes whichever slot
+// frees next.
+func (c *Coordinator) runCell(ctx context.Context, f *fleet, p Params, cell *Cell) Result {
+	m := c.opts.Metrics
+	for attempt := 1; ; attempt++ {
+		w, err := f.take(ctx)
+		if err != nil {
+			m.Counter("fabric.cells.failed").Inc()
+			return Result{Cell: *cell, Err: err, Attempts: attempt - 1}
+		}
+		url := c.opts.Workers[w]
+		start := time.Now()
+		run, retryable, err := c.dispatch(ctx, url, p, *cell)
+		wall := time.Since(start)
+		m.Histogram("fabric.dispatch.wall_ns").Observe(uint64(wall))
+		if err == nil {
+			f.strikes[w].Store(0)
+			f.put(w)
+			if c.opts.CAS != nil {
+				// A fill failure degrades the next sweep to
+				// re-simulating; it does not fail this one.
+				_ = c.opts.CAS.Put(cell.Key, run)
+			}
+			m.Counter("fabric.cells.completed").Inc()
+			return Result{Cell: *cell, Run: run, Wall: wall, Source: url, Attempts: attempt}
+		}
+		if retryable && f.strike(w, c.opts.DeadAfter) {
+			m.Counter("fabric.workers.dead").Inc()
+		}
+		f.put(w)
+		if !retryable || ctx.Err() != nil || attempt >= c.opts.MaxAttempts {
+			m.Counter("fabric.cells.failed").Inc()
+			return Result{Cell: *cell, Err: err, Wall: wall, Source: url, Attempts: attempt}
+		}
+		m.Counter("fabric.cells.redealt").Inc()
 	}
-	for _, idx := range d.drain() {
-		m.Counter("fabric.cells.failed").Inc()
-		send(Result{Cell: cells[idx], Err: leftErr, Attempts: attempts[idx]})
-	}
-	return ctx.Err()
 }
 
 // dispatch posts one cell to a worker and decodes the result. retryable

@@ -7,8 +7,6 @@ package fabric
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"sort"
 
 	"repro/internal/config"
 	"repro/internal/stats"
@@ -59,29 +57,14 @@ type CellResponse struct {
 	Source string `json:"source,omitempty"`
 }
 
-// Fingerprint digests a result set: sha256 over "key\nrunJSON\n" lines
-// in sorted key order — the same construction the harness's pinned
-// fingerprints use. A sharded sweep and a single-node sweep over the
-// same cells MUST produce equal fingerprints; that equality is the
-// fabric's determinism contract and what the fabric-smoke CI job
-// asserts.
+// Fingerprint digests a result set: sha256 over its stats.WriteRunSet
+// encoding ("key\nrunJSON\n" lines in sorted key order), the same bytes
+// the harness's pinned fingerprints digest. A sharded sweep and a
+// single-node sweep over the same cells MUST produce equal fingerprints;
+// that equality is the fabric's determinism contract and what the
+// fabric-smoke CI job asserts.
 func Fingerprint(runs map[string]stats.Run) string {
-	keys := make([]string, 0, len(runs))
-	for k := range runs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	h := sha256.New()
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{'\n'})
-		b, err := json.Marshal(runs[k])
-		if err != nil {
-			// stats.Run is plain data; Marshal cannot fail in practice.
-			h.Write([]byte("marshal error: " + err.Error()))
-		}
-		h.Write(b)
-		h.Write([]byte{'\n'})
-	}
+	stats.WriteRunSet(h, runs)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -315,10 +315,12 @@ func TestCellEndpointExecuteAndFill(t *testing.T) {
 		t.Fatalf("unknown benchmark: status %d, want 400", status)
 	}
 
-	// A config naming an unregistered kind, or sizing a table past the
+	// A config naming an unregistered kind or the static filter (which
+	// needs a profiling run no worker makes), or sizing a table past the
 	// bound, is refused in both modes: nothing runs and nothing is filled.
 	for name, mutate := range map[string]func(*config.Config){
 		"unknown filter":          func(c *config.Config) { c.Filter.Kind = "magic" },
+		"static filter":           func(c *config.Config) { *c = c.WithFilter(config.FilterStatic) },
 		"unknown tournament side": func(c *config.Config) { c.Filter.TournamentA = "magic" },
 		"unknown iprefetcher":     func(c *config.Config) { *c = c.WithIPrefetch("magic") },
 		"oversized table":         func(c *config.Config) { c.Filter.TableEntries = 1 << 40 },

@@ -367,7 +367,8 @@ func (s *Server) handleCellPost(w http.ResponseWriter, r *http.Request) {
 // fills the store. Fill mode stores a result the server never computed
 // under the key of the request's config, so the config must be one the
 // simulator would accept: sim.Validate checks its numbers, its bounds
-// and its kind names.
+// and its kind names, and the filter must be one a single pass can run
+// (not static, which needs a profiling run).
 func validateCell(req fabric.CellRequest, maxInstructions int64) error {
 	if req.Config == nil {
 		return errors.New("config is required")
@@ -377,6 +378,9 @@ func validateCell(req fabric.CellRequest, maxInstructions int64) error {
 	}
 	if err := sim.Validate(*req.Config); err != nil {
 		return fmt.Errorf("invalid config: %w", err)
+	}
+	if _, err := experiments.FilterAxis.Resolve(string(req.Config.Filter.Kind)); err != nil {
+		return fmt.Errorf("invalid config: filter: %w", err)
 	}
 	if req.Instructions > maxInstructions {
 		return fmt.Errorf("instructions %d exceeds the per-request cap %d", req.Instructions, maxInstructions)

@@ -5,7 +5,10 @@
 package stats
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"sort"
 
 	"repro/internal/taxonomy"
 )
@@ -213,4 +216,25 @@ func SafeRatio(num, den float64) float64 {
 		return 0
 	}
 	return num / den
+}
+
+// WriteRunSet writes a keyed result set as "key\nrunJSON\n" lines in
+// sorted key order: the one encoding behind the harness's pinned
+// fingerprints and the fabric's result-set fingerprint. Write errors are
+// dropped: the callers write to a hash or a bytes.Buffer, which never
+// fail.
+func WriteRunSet(w io.Writer, runs map[string]Run) {
+	keys := make([]string, 0, len(runs))
+	for k := range runs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		b, err := json.Marshal(runs[k])
+		if err != nil {
+			// Run is plain data; Marshal cannot fail in practice.
+			b = []byte("marshal error: " + err.Error())
+		}
+		_, _ = fmt.Fprintf(w, "%s\n%s\n", k, b)
+	}
 }
