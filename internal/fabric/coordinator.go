@@ -17,8 +17,8 @@
 //     offers PerWorker slots, its number of concurrent in-flight cells.
 //   - Every dispatch carries a lease (a per-request deadline). A worker
 //     that dies, or that misses its lease, forfeits the cell: it is
-//     retried on the next free slot, and a worker that fails repeatedly is
-//     marked dead and dealt nothing further. The sweep completes as long
+//     retried on another live worker, and a worker that fails repeatedly
+//     is marked dead and dealt nothing further. The sweep completes as long
 //     as one worker survives.
 //   - Completed cells are written to the CAS (atomic rename, immutable
 //     entries) and streamed to the caller as they land, in completion
@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
@@ -108,7 +107,7 @@ type Options struct {
 }
 
 // Coordinator deals sweep cells to workers. Create with New; safe for
-// concurrent use (each Run call has its own slot pool).
+// concurrent use (each Run call has its own fleet of slots).
 type Coordinator struct {
 	opts Options
 }
@@ -153,79 +152,109 @@ func (c *Coordinator) Workers() []string {
 // CAS returns the coordinator's store (nil if none).
 func (c *Coordinator) CAS() *CAS { return c.opts.CAS }
 
-// fleet is one Run's view of the workers: a pool of free dispatch
-// slots (each worker's index PerWorker times) and the strikes that mark
-// a worker dead. A dead worker's slots leave the pool as they surface.
+// fleet is one Run's view of the workers: each worker's free dispatch
+// slots (PerWorker at the start) and the strikes that mark it dead. The
+// lock is touched a few times per cell, never in a hot loop.
 type fleet struct {
-	slots   chan int
-	strikes []atomic.Int32 // consecutive retryable failures
-	dead    []atomic.Bool
-	alive   atomic.Int32
-	allDead chan struct{} // closed when the last worker dies
+	mu      sync.Mutex
+	free    []int   // free slots per worker
+	strikes []int   // consecutive retryable failures per worker
+	struck  []*Cell // the cell behind each worker's last strike
+	dead    []bool
+	alive   int
+	// changed is closed, and replaced, whenever a slot frees or a worker
+	// dies, waking every take that waits for one.
+	changed chan struct{}
 }
-
-// errFleetDead fails every cell still waiting for a slot once no worker
-// is left.
-var errFleetDead = errors.New("fabric: every worker is dead")
 
 func (c *Coordinator) newFleet() *fleet {
 	n := len(c.opts.Workers)
 	f := &fleet{
-		slots:   make(chan int, n*c.opts.PerWorker),
-		strikes: make([]atomic.Int32, n),
-		dead:    make([]atomic.Bool, n),
-		allDead: make(chan struct{}),
+		free:    make([]int, n),
+		strikes: make([]int, n),
+		struck:  make([]*Cell, n),
+		dead:    make([]bool, n),
+		alive:   n,
+		changed: make(chan struct{}),
 	}
-	f.alive.Store(int32(n))
-	for k := 0; k < c.opts.PerWorker; k++ {
-		for w := 0; w < n; w++ {
-			f.slots <- w
-		}
+	for w := range f.free {
+		f.free[w] = c.opts.PerWorker
 	}
 	return f
 }
 
-// take waits for a free slot of a live worker and returns its index.
-func (f *fleet) take(ctx context.Context) (int, error) {
+// take waits for a free slot of a live worker and returns its index,
+// failing once no worker is left.
+// A retry passes the worker that just failed the cell as avoid and gets
+// the first free slot after it, or avoid's own only when no other
+// worker is alive, so one bad cell spreads its strikes instead of
+// striking a healthy worker dead. A first attempt (avoid -1) takes the
+// free worker with the most strikes: a fresh cell soon clears a strike
+// that a bad cell left, and the slots of the worker a retry waits for
+// stay free for it.
+func (f *fleet) take(ctx context.Context, avoid int) (int, error) {
 	for ctx.Err() == nil {
-		select {
-		case w := <-f.slots:
-			if !f.dead[w].Load() {
-				return w, nil
+		f.mu.Lock()
+		if f.alive == 0 {
+			f.mu.Unlock()
+			return -1, errors.New("fabric: every worker is dead")
+		}
+		best := -1
+		for k := 1; k <= len(f.free); k++ {
+			w := (avoid + k) % len(f.free)
+			if f.free[w] == 0 || f.dead[w] || w == avoid && f.alive > 1 {
+				continue
 			}
-		case <-f.allDead:
-			return -1, errFleetDead
+			if best < 0 || avoid < 0 && f.strikes[w] > f.strikes[best] {
+				best = w
+			}
+		}
+		if best >= 0 {
+			f.free[best]--
+			f.mu.Unlock()
+			return best, nil
+		}
+		changed := f.changed
+		f.mu.Unlock()
+		select {
+		case <-changed:
 		case <-ctx.Done():
 		}
 	}
 	return -1, ctx.Err()
 }
 
-// put returns worker w's slot to the pool unless w has died.
-func (f *fleet) put(w int) {
-	if !f.dead[w].Load() {
-		f.slots <- w
+// put returns worker w's slot after a dispatch of cell. A success (ok)
+// clears w's strikes; strike counts one against w unless cell was also
+// behind w's last strike, so a bad cell that comes back to w cannot
+// kill it alone. put reports whether this call marked w dead.
+func (f *fleet) put(w int, cell *Cell, ok, strike bool, deadAfter int) (died bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.free[w]++
+	if ok {
+		f.strikes[w], f.struck[w] = 0, nil
+	} else if strike && f.struck[w] != cell {
+		f.strikes[w]++
+		f.struck[w] = cell
 	}
-}
-
-// strike counts a retryable failure against worker w and reports
-// whether this call marked it dead.
-func (f *fleet) strike(w, deadAfter int) bool {
-	if int(f.strikes[w].Add(1)) < deadAfter || !f.dead[w].CompareAndSwap(false, true) {
-		return false
+	if f.strikes[w] >= deadAfter && !f.dead[w] {
+		f.dead[w] = true
+		f.alive--
+		died = true
 	}
-	if f.alive.Add(-1) == 0 {
-		close(f.allDead)
-	}
-	return true
+	close(f.changed)
+	f.changed = make(chan struct{})
+	return died
 }
 
 // Run executes cells across the worker fleet and calls emit once per
 // cell as results land (CAS hits first, then remote completions in
-// completion order). emit calls are serialized. Cell keys must be
-// distinct. The CAS misses run as sched jobs, longest-first by cost;
-// pass sched.ConstCost(1) when no history exists. Run returns ctx.Err()
-// when cancelled; per-cell failures are reported through emit, not the
+// completion order). emit calls are serialized. Cells sharing a key are
+// dispatched once and each emitted with that dispatch's result. The CAS
+// misses run as sched jobs, longest-first by cost; pass
+// sched.ConstCost(1) when no history exists. Run returns ctx.Err() when
+// cancelled; per-cell failures are reported through emit, not the
 // return value.
 func (c *Coordinator) Run(ctx context.Context, p Params, cells []Cell, cost sched.CostModel, emit func(Result)) error {
 	m := c.opts.Metrics
@@ -236,8 +265,9 @@ func (c *Coordinator) Run(ctx context.Context, p Params, cells []Cell, cost sche
 		emitMu.Unlock()
 	}
 
-	// CAS pass: hot cells never touch a worker.
-	var misses []int
+	// CAS pass: hot cells never touch a worker. Misses are grouped by key.
+	var keys []string
+	misses := make(map[string][]int)
 	for i := range cells {
 		if c.opts.CAS != nil {
 			if run, ok, _ := c.opts.CAS.Get(cells[i].Key); ok {
@@ -245,41 +275,51 @@ func (c *Coordinator) Run(ctx context.Context, p Params, cells []Cell, cost sche
 				continue
 			}
 		}
-		misses = append(misses, i)
+		if misses[cells[i].Key] == nil {
+			keys = append(keys, cells[i].Key)
+		}
+		misses[cells[i].Key] = append(misses[cells[i].Key], i)
 	}
-	if len(misses) == 0 {
+	if len(keys) == 0 {
 		return ctx.Err()
 	}
-	m.Counter("fabric.cells.dealt").Add(uint64(len(misses)))
+	m.Counter("fabric.cells.dealt").Add(uint64(len(keys)))
+	sendAll := func(r Result) {
+		for _, i := range misses[r.Cell.Key] {
+			r.Cell = cells[i]
+			send(r)
+		}
+	}
 
 	f := c.newFleet()
-	jobs := make([]sched.Job, len(misses))
-	for k, i := range misses {
-		cell := &cells[i]
-		jobs[k] = sched.Job{Key: cell.Key, Cost: cost(cell.Bench), Run: func(ctx context.Context) (any, error) {
-			send(c.runCell(ctx, f, p, cell))
+	jobs := make([]sched.Job, len(keys))
+	for k, key := range keys {
+		cell := &cells[misses[key][0]]
+		jobs[k] = sched.Job{Key: key, Cost: cost(cell.Bench), Run: func(ctx context.Context) (any, error) {
+			sendAll(c.runCell(ctx, f, p, cell))
 			return nil, nil
 		}}
 	}
-	results, err := sched.Run(ctx, jobs, sched.Options{Workers: cap(f.slots), Metrics: m})
+	results, err := sched.Run(ctx, jobs, sched.Options{Workers: len(c.opts.Workers) * c.opts.PerWorker, Metrics: m})
 	// Cells the cancellation sweep never started.
-	for _, i := range misses {
-		if r := results[cells[i].Key]; r.Worker < 0 {
+	for _, key := range keys {
+		if r := results[key]; r.Worker < 0 {
 			m.Counter("fabric.cells.failed").Inc()
-			send(Result{Cell: cells[i], Err: r.Err})
+			sendAll(Result{Cell: cells[misses[key][0]], Err: r.Err})
 		}
 	}
 	return err
 }
 
 // runCell dispatches one cell on a free slot until it completes, fails
-// permanently or runs out of attempts; each retry takes whichever slot
-// frees next.
+// permanently or runs out of attempts; each retry takes a slot of
+// another live worker when one exists.
 func (c *Coordinator) runCell(ctx context.Context, f *fleet, p Params, cell *Cell) Result {
 	m := c.opts.Metrics
+	w := -1
 	for attempt := 1; ; attempt++ {
-		w, err := f.take(ctx)
-		if err != nil {
+		var err error
+		if w, err = f.take(ctx, w); err != nil {
 			m.Counter("fabric.cells.failed").Inc()
 			return Result{Cell: *cell, Err: err, Attempts: attempt - 1}
 		}
@@ -288,9 +328,12 @@ func (c *Coordinator) runCell(ctx context.Context, f *fleet, p Params, cell *Cel
 		run, retryable, err := c.dispatch(ctx, url, p, *cell)
 		wall := time.Since(start)
 		m.Histogram("fabric.dispatch.wall_ns").Observe(uint64(wall))
+		// A dispatch cut short by the sweep's own cancellation says
+		// nothing about the worker.
+		if f.put(w, cell, err == nil, retryable && ctx.Err() == nil, c.opts.DeadAfter) {
+			m.Counter("fabric.workers.dead").Inc()
+		}
 		if err == nil {
-			f.strikes[w].Store(0)
-			f.put(w)
 			if c.opts.CAS != nil {
 				// A fill failure degrades the next sweep to
 				// re-simulating; it does not fail this one.
@@ -299,10 +342,6 @@ func (c *Coordinator) runCell(ctx context.Context, f *fleet, p Params, cell *Cel
 			m.Counter("fabric.cells.completed").Inc()
 			return Result{Cell: *cell, Run: run, Wall: wall, Source: url, Attempts: attempt}
 		}
-		if retryable && f.strike(w, c.opts.DeadAfter) {
-			m.Counter("fabric.workers.dead").Inc()
-		}
-		f.put(w)
 		if !retryable || ctx.Err() != nil || attempt >= c.opts.MaxAttempts {
 			m.Counter("fabric.cells.failed").Inc()
 			return Result{Cell: *cell, Err: err, Wall: wall, Source: url, Attempts: attempt}

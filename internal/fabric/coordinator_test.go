@@ -149,12 +149,17 @@ func TestCoordinatorCompletesAndFillsCAS(t *testing.T) {
 }
 
 func TestCoordinatorRedealsAroundDeadWorker(t *testing.T) {
-	// Worker 0 is a corpse: its URL points at a closed listener, so every
-	// dispatch is a transport failure. Its cells must be re-dealt to
-	// worker 1 and the sweep must complete.
-	corpse := httptest.NewServer(http.NotFoundHandler())
+	// Worker 0 is a corpse: it drops every connection unanswered, so
+	// every dispatch is a transport failure. (A closed listener would do
+	// the same until the next test server reused its port.) Its cells
+	// must be re-dealt to worker 1 and the sweep must complete.
+	corpse := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			_ = conn.Close()
+		}
+	}))
+	t.Cleanup(corpse.Close)
 	corpseURL := corpse.URL
-	corpse.Close()
 	var hits atomic.Int64
 	alive := fakeWorker(t, &hits, nil)
 
@@ -189,6 +194,69 @@ func TestCoordinatorRedealsAroundDeadWorker(t *testing.T) {
 	}
 	if got := snap.Counters["fabric.cells.completed"]; got != uint64(len(cells)) {
 		t.Fatalf("cells.completed = %d, want %d", got, len(cells))
+	}
+}
+
+func TestCoordinatorBadCellKillsNoWorker(t *testing.T) {
+	// One cell fails on every worker with a 500 (a sim error) while the
+	// rest succeed. Its retries must go to the other worker, so with
+	// PerWorker 1 and the default DeadAfter neither healthy worker dies
+	// and every good cell completes.
+	cells := testCells(10)
+	bad := cells[0].Key
+	failBad := func(rw http.ResponseWriter, cr *CellResponse) bool {
+		if cr.Key == bad {
+			http.Error(rw, "simulation failed", http.StatusInternalServerError)
+			return false
+		}
+		return true
+	}
+	w1, w2 := fakeWorker(t, nil, failBad), fakeWorker(t, nil, failBad)
+	m := metrics.New()
+	c, err := New(Options{Workers: []string{w1.URL, w2.URL}, PerWorker: 1, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, r := range collect(t, c, cells) {
+		if k == bad {
+			if r.Err == nil || r.Attempts != 3 {
+				t.Errorf("bad cell: err=%v after %d attempts, want a failure after 3", r.Err, r.Attempts)
+			}
+		} else if r.Err != nil {
+			t.Errorf("cell %s failed: %v", k, r.Err)
+		}
+	}
+	if n := m.Snapshot().Counters["fabric.workers.dead"]; n != 0 {
+		t.Fatalf("workers.dead = %d, want 0: one bad cell must not kill a worker", n)
+	}
+}
+
+func TestCoordinatorDispatchesDuplicateKeysOnce(t *testing.T) {
+	var hits atomic.Int64
+	w := fakeWorker(t, &hits, nil)
+	c, err := New(Options{Workers: []string{w.URL}, Metrics: metrics.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := testCells(3)
+	cells = append(cells, cells[1], cells[1])
+	emitted := map[string]int{}
+	err = c.Run(context.Background(), Params{Instructions: 100, Warmup: 10, Seed: 1}, cells, sched.ConstCost(1), func(r Result) {
+		if r.Err != nil {
+			t.Errorf("cell %s failed: %v", r.Cell.Key, r.Err)
+		}
+		emitted[r.Cell.Key]++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{1, 3, 1} {
+		if got := emitted[cells[i].Key]; got != want {
+			t.Errorf("cell %s emitted %d times, want %d", cells[i].Key, got, want)
+		}
+	}
+	if hits.Load() != 3 {
+		t.Fatalf("worker saw %d requests, want one per distinct key (3)", hits.Load())
 	}
 }
 
@@ -273,7 +341,8 @@ func TestCoordinatorHonoursCancellation(t *testing.T) {
 		<-r.Context().Done()
 	}))
 	t.Cleanup(stall.Close)
-	c, err := New(Options{Workers: []string{stall.URL}, Lease: time.Minute, Metrics: metrics.New()})
+	m := metrics.New()
+	c, err := New(Options{Workers: []string{stall.URL}, Lease: time.Minute, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,6 +375,10 @@ func TestCoordinatorHonoursCancellation(t *testing.T) {
 	}
 	if n != len(cells) {
 		t.Fatalf("emitted %d results, want %d (cancelled cells must fail explicitly)", n, len(cells))
+	}
+	// The dispatches cancellation cut short say nothing about the worker.
+	if n := m.Snapshot().Counters["fabric.workers.dead"]; n != 0 {
+		t.Fatalf("workers.dead = %d after cancellation, want 0", n)
 	}
 }
 
