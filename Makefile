@@ -47,10 +47,15 @@ lint:
 
 # FuzzReaderBatch is seeded with whole traces and FuzzConvertChampSim
 # with 8 KiB of the ChampSim fixture; minimizing such an input would take
-# the whole budget, so -fuzzminimizetime keeps them fuzzing.
+# the whole budget, so -fuzzminimizetime keeps them fuzzing. An input of
+# FuzzSweepRequest can expand to hundreds of cells and one of FuzzCASEntry
+# writes and reads back a file, so minimizing either is slow too: they get
+# the same cap.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzConfigString -fuzztime=30s ./internal/config/
 	$(GO) test -run=NONE -fuzz=FuzzCellRequest -fuzztime=30s ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzSweepRequest -fuzztime=30s -fuzzminimizetime=5s ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzCASEntry -fuzztime=30s -fuzzminimizetime=5s ./internal/fabric/
 	$(GO) test -run=NONE -fuzz=FuzzHistoryTableIndex -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzReaderBatch -fuzztime=30s -fuzzminimizetime=5s ./internal/tracefile/
 	$(GO) test -run=NONE -fuzz=FuzzConvertChampSim -fuzztime=30s -fuzzminimizetime=5s ./internal/tracefile/

@@ -16,9 +16,15 @@
 // verify content addressing end to end (a sha collision or a corrupted
 // file reads back as a miss, never as a wrong result) and so sha-only
 // protocols (GET /v1/cell?sha=…) can recover the key.
+//
+// In front of the disk sits a bounded in-process tier of verified
+// envelopes, so a warm sweep re-serves its cells without reading or
+// decoding a file. Only an envelope read from disk and verified enters
+// it; every lookup still checks the key it was asked for.
 package fabric
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -28,6 +34,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -48,11 +55,26 @@ type envelope struct {
 
 // CAS is the on-disk store. All methods are safe for concurrent use by
 // any number of processes sharing the directory: writes are atomic
-// renames and entries are immutable.
+// renames and entries are immutable. Because they are immutable, a
+// process goes on serving an entry it has read from its memory tier
+// after the file is removed or damaged, until the entry is evicted.
 type CAS struct {
 	dir string
 	m   *metrics.Registry
+	// mem is the in-process tier: verified envelopes by content address.
+	// Concurrent reads of one address share a single disk read.
+	mem *sched.Memo[envelope]
+	// readFile is os.ReadFile; tests count and gate disk reads with it.
+	readFile func(name string) ([]byte, error)
 }
+
+// memEntries bounds the in-process tier, the same bound as the
+// experiment harness's run memo.
+const memEntries = 1024
+
+// errNotStored is a disk miss inside the tier. It is an error so the
+// memo never retains a miss, and a later Put stays visible.
+var errNotStored = errors.New("fabric: cas: not stored")
 
 // OpenCAS opens (creating if needed) a store rooted at dir. The metrics
 // registry is optional (nil-safe, like every registry in this repo) and
@@ -65,7 +87,7 @@ func OpenCAS(dir string, m *metrics.Registry) (*CAS, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fabric: cas: %w", err)
 	}
-	return &CAS{dir: dir, m: m}, nil
+	return &CAS{dir: dir, m: m, mem: sched.NewMemo[envelope](memEntries), readFile: os.ReadFile}, nil
 }
 
 // Dir returns the store's root directory.
@@ -112,24 +134,22 @@ func isAddress(sha string) bool {
 	return true
 }
 
-// load reads one envelope. wantKey, when non-empty, must match the
-// stored key (content-address verification).
+// load answers one lookup from the in-process tier, reading the entry
+// from disk on a tier miss. wantKey, when non-empty, must match the
+// stored key (content-address verification), on a tier hit as on a read.
 func (c *CAS) load(sha, wantKey string) (string, stats.Run, bool, error) {
-	data, err := os.ReadFile(c.path(sha))
-	if err != nil {
-		if os.IsNotExist(err) {
-			c.m.Counter("fabric.cas.misses").Inc()
-			return "", stats.Run{}, false, nil
-		}
+	//pflint:allow ctxflow/background the lookup signatures carry no context (GetRun is the context-free experiments.RunStore), and a waiter waits only for one local file read and decode
+	e, err := c.mem.Do(context.TODO(), sha, func(context.Context) (envelope, error) {
+		return c.read(sha)
+	})
+	switch {
+	case errors.Is(err, errNotStored):
+		c.m.Counter("fabric.cas.misses").Inc()
+		return "", stats.Run{}, false, nil
+	case err != nil:
 		c.m.Counter("fabric.cas.errors").Inc()
-		return "", stats.Run{}, false, fmt.Errorf("fabric: cas read %s: %w", sha, err)
-	}
-	var e envelope
-	if err := json.Unmarshal(data, &e); err != nil {
-		c.m.Counter("fabric.cas.errors").Inc()
-		return "", stats.Run{}, false, fmt.Errorf("fabric: cas entry %s corrupt: %w", sha, err)
-	}
-	if KeySHA(e.Key) != sha || (wantKey != "" && e.Key != wantKey) {
+		return "", stats.Run{}, false, err
+	case wantKey != "" && e.Key != wantKey:
 		c.m.Counter("fabric.cas.errors").Inc()
 		return "", stats.Run{}, false, fmt.Errorf("fabric: cas entry %s holds a different key", sha)
 	}
@@ -137,10 +157,32 @@ func (c *CAS) load(sha, wantKey string) (string, stats.Run, bool, error) {
 	return e.Key, e.Run, true, nil
 }
 
+// read reads and verifies the envelope stored at sha. Only what it
+// returns without error enters the tier: the file parsed, and its key
+// hashes to its address.
+func (c *CAS) read(sha string) (envelope, error) {
+	data, err := c.readFile(c.path(sha))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return envelope{}, errNotStored
+		}
+		return envelope{}, fmt.Errorf("fabric: cas read %s: %w", sha, err)
+	}
+	var e envelope
+	if err := json.Unmarshal(data, &e); err != nil {
+		return envelope{}, fmt.Errorf("fabric: cas entry %s corrupt: %w", sha, err)
+	}
+	if KeySHA(e.Key) != sha {
+		return envelope{}, fmt.Errorf("fabric: cas entry %s holds a different key", sha)
+	}
+	return e, nil
+}
+
 // Put stores run under key. The write is atomic (temp file + rename
 // within the store), so readers never observe a partial entry; entries
 // are immutable, so overwriting a concurrent writer's identical bytes
-// is harmless.
+// is harmless. Put admits nothing to the in-process tier: an entry gets
+// there only by being read back from disk and verified.
 func (c *CAS) Put(key string, run stats.Run) error {
 	sha := KeySHA(key)
 	dst := c.path(sha)

@@ -7,7 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -157,6 +160,167 @@ func TestCASCorruptEntryReadsAsMiss(t *testing.T) {
 	}
 	if m.Snapshot().Counters["fabric.cas.errors"] != 2 {
 		t.Fatalf("errors counter = %d, want 2", m.Snapshot().Counters["fabric.cas.errors"])
+	}
+}
+
+// TestCASTierServesVerifiedRead: once a Get has read and verified an
+// entry, later lookups are answered from memory — deleting or
+// corrupting the file does not change the answer — and each counts as a
+// CAS hit.
+func TestCASTierServesVerifiedRead(t *testing.T) {
+	c, m := openTestCAS(t)
+	key := "tier"
+	want := testRun(9)
+	if err := c.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := c.Get(key); !ok || err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("first Get: %+v ok=%v err=%v", got, ok, err)
+	}
+	path := c.path(KeySHA(key))
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := c.Get(key); !ok || err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get after the file was deleted: %+v ok=%v err=%v, want a tier hit", got, ok, err)
+	}
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gotKey, got, ok, err := c.GetSHA(KeySHA(key))
+	if !ok || err != nil || gotKey != key || !reflect.DeepEqual(got, want) {
+		t.Fatalf("GetSHA after the file was corrupted: (%q, %+v) ok=%v err=%v, want a tier hit", gotKey, got, ok, err)
+	}
+	snap := m.Snapshot()
+	if snap.Counters["fabric.cas.hits"] != 3 || snap.Counters["fabric.cas.errors"] != 0 {
+		t.Fatalf("counters = %v, want 3 hits and no errors", snap.Counters)
+	}
+}
+
+// TestCASPutAdmitsNothing: a Put alone leaves the tier empty, so a
+// deleted file is a clean miss; and a miss is never retained, so a
+// later Put is visible.
+func TestCASPutAdmitsNothing(t *testing.T) {
+	c, _ := openTestCAS(t)
+	key := "put-only"
+	if _, ok, err := c.Get(key); ok || err != nil {
+		t.Fatalf("empty store: ok=%v err=%v, want a clean miss", ok, err)
+	}
+	if err := c.Put(key, testRun(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(c.path(KeySHA(key))); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := c.Get(key); ok || err != nil {
+		t.Fatalf("Put then delete: ok=%v err=%v, want a clean miss (Put admitted the entry)", ok, err)
+	}
+	if err := c.Put(key, testRun(3)); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := c.Get(key); !ok || err != nil || !reflect.DeepEqual(got, testRun(3)) {
+		t.Fatalf("Get after a miss and a Put: %+v ok=%v err=%v, want a hit", got, ok, err)
+	}
+}
+
+// TestCASTierRefusesBadEntries: a corrupt entry, or one holding another
+// key, is refused and never admitted — once the file is gone the next
+// lookup is a clean miss, not a served refusal.
+func TestCASTierRefusesBadEntries(t *testing.T) {
+	other, err := json.Marshal(envelope{Key: "some-other-key", Run: testRun(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"corrupt": []byte(`{"key":`), "other key": other} {
+		t.Run(name, func(t *testing.T) {
+			c, m := openTestCAS(t)
+			key := "refused"
+			path := c.path(KeySHA(key))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := c.Get(key); ok || err == nil {
+				t.Fatalf("Get: ok=%v err=%v, want a miss with an error", ok, err)
+			}
+			if _, _, ok, err := c.GetSHA(KeySHA(key)); ok || err == nil {
+				t.Fatalf("GetSHA: ok=%v err=%v, want a miss with an error", ok, err)
+			}
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := c.Get(key); ok || err != nil {
+				t.Fatalf("Get after removal: ok=%v err=%v, want a clean miss", ok, err)
+			}
+			if n := m.Snapshot().Counters["fabric.cas.errors"]; n != 2 {
+				t.Fatalf("errors counter = %d, want 2", n)
+			}
+		})
+	}
+}
+
+// TestCASTierHitChecksKey: a tier entry asked for under a key other
+// than the one it holds — a sha256 collision, which Get cannot produce
+// on purpose, so the lookup is made directly — is a miss with an error.
+func TestCASTierHitChecksKey(t *testing.T) {
+	c, m := openTestCAS(t)
+	key := "held"
+	if err := c.Put(key, testRun(4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := c.Get(key); !ok || err != nil {
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	if err := os.Remove(c.path(KeySHA(key))); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, err := c.load(KeySHA(key), "colliding"); ok || err == nil {
+		t.Fatalf("tier hit under another key: ok=%v err=%v, want a miss with an error", ok, err)
+	}
+	if n := m.Snapshot().Counters["fabric.cas.errors"]; n != 1 {
+		t.Fatalf("errors counter = %d, want 1", n)
+	}
+}
+
+// TestCASConcurrentGetsReadOnce: Gets of one key racing on a cold tier
+// share a single disk read.
+func TestCASConcurrentGetsReadOnce(t *testing.T) {
+	c, m := openTestCAS(t)
+	key := "shared"
+	if err := c.Put(key, testRun(6)); err != nil {
+		t.Fatal(err)
+	}
+	var reads atomic.Int32
+	release := make(chan struct{})
+	c.readFile = func(name string) ([]byte, error) {
+		reads.Add(1)
+		<-release
+		return os.ReadFile(name)
+	}
+	const readers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, ok, err := c.Get(key); !ok || err != nil || !reflect.DeepEqual(got, testRun(6)) {
+				t.Errorf("Get: %+v ok=%v err=%v", got, ok, err)
+			}
+		}()
+	}
+	// Let the readers pile onto the in-flight read, then release it. The
+	// pause only makes the overlap likely: a reader that starts after
+	// the read completes is a tier hit, so one read is right either way.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	if n := reads.Load(); n != 1 {
+		t.Fatalf("%d disk reads for %d concurrent Gets, want 1", n, readers)
+	}
+	if n := m.Snapshot().Counters["fabric.cas.hits"]; n != readers {
+		t.Fatalf("hits counter = %d, want %d", n, readers)
 	}
 }
 

@@ -8,8 +8,9 @@
 //   - Cells are keyed by experiments.CacheKey — the same fully-qualified
 //     key the in-process memo uses — so a cell computed anywhere is a
 //     cell computed everywhere.
-//   - The coordinator probes the CAS first: hot cells are answered from
-//     disk in milliseconds without simulating at all. Only misses are
+//   - The coordinator probes the CAS first: hot cells are answered
+//     without simulating at all, from the CAS's in-process tier once an
+//     entry has been read back, from disk before that. Only misses are
 //     dealt.
 //   - Each miss is one sched job, costed by the scheduler's cost model,
 //     so sched deals them longest-first and balances them by stealing.

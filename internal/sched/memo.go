@@ -7,6 +7,7 @@
 package sched
 
 import (
+	"container/list"
 	"context"
 	"sync"
 )
@@ -16,7 +17,8 @@ type memoEntry[V any] struct {
 	done chan struct{} // closed when val/err are final
 	val  V
 	err  error
-	seq  uint64 // recency stamp for bounded eviction
+	key  string
+	elem *list.Element // its place in the recency list once completed successfully
 }
 
 // Memo is a bounded, single-flight memoization cache. The zero value is
@@ -29,8 +31,11 @@ type memoEntry[V any] struct {
 type Memo[V any] struct {
 	mu      sync.Mutex
 	max     int
-	seq     uint64
 	entries map[string]*memoEntry[V]
+	// lru lists the completed successful entries, least recently used
+	// first: a completion or a Do hit moves an entry to the back, and
+	// eviction pops the front, so both are O(1).
+	lru list.List
 }
 
 // NewMemo builds a memo retaining up to max completed results; max <= 0
@@ -57,7 +62,9 @@ func (m *Memo[V]) Len() int {
 func (m *Memo[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, error)) (V, error) {
 	m.mu.Lock()
 	if e, ok := m.entries[key]; ok {
-		e.seq = m.nextSeq()
+		if e.elem != nil {
+			m.lru.MoveToBack(e.elem)
+		}
 		m.mu.Unlock()
 		select {
 		case <-e.done:
@@ -67,7 +74,7 @@ func (m *Memo[V]) Do(ctx context.Context, key string, fn func(context.Context) (
 			return zero, ctx.Err()
 		}
 	}
-	e := &memoEntry[V]{done: make(chan struct{}), seq: m.nextSeq()}
+	e := &memoEntry[V]{done: make(chan struct{}), key: key}
 	m.entries[key] = e
 	m.mu.Unlock()
 
@@ -84,20 +91,23 @@ func (m *Memo[V]) Do(ctx context.Context, key string, fn func(context.Context) (
 			delete(m.entries, key)
 		}
 	} else {
-		// Refresh recency before evicting: the entry still carries its
-		// insert-time stamp, which is stale by however long the
-		// computation ran — without this a slow computation is the LRU
-		// victim the instant it completes if anything was touched
-		// meanwhile.
-		e.seq = m.nextSeq()
-		m.evictLocked()
+		// The entry joins the list as its most recent member at
+		// completion, not at insert: a slow computation must not be the
+		// LRU victim the instant it completes because other keys were
+		// touched while it ran.
+		e.elem = m.lru.PushBack(e)
+		for m.lru.Len() > m.max {
+			victim := m.lru.Remove(m.lru.Front()).(*memoEntry[V])
+			delete(m.entries, victim.key)
+		}
 	}
 	m.mu.Unlock()
 	return e.val, e.err
 }
 
 // Get returns the completed result cached under key, if any. In-flight
-// entries report absent (Get never blocks).
+// entries report absent (Get never blocks). Get does not count as a use
+// for eviction order.
 func (m *Memo[V]) Get(key string) (V, bool) {
 	m.mu.Lock()
 	e, ok := m.entries[key]
@@ -116,50 +126,5 @@ func (m *Memo[V]) Get(key string) (V, bool) {
 	default:
 		var zero V
 		return zero, false
-	}
-}
-
-// nextSeq must be called with mu held.
-func (m *Memo[V]) nextSeq() uint64 { m.seq++; return m.seq }
-
-// evictLocked drops least-recently-used COMPLETED entries until the
-// retention bound holds. In-flight entries don't count against the bound
-// and are never evicted. A linear scan per eviction is fine at this
-// cache's scale (hundreds of entries, evictions rare).
-func (m *Memo[V]) evictLocked() {
-	if m.max <= 0 {
-		for k, e := range m.entries {
-			if completed(e.done) {
-				delete(m.entries, k)
-			}
-		}
-		return
-	}
-	for {
-		completedCount := 0
-		oldestKey := ""
-		var oldestSeq uint64
-		for k, e := range m.entries {
-			if !completed(e.done) {
-				continue
-			}
-			completedCount++
-			if oldestKey == "" || e.seq < oldestSeq {
-				oldestKey, oldestSeq = k, e.seq
-			}
-		}
-		if completedCount <= m.max {
-			return
-		}
-		delete(m.entries, oldestKey)
-	}
-}
-
-func completed(done chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -348,4 +349,81 @@ func TestCostFromSnapshot(t *testing.T) {
 	if c := model("unknown"); c != 77 {
 		t.Errorf("unknown cost = %d, want fallback 77", c)
 	}
+}
+
+// TestMemoEvictionOrder scripts inserts, Do hits and Gets against a
+// bound of 3 and checks the survivors, least recently used first, after
+// every step. A Do hit refreshes an entry, a Get does not, an in-flight
+// entry neither counts against the bound nor is evicted, and a failure
+// is never retained.
+func TestMemoEvictionOrder(t *testing.T) {
+	m := NewMemo[string](3)
+	do := func(k string) {
+		t.Helper()
+		if v, err := m.Do(context.Background(), k, func(context.Context) (string, error) { return k, nil }); err != nil || v != k {
+			t.Fatalf("Do(%s) = %q, %v", k, v, err)
+		}
+	}
+	check := func(step string, wantLen int, want ...string) {
+		t.Helper()
+		m.mu.Lock()
+		var got []string
+		for e := m.lru.Front(); e != nil; e = e.Next() {
+			got = append(got, e.Value.(*memoEntry[string]).key)
+		}
+		listed := m.lru.Len()
+		m.mu.Unlock()
+		if !reflect.DeepEqual(got, want) || listed != len(want) {
+			t.Fatalf("%s: survivors %v (listed %d), want %v", step, got, listed, want)
+		}
+		for _, k := range want {
+			if v, ok := m.Get(k); !ok || v != k {
+				t.Fatalf("%s: Get(%s) = %q, %v", step, k, v, ok)
+			}
+		}
+		if n := m.Len(); n != wantLen {
+			t.Fatalf("%s: Len = %d, want %d", step, n, wantLen)
+		}
+	}
+
+	do("a")
+	do("b")
+	do("c")
+	check("three inserts", 3, "a", "b", "c")
+	do("a")
+	check("hit on a", 3, "b", "c", "a")
+	do("d")
+	check("insert d evicts b", 3, "c", "a", "d")
+	m.Get("c")
+	do("e")
+	check("Get is no use: insert e evicts c", 3, "a", "d", "e")
+
+	release, started, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		if _, err := m.Do(context.Background(), "slow", func(context.Context) (string, error) {
+			close(started)
+			<-release
+			return "slow", nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-started
+	check("in flight", 4, "a", "d", "e")
+	do("f")
+	check("insert f beside the in-flight entry", 4, "d", "e", "f")
+	close(release)
+	<-finished
+	check("slow completes as most recent", 3, "e", "f", "slow")
+
+	if _, err := m.Do(context.Background(), "bad", func(context.Context) (string, error) {
+		return "", errors.New("boom")
+	}); err == nil {
+		t.Fatal("failing Do returned no error")
+	}
+	check("failure not retained", 3, "e", "f", "slow")
+	do("e")
+	do("g")
+	check("hit on e, then g evicts f", 3, "slow", "e", "g")
 }

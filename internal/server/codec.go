@@ -270,10 +270,11 @@ func expandRun(req RunRequest) ([]experiments.Cell, error) {
 }
 
 // expandSweep turns a validated SweepRequest into its cells and the
-// requested cell count. p supplies the standard-matrix expansion (and
-// carries the benchmark narrowing). The filter, generator and I-side
-// axes expand through the experiments sweep axes, so names canonicalise
-// and dedupe exactly as in pfexperiments; the cells stay filter-major.
+// requested cell count. p supplies the standard-matrix expansion; for a
+// standard request expandSweep narrows p's benchmarks to the request's.
+// The filter, generator and I-side axes expand through the experiments
+// sweep axes, so names canonicalise and dedupe exactly as in
+// pfexperiments; the cells stay filter-major.
 func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.Cell, int, error) {
 	if err := validateBenchmarks(req.Benchmarks); err != nil {
 		return nil, 0, err
@@ -292,6 +293,7 @@ func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.Cell, i
 		if axis != nil {
 			return nil, 0, fmt.Errorf("the standard matrix cannot be crossed with the generators or iprefetch axis")
 		}
+		p.Benchmarks = req.Benchmarks
 		if len(traces) > 0 {
 			// The trace axis extends the standard matrix's benchmark set.
 			base := p.Benchmarks

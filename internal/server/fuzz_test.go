@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/filter"
 	"repro/internal/frontend"
+	"repro/internal/sim"
 )
 
 // FuzzCellRequest throws arbitrary bytes at the /v1/cell gate, which
@@ -53,5 +56,45 @@ func FuzzCellRequest(f *testing.F) {
 				t.Fatalf("gate accepted an instruction prefetcher that does not build: %v\n%s", err, data)
 			}
 		}
+	})
+}
+
+// FuzzSweepRequest throws arbitrary bytes at the /v1/sweep body decode
+// and its expansion into cells, the steps handleSweep takes before
+// anything runs. Neither may panic, and every cell an accepted request
+// expands to must pass sim.Validate.
+func FuzzSweepRequest(f *testing.F) {
+	for _, body := range []string{
+		`{}`,
+		`{"benchmarks":["mcf","gzip"],"filters":["none","pa"],"instructions":500000,"seed":1}`,
+		`{"benchmarks":["mcf"],"generators":["all"],"filters":["all"],"cache_kb":16}`,
+		`{"benchmarks":["gcc"],"iprefetch":["all"],"filters":["pa","perceptron"],"cache_kb":32}`,
+		`{"standard":true,"benchmarks":["mcf"]}`,
+		`{"standard":true,"generators":["nsp"]}`,
+		`{"traces":["all"],"filters":["PA","pa"]}`,
+		`{"benchmarks":["mcf"],"filters":["static"],"cache_kb":64}`,
+		`{"benchmarks":["mcf"],"generators":["nsp"],"iprefetch":["mana"]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	s := New(Config{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(data))
+		var req SweepRequest
+		if _, err := decodeJSON(httptest.NewRecorder(), r, &req); err != nil {
+			return
+		}
+		p := s.paramsFor(req.Instructions, req.Warmup, req.Seed)
+		cells, _, err := expandSweep(req, &p)
+		if err != nil {
+			return
+		}
+		for _, c := range cells {
+			if err := sim.Validate(c.Config); err != nil {
+				t.Fatalf("sweep accepted cell %s that fails validation: %v\n%s", c.Name(), err, data)
+			}
+		}
+		cellsFor(&p, cells)
 	})
 }

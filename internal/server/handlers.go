@@ -181,9 +181,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	p := s.paramsFor(req.Instructions, req.Warmup, req.Seed)
-	if req.Standard {
-		p.Benchmarks = req.Benchmarks
-	}
 	expanded, jobs, err := expandSweep(req, &p)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
