@@ -41,7 +41,7 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		md       = flag.Bool("md", false, "emit GitHub-flavored markdown")
 		n        = flag.Int64("n", 2_000_000, "measured instructions per run")
-		warmup   = flag.Int64("warmup", 1_000_000, "warmup instructions per run")
+		warmup   = flag.Int64("warmup", 1_000_000, "warmup instructions per run (0 or negative = none)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		bench    = flag.String("bench", "", "comma-separated benchmark subset (default: all ten)")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the simulation sweep (0 = none); queued sims past it are abandoned")

@@ -43,7 +43,7 @@ func main() {
 		filterF  = flag.String("filter", "none", "pollution filter: "+strings.Join(filter.Sweepable(), "|"))
 		entries  = flag.Int("entries", 4096, "history table entries (power of two)")
 		n        = flag.Int64("n", 2_000_000, "measured instructions")
-		warmup   = flag.Int64("warmup", 1_000_000, "warmup instructions (excluded from stats)")
+		warmup   = flag.Int64("warmup", 1_000_000, "warmup instructions (excluded from stats; 0 or negative = none)")
 		seed     = flag.Uint64("seed", 1, "workload/replacement seed")
 		l1size   = flag.Int("l1", 8192, "L1 size in bytes")
 		l1lat    = flag.Int("l1lat", 0, "L1 latency in cycles (0 = derive: 8KB→1, 32KB→4)")
@@ -110,6 +110,9 @@ func main() {
 	cfg.Prefetch.EnableCorrelation = *corr
 	cfg.Seed = *seed
 
+	if *warmup == 0 {
+		*warmup = -1 // sim.Options reads 0 as DefaultWarmup
+	}
 	opts := sim.Options{
 		Benchmark:       *bench,
 		Config:          cfg,

@@ -82,13 +82,9 @@ func runAblation(p *Params) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			r, err := sim.Run(sim.Options{
-				Benchmark:       name,
-				Config:          config.Default(),
-				Filter:          f,
-				MaxInstructions: p.Instructions,
-				Warmup:          p.Warmup,
-			})
+			opts := p.simOptions(name, config.Default())
+			opts.Filter = f
+			r, err := sim.Run(opts)
 			if err != nil {
 				return err
 			}

@@ -38,12 +38,7 @@ func runBaselines(p *Params) (*Table, error) {
 		{"PC filter (paper)", "1KB table + 2b/line + PC path", mkKind(config.FilterPC)},
 		{"adaptive PA (§5.2.1)", "1KB table + accuracy window", mkKind(config.FilterAdaptive)},
 		{"static profile (Srinivasan)", "offline profile", func(bench string) (stats.Run, error) {
-			return sim.RunStatic(sim.Options{
-				Benchmark:       bench,
-				Config:          config.Default(),
-				MaxInstructions: p.Instructions,
-				Warmup:          p.Warmup,
-			}, core.PAKey, 0.5)
+			return sim.RunStatic(p.simOptions(bench, config.Default()), core.PAKey, 0.5)
 		}},
 		{"dead-block gate (Lai)", "1KB table + sig/line", mkKind(config.FilterDeadBlock)},
 		{"prefetch buffer (Chen)", "16-entry FA buffer", func(bench string) (stats.Run, error) {

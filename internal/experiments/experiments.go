@@ -29,7 +29,8 @@ import (
 type Params struct {
 	// Instructions measured per simulation (after warmup).
 	Instructions int64
-	// Warmup instructions excluded from measurement.
+	// Warmup instructions excluded from measurement; 0 or a negative
+	// count runs none.
 	Warmup int64
 	// Seed for workload generation and randomized policies.
 	Seed uint64
@@ -41,24 +42,8 @@ type Params struct {
 	// Prewarm totals ("experiments.prewarm.*"). All updates are nil-safe,
 	// so an unset registry costs nothing.
 	Metrics *metrics.Registry
-	// Store, when non-nil, is the persistent result level behind the
-	// in-process single-flight memo: probed on memo miss before
-	// simulating, filled after every simulation. pfserved wires the
-	// on-disk fabric CAS here, making the memo the L1 of a persistent
-	// hierarchy — "experiments.cache.misses" stays the true simulation
-	// count (a store hit is NOT a miss), which is what lets operators
-	// verify "zero simulations" sweeps from /metrics.
-	Store RunStore
 
 	cache map[string]stats.Run
-}
-
-// RunStore is a persistent key→result store (satisfied structurally by
-// internal/fabric's CAS). Implementations swallow their own I/O errors:
-// a broken store degrades to simulating, never to failing runs.
-type RunStore interface {
-	GetRun(key string) (stats.Run, bool)
-	PutRun(key string, r stats.Run)
 }
 
 // DefaultParams returns the harness defaults: 2M measured instructions
@@ -127,28 +112,13 @@ func (p *Params) RunSim(ctx context.Context, bench string, cfg config.Config) (s
 	computed := false
 	r, err := runMemo.Do(ctx, key, func(context.Context) (stats.Run, error) {
 		computed = true
-		if p.Store != nil {
-			if r, ok := p.Store.GetRun(key); ok {
-				p.Metrics.Counter("experiments.cache.store_hits").Inc()
-				return r, nil
-			}
-		}
 		p.Metrics.Counter("experiments.cache.misses").Inc()
 		start := time.Now()
-		r, err := sim.Run(sim.Options{
-			Benchmark:       bench,
-			Config:          cfg,
-			MaxInstructions: p.Instructions,
-			Warmup:          p.Warmup,
-		})
+		r, err := sim.Run(p.simOptions(bench, cfg))
 		if err != nil {
 			return stats.Run{}, fmt.Errorf("experiments: %s: %w", bench, err)
 		}
 		p.Metrics.Histogram("experiments.sim.wall_ns." + bench).Observe(uint64(time.Since(start)))
-		if p.Store != nil {
-			p.Store.PutRun(key, r)
-			p.Metrics.Counter("experiments.cache.store_fills").Inc()
-		}
 		return r, nil
 	})
 	if err != nil {
@@ -161,6 +131,18 @@ func (p *Params) RunSim(ctx context.Context, bench string, cfg config.Config) (s
 	}
 	p.storeRun(key, r)
 	return r, nil
+}
+
+// simOptions is where Params meet sim.Options: the benchmark, the
+// config and the budget. Params.Warmup counts warmup instructions, so 0
+// means none, while sim.Options reads 0 as DefaultWarmup and a negative
+// count as none.
+func (p *Params) simOptions(bench string, cfg config.Config) sim.Options {
+	warmup := p.Warmup
+	if warmup == 0 {
+		warmup = -1
+	}
+	return sim.Options{Benchmark: bench, Config: cfg, MaxInstructions: p.Instructions, Warmup: warmup}
 }
 
 // Experiment is one regenerable paper artifact.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/report"
+	"repro/internal/stats"
 )
 
 // configDefaultForTest returns the default machine for cache-concurrency
@@ -184,6 +185,30 @@ func TestConcurrentRunsConsistent(t *testing.T) {
 	for _, c := range results[1:] {
 		if c != results[0] {
 			t.Fatalf("concurrent runs disagreed: %v", results)
+		}
+	}
+}
+
+// TestZeroWarmupRunsNone pins what Params.Warmup 0 means: no warmup,
+// the same simulation as a negative warmup. sim.Options reads 0 as
+// DefaultWarmup, so a Params that passed 0 through ran 1M warmup
+// instructions under a cache key that says w=0.
+func TestZeroWarmupRunsNone(t *testing.T) {
+	cfg := config.Default()
+	for name, run := range map[string]func(p *Params) (stats.Run, error){
+		"memoized":     func(p *Params) (stats.Run, error) { return p.run("mcf", cfg) },
+		"instrumented": func(p *Params) (stats.Run, error) { return runTaxonomyInstrumented(p, "mcf", cfg) },
+	} {
+		var runs [2]stats.Run
+		for i, warmup := range []int64{0, -1} {
+			r, err := run(&Params{Instructions: 20_000, Warmup: warmup, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = r
+		}
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Errorf("%s: Warmup 0 ran %d cycles, no warmup %d", name, runs[0].Cycles, runs[1].Cycles)
 		}
 	}
 }

@@ -24,13 +24,9 @@ import (
 // cache (the tracker is per-run state).
 func runTaxonomyInstrumented(p *Params, bench string, cfg config.Config) (stats.Run, error) {
 	cfg.Seed = p.Seed
-	return sim.Run(sim.Options{
-		Benchmark:       bench,
-		Config:          cfg,
-		MaxInstructions: p.Instructions,
-		Warmup:          p.Warmup,
-		Taxonomy:        true,
-	})
+	opts := p.simOptions(bench, cfg)
+	opts.Taxonomy = true
+	return sim.Run(opts)
 }
 
 func runTaxonomy(p *Params) (*Table, error) {

@@ -85,12 +85,7 @@ func runExtras(p *Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := sim.RunStatic(sim.Options{
-			Benchmark:       name,
-			Config:          config.Default(),
-			MaxInstructions: p.Instructions,
-			Warmup:          p.Warmup,
-		}, core.PAKey, 0.5)
+		st, err := sim.RunStatic(p.simOptions(name, config.Default()), core.PAKey, 0.5)
 		if err != nil {
 			return nil, err
 		}

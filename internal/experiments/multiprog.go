@@ -56,14 +56,9 @@ func runMultiprog(p *Params) (*Table, error) {
 		}
 		cfg := config.Default().WithFilter(kind)
 		cfg.Seed = p.Seed
-		return sim.Run(sim.Options{
-			Benchmark:       pair,
-			Source:          src,
-			Config:          cfg,
-			Filter:          filter,
-			MaxInstructions: instr,
-			Warmup:          p.Warmup,
-		})
+		opts := p.simOptions(pair, cfg)
+		opts.Source, opts.Filter, opts.MaxInstructions = src, filter, instr
+		return sim.Run(opts)
 	}
 
 	none, err := runOne(config.FilterNone, nil)

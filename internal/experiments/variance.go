@@ -34,12 +34,7 @@ func runVariance(p *Params) (*Table, error) {
 			for _, kind := range []config.FilterKind{config.FilterNone, config.FilterPA, config.FilterPC} {
 				cfg := config.Default().WithFilter(kind)
 				cfg.Seed = seed
-				r, err := sim.Run(sim.Options{
-					Benchmark:       bench,
-					Config:          cfg,
-					MaxInstructions: p.Instructions,
-					Warmup:          p.Warmup,
-				})
+				r, err := sim.Run(p.simOptions(bench, cfg))
 				if err != nil {
 					return nil, err
 				}

@@ -138,7 +138,7 @@ func isAddress(sha string) bool {
 // from disk on a tier miss. wantKey, when non-empty, must match the
 // stored key (content-address verification), on a tier hit as on a read.
 func (c *CAS) load(sha, wantKey string) (string, stats.Run, bool, error) {
-	//pflint:allow ctxflow/background the lookup signatures carry no context (GetRun is the context-free experiments.RunStore), and a waiter waits only for one local file read and decode
+	//pflint:allow ctxflow/background the lookup signatures carry no context, and a waiter waits only for one local file read and decode
 	e, err := c.mem.Do(context.TODO(), sha, func(context.Context) (envelope, error) {
 		return c.read(sha)
 	})
@@ -236,21 +236,4 @@ func (c *CAS) Len() (int, error) {
 		return nil
 	})
 	return n, err
-}
-
-// GetRun and PutRun adapt the CAS to the experiments.RunStore interface
-// (structural), making the store the persistent level behind the
-// in-process single-flight memo: probe on memo miss, fill after
-// simulation. Store errors are counted, not fatal — a broken disk
-// degrades to simulating, never to failing requests.
-
-// GetRun implements experiments.RunStore.
-func (c *CAS) GetRun(key string) (stats.Run, bool) {
-	r, ok, _ := c.Get(key) // error already counted in fabric.cas.errors
-	return r, ok
-}
-
-// PutRun implements experiments.RunStore.
-func (c *CAS) PutRun(key string, r stats.Run) {
-	_ = c.Put(key, r) // error already counted in fabric.cas.errors
 }

@@ -324,18 +324,6 @@ func TestCASConcurrentGetsReadOnce(t *testing.T) {
 	}
 }
 
-func TestCASRunStoreAdapterSwallowsErrors(t *testing.T) {
-	c, _ := openTestCAS(t)
-	key := "adapter"
-	if _, ok := c.GetRun(key); ok {
-		t.Fatal("GetRun hit on empty store")
-	}
-	c.PutRun(key, testRun(5))
-	if r, ok := c.GetRun(key); !ok || !reflect.DeepEqual(r, testRun(5)) {
-		t.Fatalf("GetRun = %+v, %v", r, ok)
-	}
-}
-
 func TestFingerprintOrderIndependent(t *testing.T) {
 	a := map[string]stats.Run{"k1": testRun(1), "k2": testRun(2)}
 	b := map[string]stats.Run{"k2": testRun(2), "k1": testRun(1)}

@@ -2,16 +2,16 @@
 // shards a sweep's cells across remote worker processes over HTTP,
 // backed by an on-disk content-addressed store of completed results.
 //
-// It runs on internal/sched, with an HTTP dispatch where the in-process
-// harness has a function call:
+// Every pfserved role runs its batches through the same cell Loop
+// (loop.go); the coordinator's compute step is an HTTP dispatch where a
+// local daemon's is a simulation:
 //
 //   - Cells are keyed by experiments.CacheKey — the same fully-qualified
 //     key the in-process memo uses — so a cell computed anywhere is a
 //     cell computed everywhere.
-//   - The coordinator probes the CAS first: hot cells are answered
-//     without simulating at all, from the CAS's in-process tier once an
-//     entry has been read back, from disk before that. Only misses are
-//     dealt.
+//   - The CAS is probed first: hot cells are answered without simulating
+//     at all, from the CAS's in-process tier once an entry has been read
+//     back, from disk before that. Only misses are dealt.
 //   - Each miss is one sched job, costed by the scheduler's cost model,
 //     so sched deals them longest-first and balances them by stealing.
 //     A job dispatches on a free slot of the worker fleet: each worker
@@ -150,9 +150,6 @@ func (c *Coordinator) Workers() []string {
 	return out
 }
 
-// CAS returns the coordinator's store (nil if none).
-func (c *Coordinator) CAS() *CAS { return c.opts.CAS }
-
 // fleet is one Run's view of the workers: each worker's free dispatch
 // slots (PerWorker at the start) and the strikes that mark it dead. The
 // lock is touched a few times per cell, never in a hot loop.
@@ -251,64 +248,24 @@ func (f *fleet) put(w int, cell *Cell, ok, strike bool, deadAfter int) (died boo
 
 // Run executes cells across the worker fleet and calls emit once per
 // cell as results land (CAS hits first, then remote completions in
-// completion order). emit calls are serialized. Cells sharing a key are
-// dispatched once and each emitted with that dispatch's result. The CAS
-// misses run as sched jobs, longest-first by cost; pass
-// sched.ConstCost(1) when no history exists. Run returns ctx.Err() when
-// cancelled; per-cell failures are reported through emit, not the
-// return value.
+// completion order). emit calls are serialized. It is the cell Loop with
+// a dispatch as its compute step: cells sharing a key are dispatched
+// once, the CAS misses run as sched jobs, longest-first by cost (pass
+// sched.ConstCost(1) when no history exists), and the worker fleet
+// offers PerWorker slots each. Run returns ctx.Err() when cancelled;
+// per-cell failures are reported through emit, not the return value.
 func (c *Coordinator) Run(ctx context.Context, p Params, cells []Cell, cost sched.CostModel, emit func(Result)) error {
 	m := c.opts.Metrics
-	var emitMu sync.Mutex
-	send := func(r Result) {
-		emitMu.Lock()
-		emit(r)
-		emitMu.Unlock()
-	}
-
-	// CAS pass: hot cells never touch a worker. Misses are grouped by key.
-	var keys []string
-	misses := make(map[string][]int)
-	for i := range cells {
-		if c.opts.CAS != nil {
-			if run, ok, _ := c.opts.CAS.Get(cells[i].Key); ok {
-				send(Result{Cell: cells[i], Run: run, Source: "cas"})
-				continue
-			}
-		}
-		if misses[cells[i].Key] == nil {
-			keys = append(keys, cells[i].Key)
-		}
-		misses[cells[i].Key] = append(misses[cells[i].Key], i)
-	}
-	if len(keys) == 0 {
-		return ctx.Err()
-	}
-	m.Counter("fabric.cells.dealt").Add(uint64(len(keys)))
-	sendAll := func(r Result) {
-		for _, i := range misses[r.Cell.Key] {
-			r.Cell = cells[i]
-			send(r)
-		}
-	}
-
 	f := c.newFleet()
-	jobs := make([]sched.Job, len(keys))
-	for k, key := range keys {
-		cell := &cells[misses[key][0]]
-		jobs[k] = sched.Job{Key: key, Cost: cost(cell.Bench), Run: func(ctx context.Context) (any, error) {
-			sendAll(c.runCell(ctx, f, p, cell))
-			return nil, nil
-		}}
+	loop := Loop{
+		CAS:     c.opts.CAS,
+		Slots:   len(c.opts.Workers) * c.opts.PerWorker,
+		Metrics: m,
+		Compute: func(ctx context.Context, cell *Cell) Result { return c.runCell(ctx, f, p, cell) },
 	}
-	results, err := sched.Run(ctx, jobs, sched.Options{Workers: len(c.opts.Workers) * c.opts.PerWorker, Metrics: m})
-	// Cells the cancellation sweep never started.
-	for _, key := range keys {
-		if r := results[key]; r.Worker < 0 {
-			m.Counter("fabric.cells.failed").Inc()
-			sendAll(Result{Cell: cells[misses[key][0]], Err: r.Err})
-		}
-	}
+	dealt, unstarted, err := loop.Run(ctx, cells, cost, emit)
+	m.Counter("fabric.cells.dealt").Add(uint64(dealt))
+	m.Counter("fabric.cells.failed").Add(uint64(unstarted))
 	return err
 }
 
@@ -335,11 +292,6 @@ func (c *Coordinator) runCell(ctx context.Context, f *fleet, p Params, cell *Cel
 			m.Counter("fabric.workers.dead").Inc()
 		}
 		if err == nil {
-			if c.opts.CAS != nil {
-				// A fill failure degrades the next sweep to
-				// re-simulating; it does not fail this one.
-				_ = c.opts.CAS.Put(cell.Key, run)
-			}
 			m.Counter("fabric.cells.completed").Inc()
 			return Result{Cell: *cell, Run: run, Wall: wall, Source: url, Attempts: attempt}
 		}

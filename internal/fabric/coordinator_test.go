@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -388,5 +389,45 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := New(Options{Workers: []string{"localhost:8078"}}); err == nil {
 		t.Fatal("New accepted a schemeless worker URL")
+	}
+}
+
+func TestCoordinatorDispatchOrderIsCostThenKey(t *testing.T) {
+	var mu sync.Mutex
+	var order []string
+	w := fakeWorker(t, nil, func(_ http.ResponseWriter, cr *CellResponse) bool {
+		mu.Lock()
+		order = append(order, cr.Key[:len("bench00")])
+		mu.Unlock()
+		return true
+	})
+	c, err := New(Options{Workers: []string{w.URL}, PerWorker: 1, Metrics: metrics.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := testCells(6)
+	for i, j := 0, len(cells)-1; i < j; i, j = i+1, j-1 {
+		cells[i], cells[j] = cells[j], cells[i] // input order is not dispatch order
+	}
+	cost := func(bench string) uint64 {
+		switch bench {
+		case "bench02", "bench04":
+			return 3
+		case "bench05":
+			return 2
+		}
+		return 1
+	}
+	err = c.Run(context.Background(), Params{Instructions: 100, Warmup: 10, Seed: 1}, cells, sched.CostModel(cost), func(r Result) {
+		if r.Err != nil {
+			t.Errorf("cell %s failed: %v", r.Cell.Key, r.Err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"bench02", "bench04", "bench05", "bench00", "bench01", "bench03"}
+	if strings.Join(order, ",") != strings.Join(want, ",") {
+		t.Fatalf("dispatch order %v, want cost descending then key ascending %v", order, want)
 	}
 }

@@ -120,8 +120,9 @@ type RunResult struct {
 	// KeySHA is the cell's content address (sha256 of its cache key) —
 	// the CAS filename stem and the handle for GET /v1/cell?sha=….
 	KeySHA string `json:"key_sha,omitempty"`
-	// Source reports where a fabric-served cell came from: "cas", or
-	// the worker URL that computed it. Empty on single-node execution.
+	// Source reports where the cell's result came from: "cas" when the
+	// content-addressed store answered it, the worker URL that computed
+	// it on a coordinator. Empty when this daemon simulated it.
 	Source string `json:"source,omitempty"`
 
 	Run   *stats.Run `json:"run,omitempty"`
@@ -156,7 +157,7 @@ type SweepResponse struct {
 	// fingerprints — the fabric's determinism contract.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// CASHits counts cells served from the content-addressed store
-	// without simulating (fabric execution only).
+	// without simulating, on every daemon with a store (-cas-dir).
 	CASHits int `json:"cas_hits,omitempty"`
 	// Comparison is the head-to-head view of the successful cells: one
 	// row per cell with its axis label, classification counts, accuracy,
@@ -257,16 +258,21 @@ func buildConfig(filterName string, cacheKB, tableEntries, l1Ports int, prefetch
 	return cfg, nil
 }
 
-// expandRun turns a validated RunRequest into its single cell.
-func expandRun(req RunRequest) ([]experiments.Cell, error) {
+// expandRun is the /v1/run gate: it turns a RunRequest into its
+// parameters and its single cell, or says why it may not run.
+func (s *Server) expandRun(req RunRequest) (experiments.Params, []experiments.Cell, error) {
 	if err := validateBenchmarks([]string{req.Benchmark}); err != nil {
-		return nil, err
+		return experiments.Params{}, nil, err
 	}
 	cfg, err := buildConfig(req.Filter, req.CacheKB, req.TableEntries, req.L1Ports, req.PrefetchBuffer)
 	if err != nil {
-		return nil, err
+		return experiments.Params{}, nil, err
 	}
-	return []experiments.Cell{{Bench: req.Benchmark, Filter: string(cfg.Filter.Kind), Config: cfg}}, nil
+	p := s.paramsFor(req.Instructions, req.Warmup, req.Seed)
+	if err := checkBudget(&p, s.cfg.MaxInstructions); err != nil {
+		return experiments.Params{}, nil, err
+	}
+	return p, []experiments.Cell{{Bench: req.Benchmark, Filter: string(cfg.Filter.Kind), Config: cfg}}, nil
 }
 
 // expandSweep turns a validated SweepRequest into its cells and the
@@ -348,28 +354,25 @@ func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.Cell, i
 	return cells, len(benches) * len(names) * len(values), nil
 }
 
-// resultForCell assembles one RunResult from a cell and its outcome,
-// stamping the content address and fabric provenance.
-func resultForCell(c sweepCell, o cellOutcome) RunResult {
+// resultForCell assembles one RunResult from a cell and its result,
+// stamping the content address and provenance.
+func resultForCell(c sweepCell, r fabric.Result) RunResult {
 	out := RunResult{
 		Name:        c.Name(),
 		Benchmark:   c.Bench,
 		Generator:   c.Generator,
 		IPrefetcher: c.IPrefetcher,
 		Filter:      c.Filter,
-		WallNS:      o.wallNS,
+		WallNS:      r.Wall.Nanoseconds(),
 		KeySHA:      fabric.KeySHA(c.key),
-		Source:      o.source,
+		Source:      r.Source,
 	}
-	switch {
-	case o.err != nil:
-		out.Error = o.err.Error()
-	case o.run == nil:
-		out.Error = "cell produced no result"
-	default:
-		out.Run = o.run
-		out.IPC = o.run.IPC()
-		out.L1MissRate = o.run.L1MissRate()
+	if r.Err != nil {
+		out.Error = r.Err.Error()
+		return out
 	}
+	out.Run = &r.Run
+	out.IPC = r.Run.IPC()
+	out.L1MissRate = r.Run.L1MissRate()
 	return out
 }

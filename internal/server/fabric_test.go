@@ -10,8 +10,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,30 +32,18 @@ import (
 // and counts invocations.
 func fakeSimFor(sims *atomic.Int64) func(context.Context, *experiments.Params, string, config.Config) (stats.Run, error) {
 	return func(_ context.Context, p *experiments.Params, bench string, cfg config.Config) (stats.Run, error) {
-		key := p.CacheKey(bench, cfg)
-		// Mirror the production path's store contract (experiments.RunSim):
-		// probe the persistent store before simulating, fill it after.
-		if p.Store != nil {
-			if r, ok := p.Store.GetRun(key); ok {
-				return r, nil
-			}
-		}
 		if sims != nil {
 			sims.Add(1)
 		}
-		sum := sha256.Sum256([]byte(key))
+		sum := sha256.Sum256([]byte(p.CacheKey(bench, cfg)))
 		n := binary.BigEndian.Uint64(sum[:8]) % 1_000_000
-		r := stats.Run{
+		return stats.Run{
 			Benchmark:    bench,
 			Filter:       string(cfg.Filter.Kind),
 			Instructions: uint64(p.Instructions),
 			Cycles:       uint64(p.Instructions) + n,
 			Prefetches:   stats.Prefetches{Issued: n, Good: n / 2, Bad: n / 3},
-		}
-		if p.Store != nil {
-			p.Store.PutRun(key, r)
-		}
-		return r, nil
+		}, nil
 	}
 }
 
@@ -197,6 +188,78 @@ func TestFabricRepeatSweepServedFromCAS(t *testing.T) {
 	}
 }
 
+// TestStandaloneAnswersFromCAS pins the cache order of a standalone
+// daemon with a store: a repeated sweep is answered from the CAS, each
+// such cell says so in its source and in cas_hits, and a corrupt entry
+// re-simulates, counted in fabric.cas.errors, instead of failing the
+// cell. A restarted daemon on the same directory simulates nothing.
+func TestStandaloneAnswersFromCAS(t *testing.T) {
+	dir := t.TempDir()
+	var sims atomic.Int64
+	sweep := func(s *Server, ts *httptest.Server) SweepResponse {
+		t.Helper()
+		s.runSim = fakeSimFor(&sims)
+		status, b := post(t, ts.URL, "/v1/sweep", sweepBody)
+		if status != http.StatusOK {
+			t.Fatalf("sweep: status %d: %s", status, b)
+		}
+		var resp SweepResponse
+		if err := json.Unmarshal(b, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Errors != 0 {
+			t.Fatalf("sweep reported %d errors: %s", resp.Errors, b)
+		}
+		return resp
+	}
+	daemon := func() (*Server, *httptest.Server, *metrics.Registry) {
+		m := metrics.New()
+		cas, err := fabric.OpenCAS(dir, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ts := newTestServer(t, Config{CAS: cas, Metrics: m})
+		return s, ts, m
+	}
+
+	s, ts, m := daemon()
+	first := sweep(s, ts)
+	if first.CASHits != 0 || sims.Load() != int64(first.Unique) {
+		t.Fatalf("cold sweep: cas_hits = %d, %d simulations; want 0 and %d", first.CASHits, sims.Load(), first.Unique)
+	}
+	bad := first.Results[0]
+	if err := os.WriteFile(filepath.Join(dir, bad.KeySHA[:2], bad.KeySHA+".json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second := sweep(s, ts)
+	if second.CASHits != second.Unique-1 || sims.Load() != int64(first.Unique)+1 {
+		t.Fatalf("warm sweep over one corrupt entry: cas_hits = %d of %d, %d simulations; want every other cell from the CAS and one re-simulation",
+			second.CASHits, second.Unique, sims.Load())
+	}
+	for _, r := range second.Results {
+		want := "cas"
+		if r.KeySHA == bad.KeySHA {
+			want = "" // simulated here
+		}
+		if r.Source != want {
+			t.Fatalf("warm sweep cell %s source = %q, want %q", r.Name, r.Source, want)
+		}
+	}
+	if n := m.Snapshot().Counters["fabric.cas.errors"]; n != 1 {
+		t.Fatalf("fabric.cas.errors = %d, want 1 for the corrupt entry", n)
+	}
+	if second.Fingerprint != first.Fingerprint {
+		t.Fatal("the warm sweep's fingerprint differs from the cold sweep's")
+	}
+
+	s, ts, _ = daemon()
+	third := sweep(s, ts)
+	if third.CASHits != third.Unique || sims.Load() != int64(first.Unique)+1 || third.Fingerprint != first.Fingerprint {
+		t.Fatalf("restarted daemon: cas_hits = %d of %d, %d simulations; want every cell from the CAS and none", third.CASHits, third.Unique, sims.Load())
+	}
+}
+
 func TestFabricSurvivesWorkerDeath(t *testing.T) {
 	cl := newCluster(t, 2)
 	// Kill worker 0 before the sweep: every cell dealt to it is a
@@ -296,7 +359,7 @@ func TestCellEndpointExecuteAndFill(t *testing.T) {
 	if err := json.Unmarshal(b, &fr); err != nil {
 		t.Fatal(err)
 	}
-	if run, ok := cas.GetRun(fr.Key); !ok || run.Cycles != 700 {
+	if run, ok, _ := cas.Get(fr.Key); !ok || run.Cycles != 700 {
 		t.Fatalf("filled entry not readable from the CAS (ok=%v run=%+v)", ok, run)
 	}
 
@@ -331,6 +394,16 @@ func TestCellEndpointExecuteAndFill(t *testing.T) {
 			req := fabric.CellRequest{Bench: "mcf", Config: &bad, Instructions: 1000, Run: run}
 			if status, b := post(t, ts.URL, "/v1/cell", mustJSON(t, req)); status != http.StatusBadRequest {
 				t.Errorf("%s (fill=%v): status %d, want 400: %s", name, run != nil, status, b)
+			}
+		}
+	}
+	// A negative warmup, or a budget past the cap once warmup counts, is
+	// refused in both modes too.
+	for _, warmup := range []int64{-5, 50_000_000} {
+		for _, run := range []*stats.Run{nil, {Benchmark: "mcf", Instructions: 1000, Cycles: 1}} {
+			req := fabric.CellRequest{Bench: "mcf", Config: &cfg, Instructions: 1000, Warmup: &warmup, Run: run}
+			if status, b := post(t, ts.URL, "/v1/cell", mustJSON(t, req)); status != http.StatusBadRequest {
+				t.Errorf("warmup %d (fill=%v): status %d, want 400: %s", warmup, run != nil, status, b)
 			}
 		}
 	}
@@ -374,6 +447,46 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
+// readStream parses an NDJSON sweep stream: the result lines, then the
+// summary line, which must come last and exactly once.
+func readStream(t *testing.T, r io.Reader) ([]RunResult, StreamLine) {
+	t.Helper()
+	var results []RunResult
+	var summary *StreamLine
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var line StreamLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if summary != nil {
+			t.Fatalf("%s line after the summary line", line.Type)
+		}
+		switch line.Type {
+		case "result":
+			if line.Result == nil {
+				t.Fatal("result line without a result")
+			}
+			results = append(results, *line.Result)
+		case "summary":
+			if line.Summary == nil {
+				t.Fatal("summary line without a summary")
+			}
+			summary = &line
+		default:
+			t.Fatalf("unknown line type %q", line.Type)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if summary == nil {
+		t.Fatal("stream ended without a summary line")
+	}
+	return results, *summary
+}
+
 func TestSweepStreaming(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.runSim = fakeSimFor(nil)
@@ -391,53 +504,62 @@ func TestSweepStreaming(t *testing.T) {
 		t.Fatalf("Content-Type = %q, want application/x-ndjson", ct)
 	}
 
-	var results []RunResult
-	var summary *SweepResponse
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var line StreamLine
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		switch line.Type {
-		case "result":
-			if summary != nil {
-				t.Fatal("result line after the summary line")
-			}
-			if line.Result == nil {
-				t.Fatal("result line without a result")
-			}
-			results = append(results, *line.Result)
-		case "summary":
-			if line.Summary == nil {
-				t.Fatal("summary line without a summary")
-			}
-			summary = line.Summary
-		default:
-			t.Fatalf("unknown line type %q", line.Type)
-		}
+	results, summary := readStream(t, resp.Body)
+	if len(results) != 6 || summary.Summary.Unique != 6 || summary.Summary.Errors != 0 || summary.Error != "" {
+		t.Fatalf("streamed %d results, summary unique=%d errors=%d error=%q; want 6/6/0", len(results), summary.Summary.Unique, summary.Summary.Errors, summary.Error)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if summary == nil {
-		t.Fatal("stream ended without a summary line")
-	}
-	if len(results) != 6 || summary.Unique != 6 || summary.Errors != 0 {
-		t.Fatalf("streamed %d results, summary unique=%d errors=%d; want 6/6/0", len(results), summary.Unique, summary.Errors)
-	}
-	if len(summary.Results) != 0 {
+	if len(summary.Summary.Results) != 0 {
 		t.Fatal("summary line duplicates the results array")
 	}
 
 	// The stream and the buffered path agree byte for byte.
 	want, buffered := standaloneFingerprint(t, `{"benchmarks":["mcf","gzip"],"instructions":1000,"seed":7}`)
-	if summary.Fingerprint != want {
-		t.Fatalf("streamed fingerprint %s != buffered %s", summary.Fingerprint, want)
+	if summary.Summary.Fingerprint != want {
+		t.Fatalf("streamed fingerprint %s != buffered %s", summary.Summary.Fingerprint, want)
 	}
 	if len(buffered.Results) != len(results) {
 		t.Fatalf("streamed %d results, buffered %d", len(results), len(buffered.Results))
+	}
+}
+
+// TestSweepStreamingQueuedPastDeadline: a streamed sweep that never gets
+// an execution token has run nothing, and its summary says so — every
+// cell an error, no comparison, and the deadline in the error field.
+func TestSweepStreamingQueuedPastDeadline(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Config{QueueDepth: 4, MaxConcurrent: 1, Workers: 1})
+	s.runSim = blockingRunner(entered, release)
+	defer close(release)
+
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(`{"benchmark":"mcf"}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first request never reached the runner")
+	}
+
+	body := `{"benchmarks":["mcf","gzip"],"stream":true,"deadline_ms":50}`
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	results, summary := readStream(t, resp.Body)
+	sum := summary.Summary
+	if len(results) != 0 || sum.Unique != 6 || sum.Errors != sum.Unique {
+		t.Fatalf("streamed %d results, summary unique=%d errors=%d; want 0/6/6", len(results), sum.Unique, sum.Errors)
+	}
+	if !strings.Contains(summary.Error, "queued") {
+		t.Fatalf("summary error = %q, want the queue deadline", summary.Error)
+	}
+	if len(sum.Comparison) != 0 {
+		t.Fatalf("summary compares %d rows of cells that never ran", len(sum.Comparison))
 	}
 }
 

@@ -36,6 +36,7 @@ func FuzzCellRequest(f *testing.F) {
 		c.Filter.Kind, c.Filter.TournamentA = config.FilterTournament, config.FilterStatic
 	}))
 	f.Add(seed(func(c *config.Config) { *c = c.WithIPrefetch(config.IPrefetchMANA) }))
+	s := New(Config{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req fabric.CellRequest
@@ -44,7 +45,8 @@ func FuzzCellRequest(f *testing.F) {
 		if dec.Decode(&req) != nil {
 			return
 		}
-		if validateCell(req, 1<<20) != nil {
+		p := s.paramsFor(req.Instructions, req.Warmup, req.Seed)
+		if validateCell(req, &p, 1<<20) != nil {
 			return
 		}
 		cfg := *req.Config
@@ -55,6 +57,50 @@ func FuzzCellRequest(f *testing.F) {
 			if _, err := frontend.New(fe.IPrefetch, *fe); err != nil {
 				t.Fatalf("gate accepted an instruction prefetcher that does not build: %v\n%s", err, data)
 			}
+		}
+	})
+}
+
+// FuzzRunRequest throws arbitrary bytes at the /v1/run gate: the strict
+// body decode and expandRun. Neither may panic, and a request the gate
+// accepts must run a config sim.Validate accepts, under a budget the
+// cap bounds: no negative warmup, and no more than the cap in
+// instructions and warmup together.
+func FuzzRunRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"benchmark":"mcf"}`,
+		`{"benchmark":"mcf","filter":"pa","cache_kb":32,"table_entries":1024,"l1_ports":4,"prefetch_buffer":true}`,
+		`{"benchmark":"gzip","instructions":500000,"warmup":0,"seed":3}`,
+		`{"benchmark":"mcf","warmup":-5}`,
+		`{"benchmark":"mcf","instructions":1000,"warmup":1000000000000000}`,
+		`{"benchmark":"mcf","instructions":9223372036854775807,"warmup":9223372036854775807}`,
+		`{"benchmark":"mcf","instructions":-9223372036854775808,"warmup":16000000}`,
+		`{"benchmark":"mcf","filter":"static"}`,
+		`{"benchmark":"mcf","table_entries":1099511627776}`,
+	} {
+		f.Add([]byte(body))
+	}
+	const maxInstructions = 1 << 24
+	s := New(Config{MaxInstructions: maxInstructions})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(data))
+		var req RunRequest
+		if _, err := decodeJSON(httptest.NewRecorder(), r, &req); err != nil {
+			return
+		}
+		p, cells, err := s.expandRun(req)
+		if err != nil {
+			return
+		}
+		if len(cells) != 1 {
+			t.Fatalf("run expanded to %d cells\n%s", len(cells), data)
+		}
+		if err := sim.Validate(cells[0].Config); err != nil {
+			t.Fatalf("run accepted cell %s that fails validation: %v\n%s", cells[0].Name(), err, data)
+		}
+		if p.Warmup < 0 || p.Instructions <= 0 || uint64(p.Instructions)+uint64(p.Warmup) > maxInstructions {
+			t.Fatalf("run accepted %d instructions + %d warmup under the cap %d\n%s", p.Instructions, p.Warmup, maxInstructions, data)
 		}
 	})
 }

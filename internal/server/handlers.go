@@ -88,7 +88,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // slot (or 429), apply the deadline, run the cells, and translate
 // context expiry into 504. On failure it has already written the
 // response and returns ok=false.
-func (s *Server) admitAndExecute(w http.ResponseWriter, r *http.Request, deadlineMS int64, p *experiments.Params, cells []sweepCell) (outcomes map[string]cellOutcome, wallNS int64, ok bool) {
+func (s *Server) admitAndExecute(w http.ResponseWriter, r *http.Request, deadlineMS int64, p *experiments.Params, cells []sweepCell) (outcomes map[string]fabric.Result, wallNS int64, ok bool) {
 	if !s.admit(w) {
 		return nil, 0, false
 	}
@@ -130,17 +130,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, "%v", err)
 		return
 	}
-	if req.Instructions > s.cfg.MaxInstructions {
-		s.writeError(w, http.StatusBadRequest, "instructions %d exceeds the per-request cap %d", req.Instructions, s.cfg.MaxInstructions)
-		return
-	}
-	run, err := expandRun(req)
+	p, run, err := s.expandRun(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
-	p := s.paramsFor(req.Instructions, req.Warmup, req.Seed)
 	cells := cellsFor(&p, run)
 	outcomes, _, ok := s.admitAndExecute(w, r, req.DeadlineMS, &p, cells)
 	if !ok {
@@ -149,8 +144,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	c := cells[0]
 	o := outcomes[c.key]
-	if o.err != nil {
-		s.writeError(w, outcomeStatus(o.err), "simulation failed: %v", o.err)
+	if o.Err != nil {
+		s.writeError(w, outcomeStatus(o.Err), "simulation failed: %v", o.Err)
 		return
 	}
 	s.cfg.Metrics.Counter("server.run.completed").Inc()
@@ -175,10 +170,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, "%v", err)
 		return
 	}
-	if req.Instructions > s.cfg.MaxInstructions {
-		s.writeError(w, http.StatusBadRequest, "instructions %d exceeds the per-request cap %d", req.Instructions, s.cfg.MaxInstructions)
-		return
-	}
 
 	p := s.paramsFor(req.Instructions, req.Warmup, req.Seed)
 	expanded, jobs, err := expandSweep(req, &p)
@@ -192,6 +183,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	cells := cellsFor(&p, expanded)
 	if len(cells) > s.cfg.MaxSweepJobs {
 		s.writeError(w, http.StatusRequestEntityTooLarge, "sweep expands to %d jobs, cap is %d", len(cells), s.cfg.MaxSweepJobs)
+		return
+	}
+	if err := checkBudget(&p, s.cfg.MaxInstructions); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -231,7 +226,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, deadlineMS 
 		flusher.Flush()
 	}
 	enc := json.NewEncoder(w)
-	emit := func(c sweepCell, o cellOutcome) {
+	emit := func(c sweepCell, o fabric.Result) {
 		res := resultForCell(c, o)
 		if err := enc.Encode(StreamLine{Type: "result", Result: &res}); err != nil {
 			return // client gone; the request context cancels the rest
@@ -262,8 +257,9 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, deadlineMS 
 
 // buildSweepResponse assembles the sweep summary (and, when
 // includeResults is set, the per-cell results) from the outcome map. The
-// comparison covers the successful cells.
-func buildSweepResponse(p *experiments.Params, cells []sweepCell, outcomes map[string]cellOutcome, jobs int, wallNS int64, includeResults bool) SweepResponse {
+// comparison covers the successful cells; a cell without an outcome
+// counts as an error.
+func buildSweepResponse(p *experiments.Params, cells []sweepCell, outcomes map[string]fabric.Result, jobs int, wallNS int64, includeResults bool) SweepResponse {
 	resp := SweepResponse{
 		Seed:         p.Seed,
 		Instructions: p.Instructions,
@@ -276,15 +272,15 @@ func buildSweepResponse(p *experiments.Params, cells []sweepCell, outcomes map[s
 	runs := make(map[string]stats.Run, len(cells))
 	var ran []experiments.Cell
 	for _, c := range cells {
-		o := outcomes[c.key]
-		if o.err == nil && o.run != nil {
-			runs[c.key] = *o.run
-			c.Run = *o.run
+		o, ok := outcomes[c.key] // absent: the batch never started
+		if ok && o.Err == nil {
+			runs[c.key] = o.Run
+			c.Run = o.Run
 			ran = append(ran, c.Cell)
 		} else {
 			resp.Errors++
 		}
-		if o.source == "cas" {
+		if o.Source == "cas" {
 			resp.CASHits++
 		}
 		results = append(results, resultForCell(c, o))
@@ -315,12 +311,11 @@ func (s *Server) handleCellPost(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, "%v", err)
 		return
 	}
-	if err := validateCell(req, s.cfg.MaxInstructions); err != nil {
+	p := s.paramsFor(req.Instructions, req.Warmup, req.Seed)
+	if err := validateCell(req, &p, s.cfg.MaxInstructions); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	p := s.paramsFor(req.Instructions, req.Warmup, req.Seed)
 	key := p.CacheKey(req.Bench, *req.Config)
 
 	if req.Run != nil { // fill mode
@@ -337,27 +332,22 @@ func (s *Server) handleCellPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Hot cells answer straight from the store without occupying an
-	// execution slot.
-	if s.cfg.CAS != nil {
-		if run, ok, _ := s.cfg.CAS.Get(key); ok {
-			s.cfg.Metrics.Counter("server.cell.completed").Inc()
-			writeJSON(w, http.StatusOK, fabric.CellResponse{Key: key, KeySHA: fabric.KeySHA(key), Run: &run, Source: "cas"})
-			return
-		}
-	}
 	cells := []sweepCell{{Cell: experiments.Cell{Bench: req.Bench, Config: *req.Config}, key: key}}
 	outcomes, _, ok := s.admitAndExecute(w, r, req.DeadlineMS, &p, cells)
 	if !ok {
 		return
 	}
 	o := outcomes[key]
-	if o.err != nil {
-		s.writeError(w, outcomeStatus(o.err), "simulation failed: %v", o.err)
+	if o.Err != nil {
+		s.writeError(w, outcomeStatus(o.Err), "simulation failed: %v", o.Err)
 		return
 	}
+	source := "sim"
+	if o.Source == "cas" {
+		source = o.Source
+	}
 	s.cfg.Metrics.Counter("server.cell.completed").Inc()
-	writeJSON(w, http.StatusOK, fabric.CellResponse{Key: key, KeySHA: fabric.KeySHA(key), Run: o.run, WallNS: o.wallNS, Source: "sim"})
+	writeJSON(w, http.StatusOK, fabric.CellResponse{Key: key, KeySHA: fabric.KeySHA(key), Run: &o.Run, WallNS: o.Wall.Nanoseconds(), Source: source})
 }
 
 // validateCell is the gate a /v1/cell body passes before it runs or
@@ -365,8 +355,9 @@ func (s *Server) handleCellPost(w http.ResponseWriter, r *http.Request) {
 // under the key of the request's config, so the config must be one the
 // simulator would accept: sim.Validate checks its numbers, its bounds
 // and its kind names, and the filter must be one a single pass can run
-// (not static, which needs a profiling run).
-func validateCell(req fabric.CellRequest, maxInstructions int64) error {
+// (not static, which needs a profiling run). p is the request's budget,
+// which must pass checkBudget.
+func validateCell(req fabric.CellRequest, p *experiments.Params, maxInstructions int64) error {
 	if req.Config == nil {
 		return errors.New("config is required")
 	}
@@ -379,10 +370,7 @@ func validateCell(req fabric.CellRequest, maxInstructions int64) error {
 	if _, err := experiments.FilterAxis.Resolve(string(req.Config.Filter.Kind)); err != nil {
 		return fmt.Errorf("invalid config: filter: %w", err)
 	}
-	if req.Instructions > maxInstructions {
-		return fmt.Errorf("instructions %d exceeds the per-request cap %d", req.Instructions, maxInstructions)
-	}
-	return nil
+	return checkBudget(p, maxInstructions)
 }
 
 // handleCellGet is the sha-addressed CAS lookup: GET /v1/cell?sha=<64

@@ -41,7 +41,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -60,8 +59,8 @@ type Config struct {
 	// MaxSweepJobs rejects sweeps whose expanded matrix exceeds it
 	// (413). Default 4096.
 	MaxSweepJobs int
-	// MaxInstructions caps the per-request instruction budget (400 when
-	// exceeded). Default 50M.
+	// MaxInstructions caps the per-request instruction budget, warmup
+	// included (400 when exceeded). Default 50M.
 	MaxInstructions int64
 	// DefaultInstructions / DefaultWarmup apply when a request omits
 	// them. Defaults: 2M / 1M (the harness defaults).
@@ -77,9 +76,9 @@ type Config struct {
 	// Nil allocates a fresh registry.
 	Metrics *metrics.Registry
 	// CAS, when non-nil, is the on-disk content-addressed result store:
-	// it backs GET/fill on /v1/cell and becomes the persistent level
-	// behind the in-process memo (experiments.RunStore), so results
-	// survive restarts and repeated sweeps answer without simulating.
+	// it backs GET/fill on /v1/cell, and every request asks it before
+	// computing a cell and fills it after, so results survive restarts
+	// and repeated sweeps answer without simulating.
 	CAS *fabric.CAS
 	// Coordinator, when non-nil, turns this instance into a sweep
 	// coordinator: /v1/run and /v1/sweep execute by dealing cells to the
@@ -225,16 +224,26 @@ func (s *Server) paramsFor(instructions int64, warmup *int64, seed uint64) exper
 	if warmup != nil {
 		w = *warmup
 	}
-	p := experiments.Params{
+	return experiments.Params{
 		Instructions: instructions,
 		Warmup:       w,
 		Seed:         seed,
 		Metrics:      s.cfg.Metrics,
 	}
-	if s.cfg.CAS != nil {
-		p.Store = s.cfg.CAS
+}
+
+// checkBudget is the budget gate /v1/run, /v1/sweep and /v1/cell share:
+// nothing stops a simulation once it has started, so a request may not
+// ask for a negative warmup or for more than maxInstructions
+// instructions, warmup included.
+func checkBudget(p *experiments.Params, maxInstructions int64) error {
+	switch {
+	case p.Warmup < 0:
+		return fmt.Errorf("warmup %d is negative", p.Warmup)
+	case p.Instructions > maxInstructions || p.Warmup > maxInstructions-p.Instructions:
+		return fmt.Errorf("instructions %d + warmup %d exceeds the per-request cap %d", p.Instructions, p.Warmup, maxInstructions)
 	}
-	return p
+	return nil
 }
 
 // deadlineFor resolves a request's effective deadline.
@@ -250,21 +259,10 @@ func (s *Server) deadlineFor(deadlineMS int64) time.Duration {
 }
 
 // sweepCell pairs one deduplicated cell with its cache key — the
-// execution unit every serving path (local pool, fabric, streaming)
-// works in.
+// execution unit every serving path works in.
 type sweepCell struct {
 	experiments.Cell
 	key string
-}
-
-// cellOutcome is one cell's result, independent of where it ran.
-type cellOutcome struct {
-	run    *stats.Run
-	err    error
-	wallNS int64
-	// source reports fabric provenance ("cas" or a worker URL); empty
-	// for single-node execution.
-	source string
 }
 
 // cellsFor deduplicates cells by cache key (first occurrence wins),
@@ -283,14 +281,15 @@ func cellsFor(p *experiments.Params, cells []experiments.Cell) []sweepCell {
 	return out
 }
 
-// executeCells runs the deduplicated cells and returns one outcome per
-// key. It waits, deadline-aware, for an execution token so at most
-// MaxConcurrent batches run at once. emit, when non-nil, is called once
-// per cell as its result lands (completion order, serialized) — the
-// streaming hook. With a Coordinator configured, cells are dealt to the
-// remote worker fleet (CAS-first); otherwise they run on the local
-// work-stealing pool.
-func (s *Server) executeCells(ctx context.Context, p *experiments.Params, cells []sweepCell, emit func(sweepCell, cellOutcome)) (map[string]cellOutcome, error) {
+// executeCells runs the deduplicated cells through the fabric cell
+// Loop and returns one result per key. It waits, deadline-aware, for an
+// execution token so at most MaxConcurrent batches run at once. emit,
+// when non-nil, is called once per cell as its result lands (CAS hits
+// first, then completion order, serialized) — the streaming hook. The
+// role picks the Loop's compute step: with a Coordinator configured a
+// CAS miss is dealt to the remote worker fleet, otherwise it is
+// simulated on the local pool.
+func (s *Server) executeCells(ctx context.Context, p *experiments.Params, cells []sweepCell, emit func(sweepCell, fabric.Result)) (map[string]fabric.Result, error) {
 	select {
 	case s.exec <- struct{}{}:
 		defer func() { <-s.exec }()
@@ -298,68 +297,32 @@ func (s *Server) executeCells(ctx context.Context, p *experiments.Params, cells 
 		return nil, fmt.Errorf("server: queued past deadline: %w", ctx.Err())
 	}
 
-	outcomes := make(map[string]cellOutcome, len(cells))
-	var mu sync.Mutex
-	record := func(c sweepCell, o cellOutcome) {
-		mu.Lock()
-		outcomes[c.key] = o
+	byKey := make(map[string]sweepCell, len(cells))
+	fcells := make([]fabric.Cell, len(cells))
+	for i, c := range cells {
+		byKey[c.key] = c
+		fcells[i] = fabric.Cell{Key: c.key, Bench: c.Bench, Config: c.Config}
+	}
+	outcomes := make(map[string]fabric.Result, len(cells))
+	record := func(r fabric.Result) { // the Loop serializes its emits
+		outcomes[r.Cell.Key] = r
 		if emit != nil {
-			emit(c, o)
+			emit(byKey[r.Cell.Key], r)
 		}
-		mu.Unlock()
 	}
 
-	if s.cfg.Coordinator != nil {
-		byKey := make(map[string]sweepCell, len(cells))
-		fcells := make([]fabric.Cell, len(cells))
-		for i, c := range cells {
-			byKey[c.key] = c
-			fcells[i] = fabric.Cell{Key: c.key, Bench: c.Bench, Config: c.Config}
-		}
+	var err error
+	if c := s.cfg.Coordinator; c != nil {
 		fp := fabric.Params{Instructions: p.Instructions, Warmup: p.Warmup, Seed: p.Seed}
-		ctxErr := s.cfg.Coordinator.Run(ctx, fp, fcells, p.CostModel(), func(r fabric.Result) {
-			o := cellOutcome{wallNS: r.Wall.Nanoseconds(), source: r.Source, err: r.Err}
-			if r.Err == nil {
-				run := r.Run
-				o.run = &run
-			}
-			record(byKey[r.Cell.Key], o)
-		})
-		return outcomes, ctxErr
-	}
-
-	cost := p.CostModel()
-	jobs := make([]sched.Job, 0, len(cells))
-	for _, c := range cells {
-		c := c
-		jobs = append(jobs, sched.Job{
-			Key:  c.key,
-			Cost: cost(c.Bench),
-			Run: func(ctx context.Context) (any, error) {
+		err = c.Run(ctx, fp, fcells, p.CostModel(), record)
+	} else {
+		loop := fabric.Loop{CAS: s.cfg.CAS, Slots: s.cfg.Workers, Metrics: s.cfg.Metrics,
+			Compute: func(ctx context.Context, cell *fabric.Cell) fabric.Result {
 				start := time.Now()
-				r, err := s.runSim(ctx, p, c.Bench, c.Config)
-				o := cellOutcome{wallNS: time.Since(start).Nanoseconds(), err: err}
-				if err == nil {
-					o.run = &r
-				}
-				record(c, o)
-				return nil, err
-			},
-		})
+				run, err := s.runSim(ctx, p, cell.Bench, cell.Config)
+				return fabric.Result{Cell: *cell, Run: run, Err: err, Wall: time.Since(start)}
+			}}
+		_, _, err = loop.Run(ctx, fcells, p.CostModel(), record)
 	}
-	_, ctxErr := sched.Run(ctx, jobs, sched.Options{Workers: s.cfg.Workers, Metrics: s.cfg.Metrics})
-	// Cells the cancellation sweep never started have no outcome yet.
-	for _, c := range cells {
-		mu.Lock()
-		_, ok := outcomes[c.key]
-		mu.Unlock()
-		if !ok {
-			err := ctxErr
-			if err == nil {
-				err = fmt.Errorf("server: cell never ran")
-			}
-			record(c, cellOutcome{err: err})
-		}
-	}
-	return outcomes, ctxErr
+	return outcomes, err
 }

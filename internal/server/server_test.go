@@ -74,7 +74,10 @@ func blockingRunner(entered chan<- struct{}, release <-chan struct{}) func(conte
 }
 
 func TestHandlerTable(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSweepJobs: 4, MaxInstructions: 1000})
+	s, ts := newTestServer(t, Config{MaxSweepJobs: 4, MaxInstructions: 1000})
+	// A request the gate wrongly admits answers at once instead of
+	// simulating the budget it asked for.
+	s.runSim = fakeSimFor(nil)
 	cases := []struct {
 		name, method, path, body string
 		wantStatus               int
@@ -93,6 +96,16 @@ func TestHandlerTable(t *testing.T) {
 		// 2^40 counters would exhaust the host before the run began.
 		{"oversized table entries", "POST", "/v1/run", `{"benchmark":"mcf","table_entries":1099511627776}`, 400, "table entries must be a power of two in [1,65536]"},
 		{"instructions cap", "POST", "/v1/run", `{"benchmark":"mcf","instructions":2000}`, 400, "cap"},
+		// The cap counts warmup too, so a huge warmup cannot hold a slot
+		// for as long as it likes; a negative one is refused outright.
+		{"warmup cap", "POST", "/v1/run", `{"benchmark":"mcf","instructions":500,"warmup":1000000000000000}`, 400, "exceeds the per-request cap 1000"},
+		{"instructions plus warmup cap", "POST", "/v1/run", `{"benchmark":"mcf","instructions":600,"warmup":600}`, 400, "instructions 600 + warmup 600 exceeds"},
+		{"default warmup counts", "POST", "/v1/run", `{"benchmark":"mcf","instructions":500}`, 400, "warmup 1000000 exceeds"},
+		{"overflowing warmup", "POST", "/v1/run", `{"benchmark":"mcf","instructions":500,"warmup":9223372036854775807}`, 400, "cap"},
+		{"negative warmup", "POST", "/v1/run", `{"benchmark":"mcf","instructions":500,"warmup":-5}`, 400, "warmup -5 is negative"},
+		{"budget at the cap", "POST", "/v1/run", `{"benchmark":"mcf","instructions":500,"warmup":500}`, 200, `"warmup":500`},
+		{"sweep warmup cap", "POST", "/v1/sweep", `{"benchmarks":["mcf"],"filters":["none"],"instructions":500,"warmup":501}`, 400, "cap"},
+		{"sweep negative warmup", "POST", "/v1/sweep", `{"benchmarks":["mcf"],"filters":["none"],"instructions":500,"warmup":-1}`, 400, "negative"},
 		{"run wrong method", "GET", "/v1/run", ``, 405, ""},
 		{"sweep bad json", "POST", "/v1/sweep", `[1,2`, 400, "bad request body"},
 		{"sweep unknown benchmark", "POST", "/v1/sweep", `{"benchmarks":["nope"]}`, 400, "unknown benchmark"},
