@@ -50,14 +50,16 @@ lint:
 # the whole budget, so -fuzzminimizetime keeps them fuzzing. An input of
 # FuzzSweepRequest can expand to hundreds of cells and one of FuzzCASEntry
 # writes and reads back a file, so minimizing either is slow too: they get
-# the same cap. So does FuzzRunRequest: without it, minimizing its new
-# inputs stalled it at 0 execs/s for half of its 30 s.
+# the same cap. So do FuzzRunRequest (without it, minimizing its new
+# inputs stalled it at 0 execs/s for half of its 30 s) and FuzzCellReply,
+# whose reply bodies can be as large as the fuzzer makes them.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzConfigString -fuzztime=30s ./internal/config/
 	$(GO) test -run=NONE -fuzz=FuzzCellRequest -fuzztime=30s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzRunRequest -fuzztime=30s -fuzzminimizetime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzSweepRequest -fuzztime=30s -fuzzminimizetime=5s ./internal/server/
 	$(GO) test -run=NONE -fuzz=FuzzCASEntry -fuzztime=30s -fuzzminimizetime=5s ./internal/fabric/
+	$(GO) test -run=NONE -fuzz=FuzzCellReply -fuzztime=30s -fuzzminimizetime=5s ./internal/fabric/
 	$(GO) test -run=NONE -fuzz=FuzzHistoryTableIndex -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzReaderBatch -fuzztime=30s -fuzzminimizetime=5s ./internal/tracefile/
 	$(GO) test -run=NONE -fuzz=FuzzConvertChampSim -fuzztime=30s -fuzzminimizetime=5s ./internal/tracefile/

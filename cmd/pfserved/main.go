@@ -57,7 +57,7 @@ func main() {
 		maxSweep     = flag.Int("max-sweep", 4096, "largest accepted sweep matrix (deduplicated jobs)")
 		maxInstr     = flag.Int64("max-instructions", 50_000_000, "per-request instruction budget cap")
 		defInstr     = flag.Int64("n", 2_000_000, "default measured instructions per run")
-		defWarmup    = flag.Int64("warmup", 1_000_000, "default warmup instructions per run")
+		defWarmup    = flag.Int64("warmup", 1_000_000, "default warmup instructions per run when a request omits warmup (0: none)")
 		deadline     = flag.Duration("deadline", 2*time.Minute, "default per-request deadline")
 		maxDeadline  = flag.Duration("max-deadline", 10*time.Minute, "largest per-request deadline a client may ask for")
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
@@ -66,6 +66,9 @@ func main() {
 		traceVerify  = flag.Bool("trace-verify", false, "fully scan every corpus trace at startup (per-chunk CRCs, stream fingerprint vs manifest)")
 	)
 	flag.Parse()
+	if *defWarmup < 0 {
+		fatalf("-warmup must not be negative, got %d", *defWarmup)
+	}
 
 	if *traceMan != "" {
 		names, err := tracefile.RegisterCorpus(config.TraceConfig{Manifest: *traceMan, Verify: *traceVerify})
@@ -84,7 +87,7 @@ func main() {
 		MaxSweepJobs:        *maxSweep,
 		MaxInstructions:     *maxInstr,
 		DefaultInstructions: *defInstr,
-		DefaultWarmup:       *defWarmup,
+		DefaultWarmup:       defWarmup,
 		DefaultDeadline:     *deadline,
 		MaxDeadline:         *maxDeadline,
 		RetryAfter:          *retryAfter,

@@ -13,9 +13,9 @@ import (
 
 // TestHotStateLayout pins the size of the per-line and per-instruction
 // state the cycle loop walks. A cache set scans its Lines on every
-// victim choice and the issue stage walks the ROB window, so each
-// byte added to either struct spreads the same work over more host
-// cache lines.
+// victim choice, and dispatch, issue and retire touch ROB entries every
+// cycle, so each byte added to either struct spreads the same work over
+// more host cache lines.
 func TestHotStateLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string

@@ -181,10 +181,16 @@ func (c *CAS) read(sha string) (envelope, error) {
 // Put stores run under key. The write is atomic (temp file + rename
 // within the store), so readers never observe a partial entry; entries
 // are immutable, so overwriting a concurrent writer's identical bytes
-// is harmless. Put admits nothing to the in-process tier: an entry gets
-// there only by being read back from disk and verified.
+// is harmless. An entry for key that already reads back verified (one a
+// worker sharing the directory stored, say) is left as it is and is not
+// counted as a fill; a corrupt one is overwritten. Put admits nothing to
+// the in-process tier: an entry gets there only by being read back from
+// disk and verified.
 func (c *CAS) Put(key string, run stats.Run) error {
 	sha := KeySHA(key)
+	if e, err := c.read(sha); err == nil && e.Key == key {
+		return nil
+	}
 	dst := c.path(sha)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		c.m.Counter("fabric.cas.errors").Inc()

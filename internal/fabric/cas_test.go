@@ -72,8 +72,11 @@ func TestCASRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCASPutIsIdempotent: repeated Puts of one key leave one entry and
+// count one fill, since a verified entry is not written again; a corrupt
+// entry is overwritten, and that counts as a fill.
 func TestCASPutIsIdempotent(t *testing.T) {
-	c, _ := openTestCAS(t)
+	c, m := openTestCAS(t)
 	key := "k"
 	for i := 0; i < 3; i++ {
 		if err := c.Put(key, testRun(7)); err != nil {
@@ -82,6 +85,21 @@ func TestCASPutIsIdempotent(t *testing.T) {
 	}
 	if n, _ := c.Len(); n != 1 {
 		t.Fatalf("Len = %d after repeated Put of one key, want 1", n)
+	}
+	if n := m.Snapshot().Counters["fabric.cas.fills"]; n != 1 {
+		t.Fatalf("fills = %d after three Puts of one key, want 1", n)
+	}
+	if err := os.WriteFile(c.path(KeySHA(key)), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(key, testRun(7)); err != nil {
+		t.Fatalf("Put over a corrupt entry: %v", err)
+	}
+	if got, ok, err := c.Get(key); !ok || err != nil || !reflect.DeepEqual(got, testRun(7)) {
+		t.Fatalf("Get after overwriting a corrupt entry: %+v ok=%v err=%v", got, ok, err)
+	}
+	if n := m.Snapshot().Counters["fabric.cas.fills"]; n != 2 {
+		t.Fatalf("fills = %d after overwriting a corrupt entry, want 2", n)
 	}
 	// No temp litter left behind.
 	entries, err := os.ReadDir(filepath.Join(c.Dir(), KeySHA(key)[:2]))

@@ -337,27 +337,43 @@ func (c *Coordinator) dispatch(ctx context.Context, workerURL string, p Params, 
 	if err != nil {
 		return stats.Run{}, true, fmt.Errorf("fabric: worker %s: reading response: %w", workerURL, err)
 	}
-	if resp.StatusCode != http.StatusOK {
+	run, retryable, err = decodeCellReply(resp.StatusCode, data, cell.Key)
+	if err != nil {
+		if errors.Is(err, errKeyMismatch) {
+			c.opts.Metrics.Counter("fabric.key_mismatch").Inc()
+		}
+		return stats.Run{}, retryable, fmt.Errorf("fabric: worker %s: %w", workerURL, err)
+	}
+	return run, false, nil
+}
+
+// errKeyMismatch marks a reply for a different key than the one sent.
+var errKeyMismatch = errors.New("key mismatch (version skew?)")
+
+// decodeCellReply decodes a worker's /v1/cell reply, given its HTTP
+// status and body, for the cell keyed wantKey. A nil error comes with
+// the run the reply carries for exactly that key. retryable tells a
+// worker fault (re-deal the cell) from a failure of the cell itself,
+// which no worker will serve. The error does not name the worker.
+func decodeCellReply(status int, body []byte, wantKey string) (run stats.Run, retryable bool, err error) {
+	if status != http.StatusOK {
 		// 4xx means the cell (or this coordinator's request) is itself
 		// invalid — re-dealing cannot help. Everything else is the
 		// worker's problem and retryable.
-		retryable = resp.StatusCode < 400 || resp.StatusCode >= 500 ||
-			resp.StatusCode == http.StatusTooManyRequests
-		return stats.Run{}, retryable, fmt.Errorf("fabric: worker %s: status %d: %s", workerURL, resp.StatusCode, truncate(data, 200))
+		retryable = status < 400 || status >= 500 || status == http.StatusTooManyRequests
+		return stats.Run{}, retryable, fmt.Errorf("status %d: %s", status, truncate(body, 200))
 	}
 	var cr CellResponse
-	if err := json.Unmarshal(data, &cr); err != nil {
-		return stats.Run{}, true, fmt.Errorf("fabric: worker %s: bad response: %w", workerURL, err)
+	if err := json.Unmarshal(body, &cr); err != nil {
+		return stats.Run{}, true, fmt.Errorf("bad response: %w", err)
 	}
-	if cr.Key != cell.Key {
+	if cr.Key != wantKey {
 		// Version skew: the worker canonicalizes the config differently.
 		// Every worker of that build will disagree — not retryable.
-		c.opts.Metrics.Counter("fabric.key_mismatch").Inc()
-		return stats.Run{}, false, fmt.Errorf("fabric: worker %s: key mismatch (version skew?): got %s want %s",
-			workerURL, KeySHA(cr.Key), KeySHA(cell.Key))
+		return stats.Run{}, false, fmt.Errorf("%w: got %s want %s", errKeyMismatch, KeySHA(cr.Key), KeySHA(wantKey))
 	}
 	if cr.Run == nil {
-		return stats.Run{}, true, fmt.Errorf("fabric: worker %s: response carries no run", workerURL)
+		return stats.Run{}, true, errors.New("response carries no run")
 	}
 	return *cr.Run, false, nil
 }

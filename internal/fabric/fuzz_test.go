@@ -79,3 +79,42 @@ func FuzzCASEntry(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCellReply decodes arbitrary worker replies to /v1/cell. Decoding
+// must never panic; a reply it accepts must be a 200 carrying a run for
+// exactly the key sent, and that run is what it returns; and a 4xx other
+// than 429 (the cell itself is bad) must never be re-dealt.
+func FuzzCellReply(f *testing.F) {
+	key := "mcf|n=1000|w=100|seed=1|{}"
+	run := testRun(1000)
+	for _, r := range []CellResponse{{Key: key, Run: &run}, {Key: "gzip|n=1000|w=100|seed=1|{}", Run: &run}, {Key: key}} {
+		body, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(200, body, key)
+		f.Add(500, body, key)
+	}
+	f.Add(200, []byte(`{"key":"`+key+`","run":null}`), key)
+	f.Add(200, []byte(`{not json`), key)
+	f.Add(400, []byte(`{"error":"bad cell"}`), key)
+	f.Add(404, []byte(`404 page not found`), key)
+	f.Add(429, []byte(`{"error":"busy"}`), key)
+	f.Add(302, []byte{}, key)
+	f.Fuzz(func(t *testing.T, status int, body []byte, key string) {
+		got, retryable, err := decodeCellReply(status, body, key)
+		if status >= 400 && status < 500 && status != 429 && (err == nil || retryable) {
+			t.Fatalf("status %d: err = %v, retryable = %v; want a final error", status, err, retryable)
+		}
+		if err != nil {
+			return
+		}
+		var cr CellResponse
+		if status != 200 || json.Unmarshal(body, &cr) != nil || cr.Key != key || cr.Run == nil {
+			t.Fatalf("accepted status %d body %q for key %q", status, body, key)
+		}
+		if !reflect.DeepEqual(got, *cr.Run) {
+			t.Fatalf("returned %+v, reply holds %+v", got, *cr.Run)
+		}
+	})
+}

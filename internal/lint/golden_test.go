@@ -254,8 +254,8 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 		}
 	}
 	required := []string{
-		"cpu.(*CPU).slot", "cpu.(*CPU).robFull", "cpu.(*CPU).robEmpty", "cpu.(*CPU).depSatisfied",
-		"cpu.(*CPU).idleUntil", "hier.(*Hierarchy).NextEvent",
+		"cpu.(*CPU).slot", "cpu.(*CPU).robFull", "cpu.(*CPU).robEmpty",
+		"cpu.(*CPU).idleUntil", "cpu.(*CPU).issue", "hier.(*Hierarchy).NextEvent",
 		"cpu.(*feed).next", "tracefile.(*Reader).NextBatch", "workload.(*gen).NextBatch",
 		"hier.(*inflightHeap).push", "hier.(*inflightHeap).pop",
 		"hier.(*side).submit", "hier.(*side).complete", "hier.(*Hierarchy).observe",

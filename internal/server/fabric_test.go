@@ -188,6 +188,53 @@ func TestFabricRepeatSweepServedFromCAS(t *testing.T) {
 	}
 }
 
+// TestSharedCASFillsOnce: a coordinator and a worker whose stores share
+// one directory, each daemon with its own store and registry, write each
+// dispatched cell once. The worker fills it after simulating; the
+// coordinator's fill finds the entry verified and leaves it.
+func TestSharedCASFillsOnce(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*fabric.CAS, *metrics.Registry) {
+		m := metrics.New()
+		c, err := fabric.OpenCAS(dir, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, m
+	}
+	wcas, wm := open()
+	ws := New(Config{CAS: wcas, Metrics: wm})
+	ws.runSim = fakeSimFor(nil)
+	wts := httptest.NewServer(ws.Handler())
+	defer wts.Close()
+	ccas, cm := open()
+	coord, err := fabric.New(fabric.Options{Workers: []string{wts.URL}, CAS: ccas, Lease: 10 * time.Second, Metrics: cm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(New(Config{CAS: ccas, Coordinator: coord, Metrics: cm}).Handler())
+	defer cts.Close()
+
+	status, b := post(t, cts.URL, "/v1/sweep", `{"benchmarks":["mcf"],"filters":["none","pa"],"instructions":1000,"seed":7}`)
+	if status != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", status, b)
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal(b, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Unique != 2 || resp.Errors != 0 {
+		t.Fatalf("unique = %d, errors = %d, want 2 and 0", resp.Unique, resp.Errors)
+	}
+	if n, err := ccas.Len(); err != nil || n != 2 {
+		t.Fatalf("store holds %d entries (%v), want 2", n, err)
+	}
+	fills := cm.Snapshot().Counters["fabric.cas.fills"] + wm.Snapshot().Counters["fabric.cas.fills"]
+	if fills != 2 {
+		t.Fatalf("coordinator and worker fills sum to %d, want 2 (one per cell)", fills)
+	}
+}
+
 // TestStandaloneAnswersFromCAS pins the cache order of a standalone
 // daemon with a store: a repeated sweep is answered from the CAS, each
 // such cell says so in its source and in cas_hits, and a corrupt entry

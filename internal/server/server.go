@@ -63,9 +63,11 @@ type Config struct {
 	// included (400 when exceeded). Default 50M.
 	MaxInstructions int64
 	// DefaultInstructions / DefaultWarmup apply when a request omits
-	// them. Defaults: 2M / 1M (the harness defaults).
+	// them. Defaults: 2M / 1M (the harness defaults). DefaultWarmup is a
+	// pointer, like a request's warmup, so a daemon can make "no warmup"
+	// (a pointer to 0) its default; nil means 1M.
 	DefaultInstructions int64
-	DefaultWarmup       int64
+	DefaultWarmup       *int64
 	// DefaultDeadline applies when a request sends no deadline_ms;
 	// MaxDeadline caps what a request may ask for. Defaults: 2m / 10m.
 	DefaultDeadline time.Duration
@@ -107,8 +109,9 @@ func (c Config) withDefaults() Config {
 	if c.DefaultInstructions <= 0 {
 		c.DefaultInstructions = 2_000_000
 	}
-	if c.DefaultWarmup <= 0 {
-		c.DefaultWarmup = 1_000_000
+	if c.DefaultWarmup == nil {
+		w := int64(1_000_000)
+		c.DefaultWarmup = &w
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 2 * time.Minute
@@ -220,7 +223,7 @@ func (s *Server) paramsFor(instructions int64, warmup *int64, seed uint64) exper
 	if instructions <= 0 {
 		instructions = s.cfg.DefaultInstructions
 	}
-	w := s.cfg.DefaultWarmup
+	w := *s.cfg.DefaultWarmup
 	if warmup != nil {
 		w = *warmup
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -319,6 +320,46 @@ func TestConcurrentIdenticalRunsShareOneSimulation(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "experiments_cache_shared 1") {
 		t.Fatalf("memo share not visible; /metrics:\n%s", grepLines(body, "experiments_cache"))
+	}
+}
+
+// TestDefaultWarmup checks that a daemon's default warmup applies to a
+// /v1/run that sends none, and that a default of 0 (pfserved -warmup 0)
+// means no warmup rather than the 1M a nil default stands for.
+func TestDefaultWarmup(t *testing.T) {
+	zero, some := int64(0), int64(3000)
+	for _, c := range []struct {
+		name string
+		def  *int64
+		want int64
+	}{
+		{"nil", nil, 1_000_000},
+		{"zero", &zero, 0},
+		{"explicit", &some, 3000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(Config{DefaultWarmup: c.def})
+			var ran atomic.Int64
+			ran.Store(-1)
+			sim := fakeSimFor(nil)
+			s.runSim = func(ctx context.Context, p *experiments.Params, bench string, cfg config.Config) (stats.Run, error) {
+				ran.Store(p.Warmup)
+				return sim(ctx, p, bench, cfg)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			status, body := post(t, ts.URL, "/v1/run", `{"benchmark":"mcf","instructions":5000,"seed":4242}`)
+			if status != http.StatusOK {
+				t.Fatalf("status = %d (body %s)", status, body)
+			}
+			var resp RunResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Warmup != c.want || ran.Load() != c.want {
+				t.Fatalf("response warmup %d, simulated warmup %d, want %d", resp.Warmup, ran.Load(), c.want)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,8 @@
 package workload
 
 import (
+	"sync"
+
 	"repro/internal/isa"
 	"repro/internal/xrand"
 )
@@ -163,16 +165,25 @@ func newFpppp(seed uint64) isa.Source {
 // the benchmark whose prefetches the paper notes are "already ineffective"
 // and get almost entirely filtered.
 
+// gccObjects is the number of heap objects in gcc's parse/RTL pool.
+const gccObjects = 5632
+
+// gccZipf is gcc's object-popularity sampler: a skewed distribution whose
+// hot head stays cache-resident while the long tail generates the misses.
+// A Zipf is read-only once built, so every gcc source shares one rather
+// than computing its CDF (one math.Pow per object) per cell.
+var gccZipf = sync.OnceValue(func() *xrand.Zipf { return xrand.NewZipf(gccObjects, 1.25) })
+
 func newGCC(seed uint64) isa.Source {
 	const (
-		heapBytes = 352 * 1024 // parse/RTL pool; fits the L2, dwarfs the L1
-		objSlot   = 64         // 32B object + allocator padding/cold fields
+		objSlot   = 64                   // 32B object + allocator padding/cold fields
+		heapBytes = gccObjects * objSlot // 352 KB: fits the L2, dwarfs the L1
 		chainLen  = 3
 	)
 	heap := Region{Base: stagger(heapBase, 1), Size: heapBytes}
 	stack := Region{Base: stagger(stackBase, 2), Size: 4096}
 
-	zipf := xrandZipf(heapBytes / objSlot)
+	zipf := gccZipf()
 	return newGen(seed, func(e *E) {
 		e.SetCtx(96)
 		// Walk a short chain of tree/rtx objects.
@@ -246,8 +257,3 @@ func newWave5(seed uint64) isa.Source {
 		pos = (pos + 1) % (arrayBytes / elemBytes)
 	})
 }
-
-// xrandZipf builds the shared Zipf sampler used by the irregular models:
-// a skewed popularity distribution whose hot head stays cache-resident
-// while the long tail generates the misses.
-func xrandZipf(n int) *xrand.Zipf { return xrand.NewZipf(n, 1.25) }
