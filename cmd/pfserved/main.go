@@ -1,7 +1,7 @@
 // Command pfserved serves simulations over HTTP: the experiment harness
 // as a daemon, batched on the work-stealing scheduler and cached behind
-// the process-wide single-flight memo. See docs/SERVING.md for the API
-// and docs/FABRIC.md for multi-node operation.
+// one bounded single-flight memo, then the -cas-dir store. See
+// docs/SERVING.md for the API and docs/FABRIC.md for multi-node operation.
 //
 // Usage:
 //

@@ -73,7 +73,7 @@ func runAblation(p *Params) (*Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	// Tagged-table variants: stateful filters cannot go through the memo
+	// Tagged-table variants: stateful filters cannot go through the run
 	// cache, so these run uncached.
 	addCustom := func(label string, mk func() (core.Filter, error)) error {
 		var ipc, badRed, goodRed, rej []float64

@@ -19,7 +19,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -36,13 +35,15 @@ type Params struct {
 	Seed uint64
 	// Benchmarks to include; empty means the paper's ten.
 	Benchmarks []string
-	// Metrics, when non-nil, receives harness telemetry: memo-cache
-	// hits/misses ("experiments.cache.*"), per-benchmark simulation
+	// Metrics, when non-nil, receives harness telemetry: run-cache hits
+	// and simulations ("experiments.cache.*"), per-benchmark simulation
 	// wall-time histograms ("experiments.sim.wall_ns.<bench>"), and
 	// Prewarm totals ("experiments.prewarm.*"). All updates are nil-safe,
 	// so an unset registry costs nothing.
 	Metrics *metrics.Registry
 
+	// cache is the harness's record of its own runs, by cache key:
+	// RunSim fills it, and Prewarm, Fingerprint and CachedRuns read it.
 	cache map[string]stats.Run
 }
 
@@ -62,8 +63,8 @@ func (p *Params) benchmarks() []string {
 	return workload.PaperNames()
 }
 
-// CacheKey identifies one memoizable simulation; two requests with equal
-// keys share one simulation (see runMemo). Every field that can change
+// CacheKey identifies one simulation: Params.cache and every pfserved
+// daemon's memory are keyed by it. Every field that can change
 // the result is in the key EXPLICITLY — benchmark, instruction budget,
 // warmup, and seed — ahead of the full canonical config encoding.
 // The seed and budget segments are deliberately redundant with the config
@@ -80,56 +81,43 @@ func (p *Params) CacheKey(bench string, cfg config.Config) string {
 	return fmt.Sprintf("%s|n=%d|w=%d|seed=%d|%s", bench, p.Instructions, p.Warmup, p.Seed, b)
 }
 
-// runMemo single-flights concurrent simulations of the same key across
-// the whole process: keys are fully qualified (benchmark, budget, seed,
-// canonical config), so sharing results between Params instances is
-// sound — the simulator is deterministic. The bound only limits how many
-// completed results are retained for cross-Params reuse; the persistent
-// per-Params store is p.cache.
-var runMemo = sched.NewMemo[stats.Run](1024)
-
-// run executes (and memoizes) one simulation.
+// run executes (and caches) one simulation.
 func (p *Params) run(bench string, cfg config.Config) (stats.Run, error) {
 	return p.RunSim(context.Background(), bench, cfg)
 }
 
-// RunSim is run with cancellation: cache probe, then process-wide
-// single-flight through the bounded memo. The context is honoured between
-// cache probe and simulation start (simulations themselves are short and
-// run to completion once started). It is safe for concurrent use; goroutines
-// racing on the same key single-flight through runMemo, so every distinct
-// (benchmark, config, seed, budget) simulates exactly once per process.
+// RunSim is run with cancellation: the harness's run cache, else
+// Simulate, whose result the cache records. Concurrent calls for one
+// uncached key each simulate the same deterministic result.
 func (p *Params) RunSim(ctx context.Context, bench string, cfg config.Config) (stats.Run, error) {
-	cfg.Seed = p.Seed
 	key := p.CacheKey(bench, cfg)
 	if r, ok := p.cachedRun(key); ok {
 		p.Metrics.Counter("experiments.cache.hits").Inc()
 		return r, nil
 	}
+	r, err := p.Simulate(ctx, bench, cfg)
+	if err == nil {
+		p.storeRun(key, r)
+	}
+	return r, err
+}
+
+// Simulate runs one simulation under p's seed and budget, uncached: it
+// counts "experiments.cache.misses" and records the run's wall time in
+// "experiments.sim.wall_ns.<bench>". The context is honoured until the
+// simulation starts; once started it runs to completion.
+func (p *Params) Simulate(ctx context.Context, bench string, cfg config.Config) (stats.Run, error) {
 	if err := ctx.Err(); err != nil {
 		return stats.Run{}, err
 	}
-	computed := false
-	r, err := runMemo.Do(ctx, key, func(context.Context) (stats.Run, error) {
-		computed = true
-		p.Metrics.Counter("experiments.cache.misses").Inc()
-		start := time.Now()
-		r, err := sim.Run(p.simOptions(bench, cfg))
-		if err != nil {
-			return stats.Run{}, fmt.Errorf("experiments: %s: %w", bench, err)
-		}
-		p.Metrics.Histogram("experiments.sim.wall_ns." + bench).Observe(uint64(time.Since(start)))
-		return r, nil
-	})
+	cfg.Seed = p.Seed
+	p.Metrics.Counter("experiments.cache.misses").Inc()
+	start := time.Now()
+	r, err := sim.Run(p.simOptions(bench, cfg))
 	if err != nil {
-		return stats.Run{}, err
+		return stats.Run{}, fmt.Errorf("experiments: %s: %w", bench, err)
 	}
-	if !computed {
-		// Another caller's simulation served this key — the cross-request
-		// single-flight hit the service layer exposes in /metrics.
-		p.Metrics.Counter("experiments.cache.shared").Inc()
-	}
-	p.storeRun(key, r)
+	p.Metrics.Histogram("experiments.sim.wall_ns." + bench).Observe(uint64(time.Since(start)))
 	return r, nil
 }
 

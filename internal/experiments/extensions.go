@@ -20,7 +20,7 @@ import (
 	"repro/internal/taxonomy"
 )
 
-// runTaxonomyInstrumented executes one instrumented run outside the memo
+// runTaxonomyInstrumented executes one instrumented run outside the run
 // cache (the tracker is per-run state).
 func runTaxonomyInstrumented(p *Params, bench string, cfg config.Config) (stats.Run, error) {
 	cfg.Seed = p.Seed

@@ -1,7 +1,7 @@
 // Parallel pre-warming of the experiment cache.
 //
 // Every simulation is deterministic and independent, so the harness runs
-// them concurrently and lets the experiments read memoized results.
+// them concurrently and lets the experiments read cached results.
 // Prewarm enumerates the standard evaluation matrix — every (benchmark,
 // config) pair the paper-figure experiments will request — and fills the
 // cache through internal/sched's work-stealing pool: jobs are ordered
@@ -32,13 +32,10 @@ import (
 // simulation granularity (milliseconds per critical section).
 var cacheMu sync.Mutex
 
-// cachedRun is the synchronized read side of the memo cache.
+// cachedRun is the synchronized read side of the run cache.
 func (p *Params) cachedRun(key string) (stats.Run, bool) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	if p.cache == nil {
-		return stats.Run{}, false
-	}
 	r, ok := p.cache[key]
 	return r, ok
 }

@@ -52,7 +52,7 @@ func runTraces(p *Params) (*Table, error) {
 	}
 	// Params is safely copyable (the cache lock is package-level); the
 	// copy narrows the benchmarks to the corpus without touching the
-	// caller's. Results still share the process-wide run memo.
+	// caller's, and shares the caller's run cache once it has one.
 	q := *p
 	q.Benchmarks = traces
 	cells, err := q.Sweep(context.Background(), nil, nil, nil, 0)

@@ -17,14 +17,11 @@
 // file reads back as a miss, never as a wrong result) and so sha-only
 // protocols (GET /v1/cell?sha=…) can recover the key.
 //
-// In front of the disk sits a bounded in-process tier of verified
-// envelopes, so a warm sweep re-serves its cells without reading or
-// decoding a file. Only an envelope read from disk and verified enters
-// it; every lookup still checks the key it was asked for.
+// The store keeps nothing in memory: every lookup reads and verifies the
+// file. The daemon's one memory cache sits in the cell loop (loop.go).
 package fabric
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -34,7 +31,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -55,26 +51,13 @@ type envelope struct {
 
 // CAS is the on-disk store. All methods are safe for concurrent use by
 // any number of processes sharing the directory: writes are atomic
-// renames and entries are immutable. Because they are immutable, a
-// process goes on serving an entry it has read from its memory tier
-// after the file is removed or damaged, until the entry is evicted.
+// renames and entries are immutable.
 type CAS struct {
 	dir string
 	m   *metrics.Registry
-	// mem is the in-process tier: verified envelopes by content address.
-	// Concurrent reads of one address share a single disk read.
-	mem *sched.Memo[envelope]
 	// readFile is os.ReadFile; tests count and gate disk reads with it.
 	readFile func(name string) ([]byte, error)
 }
-
-// memEntries bounds the in-process tier, the same bound as the
-// experiment harness's run memo.
-const memEntries = 1024
-
-// errNotStored is a disk miss inside the tier. It is an error so the
-// memo never retains a miss, and a later Put stays visible.
-var errNotStored = errors.New("fabric: cas: not stored")
 
 // OpenCAS opens (creating if needed) a store rooted at dir. The metrics
 // registry is optional (nil-safe, like every registry in this repo) and
@@ -87,7 +70,7 @@ func OpenCAS(dir string, m *metrics.Registry) (*CAS, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fabric: cas: %w", err)
 	}
-	return &CAS{dir: dir, m: m, mem: sched.NewMemo[envelope](memEntries), readFile: os.ReadFile}, nil
+	return &CAS{dir: dir, m: m, readFile: os.ReadFile}, nil
 }
 
 // Dir returns the store's root directory.
@@ -101,8 +84,11 @@ func (c *CAS) path(sha string) string {
 // Get returns the run stored under key, reporting ok=false on a miss.
 // A present-but-unreadable or key-mismatched entry is an error AND a
 // miss: callers fall back to simulating, and the error explains why the
-// store did not help.
+// store did not help. A nil store holds nothing.
 func (c *CAS) Get(key string) (stats.Run, bool, error) {
+	if c == nil {
+		return stats.Run{}, false, nil
+	}
 	_, run, ok, err := c.load(KeySHA(key), key)
 	return run, ok, err
 }
@@ -134,21 +120,17 @@ func isAddress(sha string) bool {
 	return true
 }
 
-// load answers one lookup from the in-process tier, reading the entry
-// from disk on a tier miss. wantKey, when non-empty, must match the
-// stored key (content-address verification), on a tier hit as on a read.
+// load reads the entry stored at sha. wantKey, when non-empty, must
+// match the stored key (content-address verification).
 func (c *CAS) load(sha, wantKey string) (string, stats.Run, bool, error) {
-	//pflint:allow ctxflow/background the lookup signatures carry no context, and a waiter waits only for one local file read and decode
-	e, err := c.mem.Do(context.TODO(), sha, func(context.Context) (envelope, error) {
-		return c.read(sha)
-	})
+	e, ok, err := c.read(sha)
 	switch {
-	case errors.Is(err, errNotStored):
-		c.m.Counter("fabric.cas.misses").Inc()
-		return "", stats.Run{}, false, nil
 	case err != nil:
 		c.m.Counter("fabric.cas.errors").Inc()
 		return "", stats.Run{}, false, err
+	case !ok:
+		c.m.Counter("fabric.cas.misses").Inc()
+		return "", stats.Run{}, false, nil
 	case wantKey != "" && e.Key != wantKey:
 		c.m.Counter("fabric.cas.errors").Inc()
 		return "", stats.Run{}, false, fmt.Errorf("fabric: cas entry %s holds a different key", sha)
@@ -157,25 +139,25 @@ func (c *CAS) load(sha, wantKey string) (string, stats.Run, bool, error) {
 	return e.Key, e.Run, true, nil
 }
 
-// read reads and verifies the envelope stored at sha. Only what it
-// returns without error enters the tier: the file parsed, and its key
-// hashes to its address.
-func (c *CAS) read(sha string) (envelope, error) {
+// read reads and verifies the envelope stored at sha: the file parsed,
+// and its key hashes to its address. A missing file is ok=false with no
+// error.
+func (c *CAS) read(sha string) (envelope, bool, error) {
 	data, err := c.readFile(c.path(sha))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return envelope{}, errNotStored
+			return envelope{}, false, nil
 		}
-		return envelope{}, fmt.Errorf("fabric: cas read %s: %w", sha, err)
+		return envelope{}, false, fmt.Errorf("fabric: cas read %s: %w", sha, err)
 	}
 	var e envelope
 	if err := json.Unmarshal(data, &e); err != nil {
-		return envelope{}, fmt.Errorf("fabric: cas entry %s corrupt: %w", sha, err)
+		return envelope{}, false, fmt.Errorf("fabric: cas entry %s corrupt: %w", sha, err)
 	}
 	if KeySHA(e.Key) != sha {
-		return envelope{}, fmt.Errorf("fabric: cas entry %s holds a different key", sha)
+		return envelope{}, false, fmt.Errorf("fabric: cas entry %s holds a different key", sha)
 	}
-	return e, nil
+	return e, true, nil
 }
 
 // Put stores run under key. The write is atomic (temp file + rename
@@ -183,12 +165,14 @@ func (c *CAS) read(sha string) (envelope, error) {
 // are immutable, so overwriting a concurrent writer's identical bytes
 // is harmless. An entry for key that already reads back verified (one a
 // worker sharing the directory stored, say) is left as it is and is not
-// counted as a fill; a corrupt one is overwritten. Put admits nothing to
-// the in-process tier: an entry gets there only by being read back from
-// disk and verified.
+// counted as a fill; a corrupt one is overwritten. A nil store keeps
+// nothing.
 func (c *CAS) Put(key string, run stats.Run) error {
+	if c == nil {
+		return nil
+	}
 	sha := KeySHA(key)
-	if e, err := c.read(sha); err == nil && e.Key == key {
+	if e, ok, _ := c.read(sha); ok && e.Key == key {
 		return nil
 	}
 	dst := c.path(sha)
@@ -226,20 +210,4 @@ func (c *CAS) Put(key string, run stats.Run) error {
 	}
 	c.m.Counter("fabric.cas.fills").Inc()
 	return nil
-}
-
-// Len walks the store and counts entries — an operational helper for
-// tests and tooling, not a hot path.
-func (c *CAS) Len() (int, error) {
-	n := 0
-	err := filepath.WalkDir(c.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n, err
 }

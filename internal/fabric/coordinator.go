@@ -7,15 +7,14 @@
 // local daemon's is a simulation:
 //
 //   - Cells are keyed by experiments.CacheKey — the same fully-qualified
-//     key the in-process memo uses — so a cell computed anywhere is a
+//     key every daemon's memory uses — so a cell computed anywhere is a
 //     cell computed everywhere.
-//   - The CAS is probed first: hot cells are answered without simulating
-//     at all, from the CAS's in-process tier once an entry has been read
-//     back, from disk before that. Only misses are dealt.
-//   - Each miss is one sched job, costed by the scheduler's cost model,
-//     so sched deals them longest-first and balances them by stealing.
-//     A job dispatches on a free slot of the worker fleet: each worker
-//     offers PerWorker slots, its number of concurrent in-flight cells.
+//   - The coordinator's memory, then the CAS, answer hot cells without
+//     simulating at all; only misses are dealt.
+//   - Each miss is one sched job, balanced by stealing. Only simulating
+//     daemons record the wall times sched costs jobs by, so a coordinator
+//     deals them in key order, each on a free slot of the worker fleet
+//     (PerWorker per worker, its number of concurrent in-flight cells).
 //   - Every dispatch carries a lease (a per-request deadline). A worker
 //     that dies, or that misses its lease, forfeits the cell: it is
 //     retried on another live worker, and a worker that fails repeatedly
@@ -84,8 +83,8 @@ type Options struct {
 	// Workers is the list of worker base URLs (e.g. "http://host:8077").
 	// At least one is required.
 	Workers []string
-	// CAS, when non-nil, is probed before dealing and filled after every
-	// completed cell.
+	// CAS, when non-nil, is probed after the coordinator's memory and
+	// before dealing, and filled after every completed cell.
 	CAS *CAS
 	// Lease bounds one dispatch: a worker that has not answered within
 	// it forfeits the cell. Default 2m.
@@ -108,9 +107,11 @@ type Options struct {
 }
 
 // Coordinator deals sweep cells to workers. Create with New; safe for
-// concurrent use (each Run call has its own fleet of slots).
+// concurrent use (each Run call has its own fleet of slots, and all
+// share the coordinator's memory).
 type Coordinator struct {
 	opts Options
+	memo *sched.Memo[stats.Run]
 }
 
 // New validates opts and builds a Coordinator.
@@ -140,14 +141,7 @@ func New(opts Options) (*Coordinator, error) {
 			MaxIdleConnsPerHost: opts.PerWorker,
 		}}
 	}
-	return &Coordinator{opts: opts}, nil
-}
-
-// Workers returns the configured worker URLs.
-func (c *Coordinator) Workers() []string {
-	out := make([]string, len(c.opts.Workers))
-	copy(out, c.opts.Workers)
-	return out
+	return &Coordinator{opts: opts, memo: NewMemo()}, nil
 }
 
 // fleet is one Run's view of the workers: each worker's free dispatch
@@ -247,24 +241,27 @@ func (f *fleet) put(w int, cell *Cell, ok, strike bool, deadAfter int) (died boo
 }
 
 // Run executes cells across the worker fleet and calls emit once per
-// cell as results land (CAS hits first, then remote completions in
-// completion order). emit calls are serialized. It is the cell Loop with
-// a dispatch as its compute step: cells sharing a key are dispatched
-// once, the CAS misses run as sched jobs, longest-first by cost (pass
-// sched.ConstCost(1) when no history exists), and the worker fleet
-// offers PerWorker slots each. Run returns ctx.Err() when cancelled;
-// per-cell failures are reported through emit, not the return value.
+// cell as results land (memory hits first, then the rest in completion
+// order). emit calls are serialized. It is the cell Loop with a dispatch
+// as its compute step: cells sharing a key are dispatched once, the
+// memory misses run as sched jobs in cost order (sched.ConstCost(1)
+// deals them in key order), and the worker fleet offers PerWorker slots
+// each. Run returns ctx.Err() when cancelled; per-cell failures are
+// reported through emit, not the return value.
 func (c *Coordinator) Run(ctx context.Context, p Params, cells []Cell, cost sched.CostModel, emit func(Result)) error {
 	m := c.opts.Metrics
 	f := c.newFleet()
 	loop := Loop{
+		Memo:    c.memo,
 		CAS:     c.opts.CAS,
 		Slots:   len(c.opts.Workers) * c.opts.PerWorker,
 		Metrics: m,
-		Compute: func(ctx context.Context, cell *Cell) Result { return c.runCell(ctx, f, p, cell) },
+		Compute: func(ctx context.Context, cell *Cell) Result {
+			m.Counter("fabric.cells.dealt").Inc()
+			return c.runCell(ctx, f, p, cell)
+		},
 	}
-	dealt, unstarted, err := loop.Run(ctx, cells, cost, emit)
-	m.Counter("fabric.cells.dealt").Add(uint64(dealt))
+	unstarted, err := loop.Run(ctx, cells, cost, emit)
 	m.Counter("fabric.cells.failed").Add(uint64(unstarted))
 	return err
 }

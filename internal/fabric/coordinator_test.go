@@ -120,7 +120,7 @@ func TestCoordinatorCompletesAndFillsCAS(t *testing.T) {
 			t.Fatalf("cell %s source = %q, want a worker URL", r.Cell.Key, r.Source)
 		}
 	}
-	if n, _ := cas.Len(); n != len(cells) {
+	if n := entries(t, cas); n != len(cells) {
 		t.Fatalf("CAS holds %d entries after the sweep, want %d", n, len(cells))
 	}
 

@@ -48,12 +48,12 @@ type CellResponse struct {
 	KeySHA string `json:"key_sha"`
 	// Run is the cell result (absent on fill mode).
 	Run *stats.Run `json:"run,omitempty"`
-	// WallNS is the execution wall time on the worker; a memo- or
-	// CAS-served cell reports (near) zero.
+	// WallNS is the execution wall time on the worker; a cell it did not
+	// execute reports zero.
 	WallNS int64 `json:"wall_ns"`
-	// Source reports where the worker got the result: "cas" (served from
-	// its store without executing) or "sim" (executed; possibly shared
-	// through the in-process memo).
+	// Source reports where the worker got the result: "cas" (not executed
+	// for this request: from its memory, shared with another request's
+	// execution, or read from its store) or "sim" (executed).
 	Source string `json:"source,omitempty"`
 }
 

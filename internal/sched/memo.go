@@ -1,8 +1,8 @@
-// The bounded single-flight result memo. The experiment harness layers
-// it in front of its persistent run cache so that concurrent experiments
-// — or racing Prewarm workers — never execute the same (benchmark,
-// config, seed) simulation twice: the first caller computes, everyone
-// else waits for (and shares) that result.
+// The bounded single-flight result memo. Each pfserved daemon keeps one
+// in front of its cell loop (internal/fabric), so concurrent identical
+// requests never execute the same (benchmark, config, seed) simulation
+// twice: the first caller computes, everyone else waits for (and shares)
+// that result, and a completed result answers later requests from memory.
 
 package sched
 
@@ -78,18 +78,16 @@ func (m *Memo[V]) Do(ctx context.Context, key string, fn func(context.Context) (
 	m.entries[key] = e
 	m.mu.Unlock()
 
-	e.val, e.err = fn(ctx)
-	close(e.done)
+	val, err := fn(ctx)
 
+	// The result is published under the lock, so a waiter that wakes on
+	// a failure and asks again finds the key gone and computes afresh.
 	m.mu.Lock()
+	e.val, e.err = val, err
+	close(e.done)
 	if e.err != nil {
-		// Never cache failures: a retry must recompute. Guard against the
-		// slot having been replaced (possible once we deleted and another
-		// goroutine re-inserted — it cannot happen before this point, but
-		// the check is cheap and keeps the invariant local).
-		if m.entries[key] == e {
-			delete(m.entries, key)
-		}
+		// Never cache failures: a retry must recompute.
+		delete(m.entries, key)
 	} else {
 		// The entry joins the list as its most recent member at
 		// completion, not at insert: a slow computation must not be the
@@ -102,7 +100,20 @@ func (m *Memo[V]) Do(ctx context.Context, key string, fn func(context.Context) (
 		}
 	}
 	m.mu.Unlock()
-	return e.val, e.err
+	return val, err
+}
+
+// Use returns the completed result cached under key, if any, and counts
+// it as a use for eviction order, as a Do hit does. Unlike Do it never
+// waits: an in-flight entry reports absent.
+func (m *Memo[V]) Use(key string) (v V, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.entries[key]; e != nil && e.elem != nil {
+		m.lru.MoveToBack(e.elem)
+		v, ok = e.val, true
+	}
+	return v, ok
 }
 
 // Get returns the completed result cached under key, if any. In-flight

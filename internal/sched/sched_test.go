@@ -334,6 +334,44 @@ func TestMemoWaiterCancellation(t *testing.T) {
 	close(release)
 }
 
+// TestMemoUse: Use answers a completed entry and refreshes it like a Do
+// hit, and reports an in-flight entry absent without waiting for it.
+func TestMemoUse(t *testing.T) {
+	m := NewMemo[int](2)
+	for i, k := range []string{"a", "b"} {
+		if _, err := m.Do(context.Background(), k, func(context.Context) (int, error) { return i, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok := m.Use("a"); !ok || v != 0 {
+		t.Fatalf("Use(a) = %d, %v; want 0, true", v, ok)
+	}
+	if _, err := m.Do(context.Background(), "c", func(context.Context) (int, error) { return 2, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Get("a"); !ok {
+		t.Fatal("Use did not refresh a: inserting c evicted it")
+	}
+	if _, ok := m.Get("b"); ok {
+		t.Fatal("b survived: Use must make a, not b, the most recent")
+	}
+
+	release, started := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	go m.Do(context.Background(), "slow", func(context.Context) (int, error) {
+		close(started)
+		<-release
+		return 3, nil
+	})
+	<-started
+	if _, ok := m.Use("slow"); ok {
+		t.Fatal("Use answered an in-flight entry")
+	}
+	if _, ok := m.Use("missing"); ok {
+		t.Fatal("Use answered an absent key")
+	}
+}
+
 func TestCostFromSnapshot(t *testing.T) {
 	reg := metrics.New()
 	reg.Histogram("experiments.sim.wall_ns.mcf").Observe(1000)

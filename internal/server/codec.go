@@ -47,8 +47,9 @@ type RunRequest struct {
 
 // SweepRequest is the body of POST /v1/sweep: a batch of simulations,
 // either an explicit benchmarks x filters cross product or the standard
-// paper-evaluation matrix. Identical cells are deduplicated; identical
-// in-flight simulations are shared process-wide through the memo.
+// paper-evaluation matrix. Identical cells are deduplicated; a cell the
+// daemon's memory holds, or another request is computing, is answered
+// from that memory without simulating again.
 type SweepRequest struct {
 	// Standard expands the full standard evaluation matrix (every
 	// (benchmark, config) pair the paper figures request), optionally
@@ -86,7 +87,7 @@ type SweepRequest struct {
 	CacheKB int      `json:"cache_kb,omitempty"`
 
 	// Stream switches the response to NDJSON: one result object per
-	// line AS EACH CELL LANDS (completion order — CAS hits first), then
+	// line AS EACH CELL LANDS (completion order — memory hits first), then
 	// a final summary line. Without it the whole sweep is buffered into
 	// one SweepResponse, as before.
 	Stream bool `json:"stream,omitempty"`
@@ -120,9 +121,10 @@ type RunResult struct {
 	// KeySHA is the cell's content address (sha256 of its cache key) —
 	// the CAS filename stem and the handle for GET /v1/cell?sha=….
 	KeySHA string `json:"key_sha,omitempty"`
-	// Source reports where the cell's result came from: "cas" when the
-	// content-addressed store answered it, the worker URL that computed
-	// it on a coordinator. Empty when this daemon simulated it.
+	// Source reports where the cell's result came from: "cas" when this
+	// request did not compute it (the daemon's memory, another request's
+	// computation or the store), the worker URL that computed it on a
+	// coordinator, and empty when this request simulated it.
 	Source string `json:"source,omitempty"`
 
 	Run   *stats.Run `json:"run,omitempty"`
@@ -156,8 +158,8 @@ type SweepResponse struct {
 	// workers and the same sweep on one node MUST report equal
 	// fingerprints — the fabric's determinism contract.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// CASHits counts cells served from the content-addressed store
-	// without simulating, on every daemon with a store (-cas-dir).
+	// CASHits counts the cells whose Source is "cas": answered from the
+	// daemon's memory, shared, or read from its store, without computing.
 	CASHits int `json:"cas_hits,omitempty"`
 	// Comparison is the head-to-head view of the successful cells: one
 	// row per cell with its axis label, classification counts, accuracy,

@@ -226,8 +226,8 @@ func TestSharedCASFillsOnce(t *testing.T) {
 	if resp.Unique != 2 || resp.Errors != 0 {
 		t.Fatalf("unique = %d, errors = %d, want 2 and 0", resp.Unique, resp.Errors)
 	}
-	if n, err := ccas.Len(); err != nil || n != 2 {
-		t.Fatalf("store holds %d entries (%v), want 2", n, err)
+	if files, err := filepath.Glob(filepath.Join(dir, "*", "*.json")); err != nil || len(files) != 2 {
+		t.Fatalf("store holds %d entries (%v), want 2", len(files), err)
 	}
 	fills := cm.Snapshot().Counters["fabric.cas.fills"] + wm.Snapshot().Counters["fabric.cas.fills"]
 	if fills != 2 {
@@ -236,10 +236,11 @@ func TestSharedCASFillsOnce(t *testing.T) {
 }
 
 // TestStandaloneAnswersFromCAS pins the cache order of a standalone
-// daemon with a store: a repeated sweep is answered from the CAS, each
-// such cell says so in its source and in cas_hits, and a corrupt entry
-// re-simulates, counted in fabric.cas.errors, instead of failing the
-// cell. A restarted daemon on the same directory simulates nothing.
+// daemon with a store: a repeated sweep is answered from memory, and
+// each such cell says so in its source and in cas_hits. A restarted
+// daemon on the same directory answers from the store and simulates
+// nothing, except a cell whose entry is corrupt: that one re-simulates,
+// counted in fabric.cas.errors, instead of failing.
 func TestStandaloneAnswersFromCAS(t *testing.T) {
 	dir := t.TempDir()
 	var sims atomic.Int64
@@ -269,41 +270,40 @@ func TestStandaloneAnswersFromCAS(t *testing.T) {
 		return s, ts, m
 	}
 
-	s, ts, m := daemon()
+	s, ts, _ := daemon()
 	first := sweep(s, ts)
 	if first.CASHits != 0 || sims.Load() != int64(first.Unique) {
 		t.Fatalf("cold sweep: cas_hits = %d, %d simulations; want 0 and %d", first.CASHits, sims.Load(), first.Unique)
 	}
+	second := sweep(s, ts)
+	if second.CASHits != second.Unique || sims.Load() != int64(first.Unique) || second.Fingerprint != first.Fingerprint {
+		t.Fatalf("warm sweep: cas_hits = %d of %d, %d simulations; want every cell from memory and none", second.CASHits, second.Unique, sims.Load())
+	}
+
 	bad := first.Results[0]
 	if err := os.WriteFile(filepath.Join(dir, bad.KeySHA[:2], bad.KeySHA+".json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	second := sweep(s, ts)
-	if second.CASHits != second.Unique-1 || sims.Load() != int64(first.Unique)+1 {
-		t.Fatalf("warm sweep over one corrupt entry: cas_hits = %d of %d, %d simulations; want every other cell from the CAS and one re-simulation",
-			second.CASHits, second.Unique, sims.Load())
+	s, ts, m := daemon()
+	third := sweep(s, ts)
+	if third.CASHits != third.Unique-1 || sims.Load() != int64(first.Unique)+1 {
+		t.Fatalf("restarted daemon over one corrupt entry: cas_hits = %d of %d, %d simulations; want every other cell from the CAS and one re-simulation",
+			third.CASHits, third.Unique, sims.Load())
 	}
-	for _, r := range second.Results {
+	for _, r := range third.Results {
 		want := "cas"
 		if r.KeySHA == bad.KeySHA {
 			want = "" // simulated here
 		}
 		if r.Source != want {
-			t.Fatalf("warm sweep cell %s source = %q, want %q", r.Name, r.Source, want)
+			t.Fatalf("restarted daemon's cell %s source = %q, want %q", r.Name, r.Source, want)
 		}
 	}
 	if n := m.Snapshot().Counters["fabric.cas.errors"]; n != 1 {
 		t.Fatalf("fabric.cas.errors = %d, want 1 for the corrupt entry", n)
 	}
-	if second.Fingerprint != first.Fingerprint {
-		t.Fatal("the warm sweep's fingerprint differs from the cold sweep's")
-	}
-
-	s, ts, _ = daemon()
-	third := sweep(s, ts)
-	if third.CASHits != third.Unique || sims.Load() != int64(first.Unique)+1 || third.Fingerprint != first.Fingerprint {
-		t.Fatalf("restarted daemon: cas_hits = %d of %d, %d simulations; want every cell from the CAS and none", third.CASHits, third.Unique, sims.Load())
+	if third.Fingerprint != first.Fingerprint {
+		t.Fatal("the restarted daemon's fingerprint differs from the cold sweep's")
 	}
 }
 

@@ -4,6 +4,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -318,7 +319,7 @@ func (s *Server) handleCellPost(w http.ResponseWriter, r *http.Request) {
 	}
 	key := p.CacheKey(req.Bench, *req.Config)
 
-	if req.Run != nil { // fill mode
+	if req.Run != nil { // fill mode: the disk only, never the daemon's memory
 		if s.cfg.CAS == nil {
 			s.writeError(w, http.StatusNotImplemented, "no content-addressed store configured (-cas-dir)")
 			return
@@ -342,12 +343,8 @@ func (s *Server) handleCellPost(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, outcomeStatus(o.Err), "simulation failed: %v", o.Err)
 		return
 	}
-	source := "sim"
-	if o.Source == "cas" {
-		source = o.Source
-	}
 	s.cfg.Metrics.Counter("server.cell.completed").Inc()
-	writeJSON(w, http.StatusOK, fabric.CellResponse{Key: key, KeySHA: fabric.KeySHA(key), Run: &o.Run, WallNS: o.Wall.Nanoseconds(), Source: source})
+	writeJSON(w, http.StatusOK, fabric.CellResponse{Key: key, KeySHA: fabric.KeySHA(key), Run: &o.Run, WallNS: o.Wall.Nanoseconds(), Source: cmp.Or(o.Source, "sim")})
 }
 
 // validateCell is the gate a /v1/cell body passes before it runs or

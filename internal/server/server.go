@@ -3,9 +3,9 @@
 // It turns the experiment harness into an HTTP service: POST /v1/run
 // executes one (benchmark, config, seed) simulation, POST /v1/sweep a
 // whole matrix, both on the internal/sched work-stealing pool and behind
-// the process-wide single-flight memo — so concurrent identical requests
-// perform one simulation and the second caller shares the result (the
-// "experiments.cache.shared" counter in /metrics counts exactly that).
+// the daemon's one memory cache (internal/fabric's cell loop) — so
+// concurrent identical requests perform one simulation, and the second
+// caller's share counts in "fabric.cas.hits" on /metrics.
 //
 // Production hardening is the point of the package:
 //
@@ -41,6 +41,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -78,14 +79,14 @@ type Config struct {
 	// Nil allocates a fresh registry.
 	Metrics *metrics.Registry
 	// CAS, when non-nil, is the on-disk content-addressed result store:
-	// it backs GET/fill on /v1/cell, and every request asks it before
-	// computing a cell and fills it after, so results survive restarts
-	// and repeated sweeps answer without simulating.
+	// it backs GET/fill on /v1/cell, and every request asks it after the
+	// daemon's memory and before computing a cell, and fills it after, so
+	// results survive restarts.
 	CAS *fabric.CAS
 	// Coordinator, when non-nil, turns this instance into a sweep
 	// coordinator: /v1/run and /v1/sweep execute by dealing cells to the
-	// coordinator's remote workers (CAS-first) instead of simulating
-	// locally.
+	// coordinator's remote workers (its memory and the CAS first) instead
+	// of simulating locally.
 	Coordinator *fabric.Coordinator
 }
 
@@ -138,8 +139,11 @@ type Server struct {
 	draining atomic.Bool
 	inflight sync.WaitGroup
 
+	// memo is a standalone or worker daemon's memory (a coordinator's is
+	// its Coordinator's).
+	memo *sched.Memo[stats.Run]
 	// runSim executes one simulation; tests substitute a stub. The
-	// default routes through the harness memo (Params.RunSim).
+	// default is the harness's uncached simulation step.
 	runSim func(ctx context.Context, p *experiments.Params, bench string, cfg config.Config) (stats.Run, error)
 }
 
@@ -149,8 +153,11 @@ func New(cfg Config) *Server {
 		cfg: cfg.withDefaults(),
 		mux: http.NewServeMux(),
 		runSim: func(ctx context.Context, p *experiments.Params, bench string, cfg config.Config) (stats.Run, error) {
-			return p.RunSim(ctx, bench, cfg)
+			return p.Simulate(ctx, bench, cfg)
 		},
+	}
+	if s.cfg.Coordinator == nil {
+		s.memo = fabric.NewMemo()
 	}
 	s.slots = make(chan struct{}, s.cfg.QueueDepth)
 	s.exec = make(chan struct{}, s.cfg.MaxConcurrent)
@@ -161,15 +168,9 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics returns the registry backing /metrics.
-func (s *Server) Metrics() *metrics.Registry { return s.cfg.Metrics }
-
 // BeginDrain flips the server into draining mode: /healthz and every
 // /v1/* endpoint answer 503 from now on; in-flight requests continue.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain blocks until every in-flight request has completed or ctx
 // expires.
@@ -287,11 +288,11 @@ func cellsFor(p *experiments.Params, cells []experiments.Cell) []sweepCell {
 // executeCells runs the deduplicated cells through the fabric cell
 // Loop and returns one result per key. It waits, deadline-aware, for an
 // execution token so at most MaxConcurrent batches run at once. emit,
-// when non-nil, is called once per cell as its result lands (CAS hits
+// when non-nil, is called once per cell as its result lands (memory hits
 // first, then completion order, serialized) — the streaming hook. The
 // role picks the Loop's compute step: with a Coordinator configured a
-// CAS miss is dealt to the remote worker fleet, otherwise it is
-// simulated on the local pool.
+// miss is dealt to the remote worker fleet, otherwise it is simulated on
+// the local pool.
 func (s *Server) executeCells(ctx context.Context, p *experiments.Params, cells []sweepCell, emit func(sweepCell, fabric.Result)) (map[string]fabric.Result, error) {
 	select {
 	case s.exec <- struct{}{}:
@@ -319,13 +320,13 @@ func (s *Server) executeCells(ctx context.Context, p *experiments.Params, cells 
 		fp := fabric.Params{Instructions: p.Instructions, Warmup: p.Warmup, Seed: p.Seed}
 		err = c.Run(ctx, fp, fcells, p.CostModel(), record)
 	} else {
-		loop := fabric.Loop{CAS: s.cfg.CAS, Slots: s.cfg.Workers, Metrics: s.cfg.Metrics,
+		loop := fabric.Loop{Memo: s.memo, CAS: s.cfg.CAS, Slots: s.cfg.Workers, Metrics: s.cfg.Metrics,
 			Compute: func(ctx context.Context, cell *fabric.Cell) fabric.Result {
 				start := time.Now()
 				run, err := s.runSim(ctx, p, cell.Bench, cell.Config)
 				return fabric.Result{Cell: *cell, Run: run, Err: err, Wall: time.Since(start)}
 			}}
-		_, _, err = loop.Run(ctx, fcells, p.CostModel(), record)
+		_, err = loop.Run(ctx, fcells, p.CostModel(), record)
 	}
 	return outcomes, err
 }

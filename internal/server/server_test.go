@@ -278,12 +278,12 @@ func TestDeadlineExpiresWhileQueued(t *testing.T) {
 }
 
 // TestConcurrentIdenticalRunsShareOneSimulation is the end-to-end
-// acceptance check: two concurrent identical /v1/run requests perform
-// ONE simulation, and the share is visible in /metrics.
+// acceptance check: two concurrent identical /v1/run requests on a
+// daemon without a store perform ONE simulation, and the share is
+// visible in /metrics as a fabric.cas.hits (the second request either
+// waited on the first's simulation or found its result in memory).
 func TestConcurrentIdenticalRunsShareOneSimulation(t *testing.T) {
 	_, ts := newTestServer(t, Config{QueueDepth: 8, MaxConcurrent: 2, Workers: 2})
-	// A seed no other test uses keeps the process-wide memo cold for
-	// this key.
 	req := `{"benchmark":"fpppp","instructions":30000,"warmup":10000,"seed":990077}`
 
 	var wg sync.WaitGroup
@@ -318,8 +318,8 @@ func TestConcurrentIdenticalRunsShareOneSimulation(t *testing.T) {
 	if !strings.Contains(string(body), "experiments_cache_misses 1") {
 		t.Fatalf("expected exactly one simulation; /metrics:\n%s", grepLines(body, "experiments_cache"))
 	}
-	if !strings.Contains(string(body), "experiments_cache_shared 1") {
-		t.Fatalf("memo share not visible; /metrics:\n%s", grepLines(body, "experiments_cache"))
+	if !strings.Contains(string(body), "fabric_cas_hits 1") {
+		t.Fatalf("share not visible; /metrics:\n%s", grepLines(body, "fabric_cas"))
 	}
 }
 
