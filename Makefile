@@ -83,10 +83,26 @@ fabric-smoke:
 	./scripts/fabric_smoke.sh
 
 # I-side (iprefetcher x filter) matrix smoke (docs/FRONTEND.md): every
-# registered instruction prefetcher crossed with none/pa on one
-# benchmark, then the pinned per-backend fingerprints.
+# registered instruction prefetcher crossed with none/pa, on one
+# benchmark and on the converted ChampSim fixture trace, with a row per
+# backend asserted in each table, then the pinned per-backend
+# fingerprints. Each table goes to a file first, so a failing run fails
+# the target.
 iprefetch-smoke:
 	$(GO) run ./cmd/pfexperiments -iprefetch all -filters none,pa -bench mcf \
-		-n 100000 -warmup 20000
+		-n 100000 -warmup 20000 > iprefetch.txt
+	cat iprefetch.txt
+	for backend in mana nextline; do \
+		grep -q "mcf *$$backend" iprefetch.txt || exit 1; \
+	done
+	$(GO) build -o pftrace ./cmd/pftrace
+	./pftrace convert -o sample.pftc -manifest corpus.json -name sample \
+		internal/tracefile/testdata/sample.champsim.gz
+	$(GO) run ./cmd/pfexperiments -iprefetch all -filters none,pa -traces corpus.json \
+		-n 20000 -warmup 5000 > iprefetch_trace.txt
+	cat iprefetch_trace.txt
+	for backend in mana nextline; do \
+		grep -q "trace:sample *$$backend" iprefetch_trace.txt || exit 1; \
+	done
 	$(GO) test -run 'TestIPrefetchFingerprintPinned|TestIPrefetchAliasRunsIdentical' \
 		./internal/experiments/

@@ -236,7 +236,7 @@ func BenchmarkPrefetchQueue(b *testing.B) {
 
 func BenchmarkTraceEncode(b *testing.B) {
 	spec, _ := workload.ByName("gcc")
-	recs := isa.Collect(isa.NewLimitSource(spec.New(1), 100_000), 0)
+	recs := isa.Collect(spec.New(1), 100_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -250,7 +250,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 
 func BenchmarkTraceDecode(b *testing.B) {
 	spec, _ := workload.ByName("gcc")
-	recs := isa.Collect(isa.NewLimitSource(spec.New(1), 100_000), 0)
+	recs := isa.Collect(spec.New(1), 100_000)
 	var buf bytes.Buffer
 	if err := tracefile.Encode(&buf, recs, tracefile.WriterOptions{}); err != nil {
 		b.Fatal(err)
@@ -294,7 +294,7 @@ func writeRecordSourceCorpus(b *testing.B, dir string) (gcc, fixture string) {
 	tag := fmt.Sprintf("-recsrc%d", recordSourceSets.Add(1))
 	spec, _ := workload.ByName("gcc")
 	var enc bytes.Buffer
-	recs := isa.Collect(isa.NewLimitSource(spec.New(1), 120_000), 0)
+	recs := isa.Collect(spec.New(1), 120_000)
 	if err := tracefile.Encode(&enc, recs, tracefile.WriterOptions{}); err != nil {
 		b.Fatal(err)
 	}

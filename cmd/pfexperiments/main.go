@@ -5,7 +5,7 @@
 //	pfexperiments -list              # show available experiments
 //	pfexperiments -exp fig6          # regenerate one figure
 //	pfexperiments -all               # regenerate everything (results_full.txt)
-//	pfexperiments -all -jobs 8       # pre-warm on 8 work-stealing workers
+//	pfexperiments -all -jobs 8       # pre-warm on 8 longest-first workers
 //	pfexperiments -all -deadline 5m  # abandon queued sims past the deadline
 //	pfexperiments -exp fig12 -csv    # CSV instead of aligned text
 //	pfexperiments -all -n 5000000    # longer runs for tighter statistics
@@ -45,7 +45,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		bench    = flag.String("bench", "", "comma-separated benchmark subset (default: all ten)")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the simulation sweep (0 = none); queued sims past it are abandoned")
-		met      = flag.Bool("metrics", false, "print harness telemetry (cache hits/misses, scheduler steals, per-benchmark sim wall time) after the run")
+		met      = flag.Bool("metrics", false, "print harness telemetry (cache hits/misses, scheduler jobs, per-benchmark sim wall time) after the run")
 		filters  = flag.String("filters", "", "comma-separated filter backends to compare head to head, or \"all\" for every sweepable backend")
 		gens     = flag.String("generators", "", "comma-separated prefetch generators to cross with -filters (or \"all\"); runs the (generator x filter) comparison")
 		iprefs   = flag.String("iprefetch", "", "comma-separated instruction prefetchers to cross with -filters (or \"all\"); enables the front end and runs the (iprefetcher x filter) comparison")

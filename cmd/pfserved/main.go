@@ -1,5 +1,5 @@
 // Command pfserved serves simulations over HTTP: the experiment harness
-// as a daemon, batched on the work-stealing scheduler and cached behind
+// as a daemon, batched on the longest-first scheduler and cached behind
 // one bounded single-flight memo, then the -cas-dir store. See
 // docs/SERVING.md for the API and docs/FABRIC.md for multi-node operation.
 //

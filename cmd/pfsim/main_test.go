@@ -18,7 +18,7 @@ import (
 // fault as a complete simulation.
 func TestSimulateFailsOnCorruptTrace(t *testing.T) {
 	spec, _ := workload.ByName("mcf")
-	recs := isa.Collect(isa.NewLimitSource(spec.New(1), 20_000), 0)
+	recs := isa.Collect(spec.New(1), 20_000)
 	var buf bytes.Buffer
 	w, err := tracefile.NewWriter(&buf, tracefile.WriterOptions{ChunkBytes: 4096})
 	if err != nil {

@@ -83,12 +83,12 @@ func cmdGen(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	src := isa.NewLimitSource(spec.New(*seed), *n)
+	src := spec.New(*seed)
 	w, err := tracefile.NewWriter(f, tracefile.WriterOptions{ChunkBytes: *chunkBytes})
 	if err != nil {
 		fatal(err)
 	}
-	for {
+	for i := int64(0); i < *n; i++ {
 		rec, ok := src.Next()
 		if !ok {
 			break
@@ -296,13 +296,17 @@ func cmdAnalyze(args []string) {
 	_ = fs.Parse(args)
 
 	var src isa.Source
+	var limit int64 // 0: the whole trace file
 	switch {
 	case *bench != "":
 		spec, ok := workload.ByName(*bench)
 		if !ok {
 			fatal(fmt.Errorf("unknown benchmark %q", *bench))
 		}
-		src = isa.NewLimitSource(spec.New(*seed), *n)
+		if *n <= 0 {
+			fatal(fmt.Errorf("-n must be positive with -bench, got %d", *n))
+		}
+		src, limit = spec.New(*seed), *n
 	case fs.NArg() == 1:
 		r, cleanup := openTrace(fs.Arg(0))
 		defer cleanup()
@@ -311,7 +315,7 @@ func cmdAnalyze(args []string) {
 		usage()
 	}
 
-	p, err := analysis.AnalyzeSource(src, *line, 0)
+	p, err := analysis.AnalyzeSource(src, *line, limit)
 	if err != nil {
 		fatal(err)
 	}

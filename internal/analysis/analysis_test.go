@@ -186,7 +186,7 @@ func TestPropertyInvariants(t *testing.T) {
 // (direct-mapped conflicts push the real number somewhat higher).
 func TestPredictsWorkloadMissRates(t *testing.T) {
 	spec, _ := workload.ByName("fpppp")
-	p, err := AnalyzeSource(isa.NewLimitSource(spec.New(1), 200_000), 32, 0)
+	p, err := AnalyzeSource(spec.New(1), 32, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,15 @@
 // them concurrently and lets the experiments read cached results.
 // Prewarm enumerates the standard evaluation matrix — every (benchmark,
 // config) pair the paper-figure experiments will request — and fills the
-// cache through internal/sched's work-stealing pool: jobs are ordered
-// longest-first by the per-benchmark wall-time histograms the harness
-// records under "experiments.sim.wall_ns.<bench>", dealt into per-worker
-// deques, and rebalanced by stealing. Results land in the cache under
-// the cache lock; determinism of the final cache state is independent of
-// worker count and steal order (see TestPrewarmParallelDeterminism).
+// cache through internal/sched's longest-first queue. Jobs are ordered
+// by the per-benchmark wall-time histograms the harness records under
+// "experiments.sim.wall_ns.<bench>" in Params.Metrics. Only a batch that
+// follows earlier simulations in the same process with a registry
+// attached (pfexperiments -metrics) sees such a history: Prewarm and the
+// first Sweep start from an empty registry and run in key order. Results
+// land in the cache under the cache lock; determinism of the final cache
+// state is independent of worker count and completion order (see
+// TestPrewarmParallelDeterminism).
 package experiments
 
 import (
@@ -90,7 +93,7 @@ func (p *Params) StandardMatrix() []Cell {
 
 // CostModel builds the longest-runs-first estimator for the scheduler
 // from whatever per-benchmark wall-time history the registry holds. With
-// no registry (or no history yet) every job costs the same and sharding
+// no registry (or no history yet) every job costs the same and the queue
 // falls back to deterministic key order.
 func (p *Params) CostModel() sched.CostModel {
 	return sched.CostFromSnapshot(p.Metrics.Snapshot(), "experiments.sim.wall_ns.", 1)
@@ -132,11 +135,11 @@ func (p *Params) PrewarmCtx(ctx context.Context, workers int) error {
 	return err
 }
 
-// runCells runs the cells on the work-stealing scheduler, one job per
-// distinct cache key, longest-first by the cost model, and fills each
+// runCells runs the cells on the longest-first scheduler, one job per
+// distinct cache key, ordered by the cost model, and fills each
 // completed cell's Run. Every failure is collected and returned joined
 // (errors.Join) with the context error, sorted by message so the report
-// is deterministic regardless of steal order.
+// is deterministic regardless of completion order.
 func (p *Params) runCells(ctx context.Context, cells []Cell, workers int) error {
 	cost := p.CostModel()
 	jobs := make([]sched.Job, len(cells))

@@ -223,7 +223,7 @@ func (c *Cell) Name() string {
 }
 
 // Sweep runs benchmarks × axis values × (none + filters) on the
-// work-stealing scheduler and returns every cell, run, in (benchmark,
+// longest-first scheduler and returns every cell, run, in (benchmark,
 // value, filter) order. A nil axis runs the plain filter comparison.
 // Values and filters expand through the axes (empty selects every
 // sweepable kind); the unfiltered baseline leads each pair's filters

@@ -11,9 +11,9 @@
 //     cell computed everywhere.
 //   - The coordinator's memory, then the CAS, answer hot cells without
 //     simulating at all; only misses are dealt.
-//   - Each miss is one sched job, balanced by stealing. Only simulating
+//   - Each miss is one sched job on sched's one queue. Only simulating
 //     daemons record the wall times sched costs jobs by, so a coordinator
-//     deals them in key order, each on a free slot of the worker fleet
+//     starts them in key order, each on a free slot of the worker fleet
 //     (PerWorker per worker, its number of concurrent in-flight cells).
 //   - Every dispatch carries a lease (a per-request deadline). A worker
 //     that dies, or that misses its lease, forfeits the cell: it is
@@ -245,7 +245,7 @@ func (f *fleet) put(w int, cell *Cell, ok, strike bool, deadAfter int) (died boo
 // order). emit calls are serialized. It is the cell Loop with a dispatch
 // as its compute step: cells sharing a key are dispatched once, the
 // memory misses run as sched jobs in cost order (sched.ConstCost(1)
-// deals them in key order), and the worker fleet offers PerWorker slots
+// starts them in key order), and the worker fleet offers PerWorker slots
 // each. Run returns ctx.Err() when cancelled; per-cell failures are
 // reported through emit, not the return value.
 func (c *Coordinator) Run(ctx context.Context, p Params, cells []Cell, cost sched.CostModel, emit func(Result)) error {

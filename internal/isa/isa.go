@@ -171,32 +171,6 @@ func (s *SliceSource) Reset() { s.pos = 0 }
 // Len returns the total number of records.
 func (s *SliceSource) Len() int { return len(s.recs) }
 
-// LimitSource caps an underlying source at n records.
-type LimitSource struct {
-	src  Source
-	left int64
-}
-
-// NewLimitSource returns a Source that yields at most n records from src.
-// n <= 0 yields nothing.
-func NewLimitSource(src Source, n int64) *LimitSource {
-	return &LimitSource{src: src, left: n}
-}
-
-// Next implements Source.
-func (l *LimitSource) Next() (Record, bool) {
-	if l.left <= 0 {
-		return Record{}, false
-	}
-	r, ok := l.src.Next()
-	if !ok {
-		l.left = 0
-		return Record{}, false
-	}
-	l.left--
-	return r, true
-}
-
 // FuncSource adapts a closure into a Source.
 type FuncSource func() (Record, bool)
 

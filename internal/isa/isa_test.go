@@ -99,26 +99,6 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestLimitSource(t *testing.T) {
-	base := NewSliceSource([]Record{ALU(4), ALU(8), ALU(12)})
-	l := NewLimitSource(base, 2)
-	if got := len(Collect(l, 0)); got != 2 {
-		t.Fatalf("limit 2 yielded %d", got)
-	}
-	// Limit larger than the underlying source.
-	base.Reset()
-	l = NewLimitSource(base, 10)
-	if got := len(Collect(l, 0)); got != 3 {
-		t.Fatalf("limit 10 over 3 records yielded %d", got)
-	}
-	// Non-positive limit yields nothing.
-	base.Reset()
-	l = NewLimitSource(base, 0)
-	if _, ok := l.Next(); ok {
-		t.Fatal("limit 0 should be empty")
-	}
-}
-
 func TestFuncSource(t *testing.T) {
 	n := 0
 	f := FuncSource(func() (Record, bool) {

@@ -1,5 +1,5 @@
 // The cost model: turning recorded wall-time histograms into the
-// longest-runs-first ordering the scheduler shards by.
+// longest-runs-first order of the scheduler's queue.
 
 package sched
 
@@ -10,8 +10,8 @@ import "repro/internal/metrics"
 // to be ordinally right — the scheduler sorts by them, nothing else.
 type CostModel func(label string) uint64
 
-// ConstCost estimates every job at the same cost c. Sharding then
-// degrades to deterministic Key-order dealing — still correct, just not
+// ConstCost estimates every job at the same cost c. The queue then
+// runs in deterministic Key order — still correct, just not
 // load-balanced.
 func ConstCost(c uint64) CostModel {
 	return func(string) uint64 { return c }

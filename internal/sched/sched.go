@@ -1,33 +1,29 @@
-// Package sched is the experiment harness's work-stealing scheduler.
+// Package sched is the experiment harness's longest-first scheduler.
 //
 // A simulation sweep is a bag of independent, deterministic jobs whose
 // durations span two orders of magnitude (a 2M-instruction mcf run is
-// ~30x a no-prefetch gzip run). A fixed worker pool fed from one channel
-// — the previous harness design — leaves workers idle at the tail: the
-// last long job lands on a busy worker while the rest have drained.
-// This package replaces it with shard-aware work stealing:
+// ~30x a no-prefetch gzip run). A worker pool fed in arbitrary order
+// leaves workers idle at the tail: the last long job lands on a busy
+// worker while the rest have drained. This package runs one queue
+// instead:
 //
-//   - Jobs are sorted longest-first by a caller-supplied cost estimate
-//     (see CostModel for the wall-time-histogram-backed estimator) and
-//     dealt round-robin into per-worker deques, so every shard starts
-//     with a balanced, longest-first work list.
-//   - Each worker pops from the front of its own deque (its next-longest
-//     job). A worker whose deque is empty steals from the BACK of a
-//     victim's deque — the victim's cheapest queued job — scanning
-//     victims round-robin from its own index. Stealing cheap jobs keeps
-//     the expensive ones with the shard that cost-ordering assigned them
-//     and minimizes the tail imbalance a steal can introduce.
-//   - Cancellation is context-based: workers stop dequeuing as soon as
+//   - Jobs are sorted once by a caller-supplied cost estimate, longest
+//     first, ties by Key (see CostModel for the wall-time-histogram-backed
+//     estimator).
+//   - Each free worker claims the next job in that order, so the costliest
+//     job not yet started always goes first: the longest-processing-time
+//     (LPT) list schedule.
+//   - Cancellation is context-based: workers stop claiming jobs as soon as
 //     ctx is cancelled, in-flight jobs receive the cancelled ctx, and
 //     never-started jobs report ctx.Err() as their result.
 //
-// Determinism: the scheduler guarantees nothing about execution order —
-// steal interleavings are racy by design — so it must only ever be used
-// for jobs that are independent and deterministic. Results are keyed by
-// Job.Key, not by completion order; two runs over the same jobs produce
-// identical result maps regardless of worker count or steal order. The
-// experiments harness pins this with byte-identical fingerprint tests
-// across 1, 4, and 8 workers (see docs/SCHEDULER.md).
+// Determinism: which worker runs a job and when it finishes depend on the
+// job's wall time, so the scheduler must only ever be used for jobs that
+// are independent and deterministic. Results are keyed by Job.Key, not by
+// completion order; two runs over the same jobs produce identical result
+// maps regardless of worker count. The experiments harness pins this with
+// byte-identical fingerprint tests across 1, 4, and 8 workers (see
+// docs/SCHEDULER.md).
 package sched
 
 import (
@@ -50,7 +46,7 @@ type Job struct {
 	// must be unique per distinct piece of work.
 	Key string
 	// Cost is the scheduler's relative wall-time estimate (any unit;
-	// only the ordering matters). Zero is valid: jobs then shard in Key
+	// only the ordering matters). Zero is valid: jobs then start in Key
 	// order, which is deterministic but not load-balanced.
 	Cost uint64
 	// Run does the work. It receives the scheduler's context and must
@@ -68,72 +64,25 @@ type Result struct {
 	// Worker is the index of the worker that executed the job; -1 if the
 	// job never started (cancellation).
 	Worker int
-	// Stolen reports whether the job ran on a worker other than the one
-	// its shard assignment placed it on.
-	Stolen bool
 }
 
 // Options configure a Run.
 type Options struct {
 	// Workers is the pool size; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Metrics, when non-nil, receives scheduler telemetry: "sched.jobs",
-	// "sched.steals", "sched.cancelled" counters and a "sched.job_wall_ns"
-	// histogram. Nil-safe, like every registry in this repo.
+	// Metrics, when non-nil, receives scheduler telemetry: "sched.jobs"
+	// and "sched.cancelled" counters and a "sched.job_wall_ns" histogram.
+	// Nil-safe, like every registry in this repo.
 	Metrics *metrics.Registry
 }
 
-// deque is one worker's job list. front() is the owner's end (its
-// next-longest job); stealBack() is the thief's end (the victim's
-// cheapest queued job). A mutex per deque is ample: jobs are whole
-// simulations, so the lock is touched a few thousand times per sweep,
-// never inside a hot loop.
-type deque struct {
-	mu   sync.Mutex
-	jobs []int // indices into the deduplicated job slice
-	head int
-}
-
-// popFront removes the owner-end job, returning -1 when empty.
-func (d *deque) popFront() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.jobs) {
-		return -1
-	}
-	j := d.jobs[d.head]
-	d.head++
-	return j
-}
-
-// stealBack removes the thief-end job, returning -1 when empty.
-func (d *deque) stealBack() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.jobs) {
-		return -1
-	}
-	j := d.jobs[len(d.jobs)-1]
-	d.jobs = d.jobs[:len(d.jobs)-1]
-	return j
-}
-
-// drain removes and returns every remaining job (cancellation sweep).
-func (d *deque) drain() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rest := d.jobs[d.head:]
-	d.jobs = nil
-	d.head = 0
-	return rest
-}
-
-// Run executes the jobs on a work-stealing pool and returns one Result
-// per distinct Key. It blocks until every started job has finished; when
-// ctx is cancelled it stops starting jobs, marks the never-started ones
-// with ctx.Err(), and returns ctx.Err() alongside the partial results.
-// Job-level failures do NOT abort the run — they are reported in the
-// per-job Result.Err and the caller decides; only ctx ends a sweep early.
+// Run executes the jobs longest-first on a pool of workers and returns
+// one Result per distinct Key. It blocks until every started job has
+// finished; when ctx is cancelled it stops starting jobs, marks the
+// never-started ones with ctx.Err(), and returns ctx.Err() alongside the
+// partial results. Job-level failures do NOT abort the run — they are
+// reported in the per-job Result.Err and the caller decides; only ctx
+// ends a sweep early.
 func Run(ctx context.Context, jobs []Job, opts Options) (map[string]Result, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -143,21 +92,16 @@ func Run(ctx context.Context, jobs []Job, opts Options) (map[string]Result, erro
 	// Single-flight by Key: the first occurrence is scheduled, duplicates
 	// alias its result slot.
 	unique := make([]Job, 0, len(jobs))
-	index := make(map[string]int, len(jobs))
+	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
 		if j.Run == nil {
 			return nil, fmt.Errorf("sched: job %q has a nil Run", j.Key)
 		}
-		if _, dup := index[j.Key]; dup {
+		if seen[j.Key] {
 			continue
 		}
-		index[j.Key] = len(unique)
+		seen[j.Key] = true
 		unique = append(unique, j)
-	}
-
-	results := make([]Result, len(unique))
-	for i := range results {
-		results[i] = Result{Key: unique[i].Key, Worker: -1}
 	}
 	if len(unique) == 0 {
 		return map[string]Result{}, ctx.Err()
@@ -166,85 +110,54 @@ func Run(ctx context.Context, jobs []Job, opts Options) (map[string]Result, erro
 		workers = len(unique)
 	}
 
-	// Shard: longest-first, ties broken by Key so the deal is
-	// deterministic, then round-robin across workers.
-	order := make([]int, len(unique))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ja, jb := unique[order[a]], unique[order[b]]
-		if ja.Cost != jb.Cost {
-			return ja.Cost > jb.Cost
+	// The queue: longest-first, ties broken by Key so the order is
+	// deterministic. Results stay in the same order.
+	sort.Slice(unique, func(a, b int) bool {
+		if unique[a].Cost != unique[b].Cost {
+			return unique[a].Cost > unique[b].Cost
 		}
-		return ja.Key < jb.Key
+		return unique[a].Key < unique[b].Key
 	})
-	deques := make([]*deque, workers)
-	for w := range deques {
-		deques[w] = &deque{}
-	}
-	home := make([]int, len(unique))
-	for pos, idx := range order {
-		w := pos % workers
-		deques[w].jobs = append(deques[w].jobs, idx)
-		home[idx] = w
+	results := make([]Result, len(unique))
+	for i, j := range unique {
+		results[i] = Result{Key: j.Key, Worker: -1}
 	}
 
-	var steals, cancelled, executed atomic.Uint64
+	var next atomic.Int64
 	wallHist := opts.Metrics.Histogram("sched.job_wall_ns")
-
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(self int) {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				idx := deques[self].popFront()
-				stolen := false
-				if idx < 0 {
-					// Own deque empty: scan victims round-robin from the
-					// right neighbour, stealing their cheapest queued job.
-					for k := 1; k < workers && idx < 0; k++ {
-						idx = deques[(self+k)%workers].stealBack()
-					}
-					if idx < 0 {
-						return // every deque empty; running jobs belong to their executors
-					}
-					stolen = true
-					steals.Add(1)
+				i := int(next.Add(1) - 1)
+				if i >= len(unique) {
+					return // queue empty; running jobs belong to their executors
 				}
-				job := unique[idx]
 				start := time.Now()
-				v, err := job.Run(ctx)
+				v, err := unique[i].Run(ctx)
 				wall := time.Since(start)
 				wallHist.Observe(uint64(wall))
-				executed.Add(1)
-				results[idx] = Result{
-					Key: job.Key, Value: v, Err: err,
-					Wall: wall, Worker: self, Stolen: stolen && home[idx] != self,
-				}
+				results[i] = Result{Key: unique[i].Key, Value: v, Err: err, Wall: wall, Worker: self}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	// Cancellation sweep: anything still queued never ran.
-	if err := ctx.Err(); err != nil {
-		for _, d := range deques {
-			for _, idx := range d.drain() {
-				results[idx].Err = err
-				cancelled.Add(1)
-			}
-		}
-	}
-
-	opts.Metrics.Counter("sched.jobs").Add(executed.Load())
-	opts.Metrics.Counter("sched.steals").Add(steals.Load())
-	opts.Metrics.Counter("sched.cancelled").Add(cancelled.Load())
-
+	// Anything never claimed was cancelled.
+	var executed, cancelled uint64
 	out := make(map[string]Result, len(unique))
 	for _, r := range results {
+		if r.Worker == -1 {
+			r.Err = ctx.Err()
+			cancelled++
+		} else {
+			executed++
+		}
 		out[r.Key] = r
 	}
+	opts.Metrics.Counter("sched.jobs").Add(executed)
+	opts.Metrics.Counter("sched.cancelled").Add(cancelled)
 	return out, ctx.Err()
 }

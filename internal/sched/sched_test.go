@@ -54,12 +54,12 @@ func TestRunMoreWorkersThanJobs(t *testing.T) {
 	}
 }
 
-// TestRunStealOrderPermutation runs the same job set at several worker
-// counts — which permutes execution and steal order — and requires the
-// result map to be identical every time. This is the scheduler-level
+// TestRunWorkerCountPermutation runs the same job set at several worker
+// counts — which permutes execution and completion order — and requires
+// the result map to be identical every time. This is the scheduler-level
 // half of the determinism guarantee; the harness-level half is the
 // byte-identical Fingerprint test in internal/sim.
-func TestRunStealOrderPermutation(t *testing.T) {
+func TestRunWorkerCountPermutation(t *testing.T) {
 	const n = 50
 	build := func() []Job {
 		jobs := make([]Job, 0, n)
@@ -89,8 +89,59 @@ func TestRunStealOrderPermutation(t *testing.T) {
 	}
 }
 
+// TestRunLongestFirst pins the queue order: one worker runs the jobs by
+// (Cost desc, Key asc), and of two workers the first two jobs to start are
+// the two costliest.
+func TestRunLongestFirst(t *testing.T) {
+	costs := map[string]uint64{"a": 1, "b": 5, "c": 5, "d": 0, "e": 9, "f": 1, "g": 3}
+	var mu sync.Mutex
+	var order []string
+	var jobs []Job
+	for k, c := range costs { // map order: the submission order is random
+		jobs = append(jobs, Job{Key: k, Cost: c, Run: func(context.Context) (any, error) {
+			mu.Lock()
+			order = append(order, k)
+			mu.Unlock()
+			return nil, nil
+		}})
+	}
+	if _, err := Run(context.Background(), jobs, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"e", "b", "c", "g", "a", "f", "d"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("one worker ran %v, want %v", order, want)
+	}
+
+	// Two workers: each job blocks until released, so the first two to
+	// start are exactly the two claimed before any job finished.
+	release := make(chan struct{})
+	started := make(chan string, len(costs))
+	jobs = jobs[:0]
+	for k, c := range costs {
+		jobs = append(jobs, Job{Key: k, Cost: c, Run: func(context.Context) (any, error) {
+			started <- k
+			<-release
+			return nil, nil
+		}})
+	}
+	done := make(chan error)
+	go func() {
+		_, err := Run(context.Background(), jobs, Options{Workers: 2})
+		done <- err
+	}()
+	first := map[string]bool{<-started: true, <-started: true}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !first["e"] || !first["b"] {
+		t.Fatalf("first two jobs started were %v, want e and b", first)
+	}
+}
+
 func TestRunCancellationMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
+	reg := metrics.New()
 	started := make(chan struct{})
 	var startOnce sync.Once
 	var ran atomic.Int32
@@ -111,7 +162,7 @@ func TestRunCancellationMidRun(t *testing.T) {
 	var res map[string]Result
 	var err error
 	go func() {
-		res, err = Run(ctx, jobs, Options{Workers: 2})
+		res, err = Run(ctx, jobs, Options{Workers: 2, Metrics: reg})
 		close(done)
 	}()
 	<-started
@@ -141,6 +192,9 @@ func TestRunCancellationMidRun(t *testing.T) {
 	}
 	if cancelledUnstarted == 0 {
 		t.Error("cancellation mid-run left no unstarted jobs; test lost its race")
+	}
+	if got := reg.Snapshot().Counters["sched.cancelled"]; got != uint64(cancelledUnstarted) {
+		t.Errorf("sched.cancelled = %d, want %d (the results with Worker == -1)", got, cancelledUnstarted)
 	}
 }
 

@@ -2,7 +2,7 @@
 //
 // It turns the experiment harness into an HTTP service: POST /v1/run
 // executes one (benchmark, config, seed) simulation, POST /v1/sweep a
-// whole matrix, both on the internal/sched work-stealing pool and behind
+// whole matrix, both on the internal/sched longest-first queue and behind
 // the daemon's one memory cache (internal/fabric's cell loop) — so
 // concurrent identical requests perform one simulation, and the second
 // caller's share counts in "fabric.cas.hits" on /metrics.

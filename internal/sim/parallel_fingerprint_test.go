@@ -22,10 +22,9 @@ func smallParams() experiments.Params {
 }
 
 // TestPrewarmParallelDeterminism runs the standard matrix serially and
-// with 4 and 8 work-stealing workers and requires byte-identical
-// fingerprints at every width: the worker pool (and whatever steal
-// interleaving it happens to produce) must not change any simulation
-// result, only the wall time.
+// with 4 and 8 workers and requires byte-identical fingerprints at every
+// width: the worker pool (and whatever completion order it happens to
+// produce) must not change any simulation result, only the wall time.
 func TestPrewarmParallelDeterminism(t *testing.T) {
 	serial := smallParams()
 	if err := serial.Prewarm(1); err != nil {

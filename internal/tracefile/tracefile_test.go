@@ -140,6 +140,65 @@ func TestRecordsSpanChunkBoundaries(t *testing.T) {
 	if err != nil || len(got) != len(recs) {
 		t.Fatalf("Decode: %d records, err=%v", len(got), err)
 	}
+
+	// Far taken branches, whose successors carry multi-byte PC deltas,
+	// land last in a chunk at every cut size: each encoding must decode
+	// to the same records as the one-chunk encoding.
+	far := farBranchRecords()
+	ref, err := Decode(bytes.NewReader(encodeAll(t, far, 1<<20)))
+	if err != nil || len(ref) != len(far) {
+		t.Fatalf("one-chunk Decode: %d records, err=%v", len(ref), err)
+	}
+	for _, chunkBytes := range []int{1, 3, 7, 16, 64} {
+		data := encodeAll(t, far, chunkBytes)
+		info, err := Inspect(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("ChunkBytes=%d: Inspect: %v", chunkBytes, err)
+		}
+		if len(info.Chunks) < 2 {
+			t.Fatalf("ChunkBytes=%d produced a single chunk; want a multi-chunk encoding", chunkBytes)
+		}
+		got, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("ChunkBytes=%d: Decode: %v", chunkBytes, err)
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("ChunkBytes=%d: %d records, want %d", chunkBytes, len(got), len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("ChunkBytes=%d: record %d = %+v, want %+v", chunkBytes, i, got[i], ref[i])
+			}
+		}
+	}
+}
+
+// farBranchRecords builds an executed-path record stream that walks
+// several instruction blocks sequentially, takes a far branch, runs at
+// the target, and branches back, so the PC deltas around the branches
+// are large (multi-byte varints whose decoding depends on the per-chunk
+// PC-delta reset).
+func farBranchRecords() []isa.Record {
+	var recs []isa.Record
+	pc := uint64(0x40_0000)
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			recs = append(recs, isa.ALU(pc))
+			pc += isa.InstrBytes
+		}
+	}
+	jump := func(target uint64) {
+		recs = append(recs, isa.Branch(pc, target, true))
+		pc = target
+	}
+	run(20)         // ~2.5 blocks of straight-line code
+	jump(0x7f_0000) // far taken branch: big positive PC delta
+	run(10)         // land in a new region
+	jump(0x40_0040) // far branch back: big negative PC delta
+	run(12)
+	jump(0x7f_0100) // and once more, so a branch also ends the stream region
+	run(6)
+	return recs
 }
 
 func TestWriterCutsOnlyAtRecordBoundaries(t *testing.T) {
