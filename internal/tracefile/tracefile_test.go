@@ -140,10 +140,14 @@ func TestRecordsSpanChunkBoundaries(t *testing.T) {
 	if err != nil || len(got) != len(recs) {
 		t.Fatalf("Decode: %d records, err=%v", len(got), err)
 	}
+}
 
-	// Far taken branches, whose successors carry multi-byte PC deltas,
-	// land last in a chunk at every cut size: each encoding must decode
-	// to the same records as the one-chunk encoding.
+// TestFarBranchRecordsSpanChunkBoundaries is the chunk-boundary
+// regression test for large PC deltas: far taken branches, whose
+// successors carry multi-byte PC deltas, land last in a chunk, and
+// every encoding must decode to the same records as the one-chunk
+// encoding.
+func TestFarBranchRecordsSpanChunkBoundaries(t *testing.T) {
 	far := farBranchRecords()
 	ref, err := Decode(bytes.NewReader(encodeAll(t, far, 1<<20)))
 	if err != nil || len(ref) != len(far) {
@@ -157,6 +161,21 @@ func TestRecordsSpanChunkBoundaries(t *testing.T) {
 		}
 		if len(info.Chunks) < 2 {
 			t.Fatalf("ChunkBytes=%d produced a single chunk; want a multi-chunk encoding", chunkBytes)
+		}
+		if chunkBytes == 1 {
+			// ChunkBytes=1 cuts after every record, so the scenario
+			// must hold: some chunk's last record is a taken branch.
+			branchEndsChunk := false
+			cum := 0
+			for _, c := range info.Chunks {
+				cum += int(c.Records)
+				if last := far[cum-1]; last.Op == isa.OpBranch && last.Taken {
+					branchEndsChunk = true
+				}
+			}
+			if !branchEndsChunk {
+				t.Fatal("no chunk ends on a taken-branch record; the regression scenario is not exercised")
+			}
 		}
 		got, err := Decode(bytes.NewReader(data))
 		if err != nil {
