@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -213,47 +216,114 @@ func TestZeroWarmupRunsNone(t *testing.T) {
 	}
 }
 
+// updateGolden rewrites testdata/experiments_small.golden from the
+// current code: go test ./internal/experiments/ -run TestEveryExperimentRunsSmall -update
+var updateGolden = flag.Bool("update", false, "rewrite testdata/experiments_small.golden")
+
+const goldenPath = "testdata/experiments_small.golden"
+
 // TestEveryExperimentRunsSmall executes the entire registry at a reduced
-// budget on two benchmarks, verifying each artifact generator end to end
-// (the full-scale numbers live in results_full.txt).
+// budget on two benchmarks and the sample trace corpus, at 1 and 4
+// workers, and compares each experiment's rendered text with its section
+// of testdata/experiments_small.golden (the full-scale numbers live in
+// results_full.txt). Run with -update to rewrite the file.
 func TestEveryExperimentRunsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is not short")
 	}
-	p := Params{
-		Instructions: 30_000,
-		Warmup:       10_000,
-		Seed:         1,
-		Benchmarks:   []string{"wave5", "mcf"},
+	// The traces experiment reads the process-wide corpus: register it
+	// up front so its section does not depend on test order.
+	registerSampleCorpus(t)
+	want := map[string]string{}
+	if !*updateGolden {
+		b, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = splitGolden(string(b))
 	}
+	params := map[int]*Params{}
+	for _, workers := range goldenWorkers {
+		p := &Params{Instructions: 30_000, Warmup: 10_000, Seed: 1, Benchmarks: []string{"wave5", "mcf"}}
+		if err := p.Prewarm(workers); err != nil {
+			t.Fatal(err)
+		}
+		params[workers] = p
+	}
+	var golden strings.Builder
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Run(&p)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if len(tab.Rows) == 0 {
-				// The traces experiment is note-only until a corpus is
-				// registered; everything else must produce rows.
-				if e.ID == "traces" && len(tab.Notes) > 0 {
-					return
+			for _, workers := range goldenWorkers {
+				tab, err := e.Run(params[workers])
+				if err != nil {
+					t.Fatalf("%s (workers=%d): %v", e.ID, workers, err)
 				}
-				t.Fatalf("%s produced no rows", e.ID)
-			}
-			if tab.Title == "" {
-				t.Fatalf("%s has no title", e.ID)
-			}
-			// Text and CSV rendering must both succeed.
-			if tab.String() == "" {
-				t.Fatalf("%s rendered empty", e.ID)
-			}
-			var b strings.Builder
-			if err := tab.WriteCSV(&b); err != nil {
-				t.Fatalf("%s CSV: %v", e.ID, err)
+				if len(tab.Rows) == 0 || tab.Title == "" {
+					t.Fatalf("%s (workers=%d): %d rows, title %q", e.ID, workers, len(tab.Rows), tab.Title)
+				}
+				var b strings.Builder
+				if err := tab.WriteCSV(&b); err != nil {
+					t.Fatalf("%s CSV: %v", e.ID, err)
+				}
+				got := tab.String()
+				if *updateGolden {
+					if workers == goldenWorkers[0] {
+						fmt.Fprintf(&golden, "=== %s ===\n%s", e.ID, got)
+					}
+					continue
+				}
+				if got != want[e.ID] {
+					t.Errorf("%s (workers=%d) differs from %s:\n%s", e.ID, workers, goldenPath, firstLinesDiffering(got, want[e.ID]))
+				}
 			}
 		})
 	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// goldenWorkers are the worker counts TestEveryExperimentRunsSmall runs
+// the registry at; every count must render the same text.
+var goldenWorkers = []int{1, 4}
+
+// splitGolden splits the golden file into its per-experiment sections,
+// each headed by a "=== <id> ===" line.
+func splitGolden(s string) map[string]string {
+	sections := map[string]string{}
+	id := ""
+	for _, line := range strings.SplitAfter(s, "\n") {
+		if rest, ok := strings.CutPrefix(line, "=== "); ok {
+			id = strings.TrimSuffix(rest, " ===\n")
+			continue
+		}
+		sections[id] += line
+	}
+	return sections
+}
+
+// firstLinesDiffering prints the first differing line of got and want
+// with up to two lines of context after it.
+func firstLinesDiffering(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < max(len(g), len(w)); i++ {
+		if i < len(g) && i < len(w) && g[i] == w[i] {
+			continue
+		}
+		var b strings.Builder
+		for j := i; j < i+3; j++ {
+			if j < len(g) {
+				fmt.Fprintf(&b, "line %d got:  %q\n", j+1, g[j])
+			}
+			if j < len(w) {
+				fmt.Fprintf(&b, "line %d want: %q\n", j+1, w[j])
+			}
+		}
+		return b.String()
+	}
+	return ""
 }
 
 // TestCacheKeyIncludesSeedAndBudget pins the memo-cache key's contract:
