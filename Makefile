@@ -65,16 +65,34 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzConvertChampSim -fuzztime=30s -fuzzminimizetime=5s ./internal/tracefile/
 
 # Real-trace pipeline smoke (docs/TRACES.md): convert the checked-in
-# ChampSim fixture, assert the pinned fingerprint, replay the corpus.
+# ChampSim fixture, assert the pinned stream fingerprint, replay the
+# corpus through pfexperiments (the table must name the trace and carry
+# its fingerprint), run the pinned fixture and replay-determinism tests,
+# then serve one trace sweep cell from pfserved. Each output goes to a
+# file first, so a failing run fails the target.
 trace-smoke:
 	$(GO) build -o pftrace ./cmd/pftrace
 	./pftrace convert -o sample.pftc -manifest corpus.json -name sample \
 		internal/tracefile/testdata/sample.champsim.gz
-	./pftrace info -json sample.pftc | \
-		grep -q "$$(cat internal/tracefile/testdata/sample.fingerprint)"
-	$(GO) run ./cmd/pfexperiments -traces corpus.json -n 20000 -warmup 5000
-	$(GO) test -run 'TestSampleFixture|TestTraceComparisonDeterministicAcrossWorkers' \
+	./pftrace info -chunks sample.pftc
+	./pftrace info -json sample.pftc > sample_info.json
+	cat sample_info.json
+	grep -q "$$(cat internal/tracefile/testdata/sample.fingerprint)" sample_info.json
+	$(GO) run ./cmd/pfexperiments -traces corpus.json -n 20000 -warmup 5000 > traces.txt
+	cat traces.txt
+	grep -q 'trace:sample' traces.txt
+	grep -q "$$(cat internal/tracefile/testdata/sample.fingerprint)" traces.txt
+	$(GO) test -run 'TestSampleFixture|TestTraceComparisonDeterministicAcrossWorkers' -v \
 		./internal/tracefile/ ./internal/experiments/
+	$(GO) build -o pfserved ./cmd/pfserved
+	./pfserved -addr 127.0.0.1:8078 -workers 2 -trace-manifest corpus.json -trace-verify & \
+	pid=$$!; \
+	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:8078/healthz && break; sleep 0.2; done; \
+	curl -sf http://127.0.0.1:8078/v1/sweep \
+		-d '{"traces":["all"],"filters":["pa"],"instructions":20000,"warmup":5000}' > sweep.json; \
+	status=$$?; kill -TERM $$pid; wait $$pid || status=1; \
+	cat sweep.json; echo; \
+	[ $$status -eq 0 ] && grep -q '"name":"trace:sample/pa"' sweep.json
 
 # Distributed-sweep smoke (docs/FABRIC.md): coordinator plus two
 # workers over a shared CAS, one worker killed mid-sweep, determinism

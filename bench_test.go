@@ -10,6 +10,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -45,7 +46,7 @@ func runExperiment(b *testing.B, id string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := benchParams()
-		tab, err := e.Run(&p)
+		tab, err := e.Run(context.Background(), &p)
 		if err != nil {
 			b.Fatal(err)
 		}

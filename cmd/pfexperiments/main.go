@@ -5,7 +5,7 @@
 //	pfexperiments -list              # show available experiments
 //	pfexperiments -exp fig6          # regenerate one figure
 //	pfexperiments -all               # regenerate everything (results_full.txt)
-//	pfexperiments -all -jobs 8       # pre-warm on 8 longest-first workers
+//	pfexperiments -all -jobs 8       # each experiment's sims on 8 longest-first workers
 //	pfexperiments -all -deadline 5m  # abandon queued sims past the deadline
 //	pfexperiments -exp fig12 -csv    # CSV instead of aligned text
 //	pfexperiments -all -n 5000000    # longer runs for tighter statistics
@@ -44,7 +44,7 @@ func main() {
 		warmup   = flag.Int64("warmup", 1_000_000, "warmup instructions per run (0 or negative = none)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		bench    = flag.String("bench", "", "comma-separated benchmark subset (default: all ten)")
-		deadline = flag.Duration("deadline", 0, "wall-clock budget for the simulation sweep (0 = none); queued sims past it are abandoned")
+		deadline = flag.Duration("deadline", 0, "wall-clock budget for the run (0 = none); simulations not started by then are abandoned")
 		met      = flag.Bool("metrics", false, "print harness telemetry (cache hits/misses, scheduler jobs, per-benchmark sim wall time) after the run")
 		filters  = flag.String("filters", "", "comma-separated filter backends to compare head to head, or \"all\" for every sweepable backend")
 		gens     = flag.String("generators", "", "comma-separated prefetch generators to cross with -filters (or \"all\"); runs the (generator x filter) comparison")
@@ -64,7 +64,7 @@ func main() {
 		return
 	}
 
-	params := experiments.Params{Instructions: *n, Warmup: *warmup, Seed: *seed}
+	params := experiments.Params{Instructions: *n, Warmup: *warmup, Seed: *seed, Workers: jobs}
 	var corpus []string
 	if *traces != "" {
 		names, err := tracefile.RegisterCorpus(config.TraceConfig{Manifest: *traces, Verify: *traceVer})
@@ -133,7 +133,7 @@ func main() {
 			title = experiments.TraceTitle
 			params.Benchmarks = corpus
 		}
-		cells, err := params.Sweep(ctx, axis, values, kinds(*filters), jobs)
+		cells, err := params.Sweep(ctx, axis, values, kinds(*filters))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pfexperiments: sweep: %v\n", err)
 			os.Exit(1)
@@ -161,22 +161,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Pre-warm the shared simulation matrix in parallel when running more
-	// than one experiment; each experiment then reads memoized results.
-	if len(targets) > 1 && jobs != 1 {
-		start := time.Now()
-		if err := params.PrewarmCtx(ctx, jobs); err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: prewarm: %v\n", err)
-			os.Exit(1)
-		}
-		if !*csv {
-			fmt.Printf("pre-warmed %d simulations in %.1fs\n\n", params.CachedRuns(), time.Since(start).Seconds())
-		}
-	}
-
 	for _, e := range targets {
 		start := time.Now()
-		table, err := e.Run(&params)
+		table, err := e.Run(ctx, &params)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pfexperiments: %s: %v\n", e.ID, err)
 			os.Exit(1)

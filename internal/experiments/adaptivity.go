@@ -13,6 +13,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/report"
@@ -20,7 +22,7 @@ import (
 	"repro/internal/stats"
 )
 
-func runAdaptivity(p *Params) (*Table, error) {
+func runAdaptivity(ctx context.Context, p *Params) (*Table, error) {
 	t := report.New("Phase-change adaptivity (phased workload: streaming ↔ random)",
 		"scheme", "IPC", "vs none", "good kept", "bad kept", "filtered")
 
@@ -36,6 +38,9 @@ func runAdaptivity(p *Params) (*Table, error) {
 		warm = 500_000
 	}
 	runOne := func(kind config.FilterKind) (stats.Run, error) {
+		if err := ctx.Err(); err != nil {
+			return stats.Run{}, err
+		}
 		cfg := config.Default().WithFilter(kind)
 		cfg.Seed = p.Seed
 		return sim.Run(sim.Options{
@@ -59,6 +64,9 @@ func runAdaptivity(p *Params) (*Table, error) {
 		return nil, err
 	}
 	probe, err := func() (stats.Run, error) {
+		if err := ctx.Err(); err != nil {
+			return stats.Run{}, err
+		}
 		f, err := core.NewPA(config.Default().Filter.TableEntries, 2, 2, core.IndexDirect)
 		if err != nil {
 			return stats.Run{}, err
@@ -75,6 +83,9 @@ func runAdaptivity(p *Params) (*Table, error) {
 		})
 	}()
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	static, err := sim.RunStatic(sim.Options{

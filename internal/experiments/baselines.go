@@ -11,6 +11,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/report"
@@ -18,58 +20,43 @@ import (
 	"repro/internal/stats"
 )
 
-func runBaselines(p *Params) (*Table, error) {
+func runBaselines(ctx context.Context, p *Params) (*Table, error) {
+	def := config.Default()
+	runs, err := p.grid(ctx, []config.Config{
+		def.WithFilter(config.FilterNone), def.WithFilter(config.FilterPA), def.WithFilter(config.FilterPC),
+		def.WithFilter(config.FilterAdaptive), def.WithFilter(config.FilterDeadBlock), def.WithPrefetchBuffer(true),
+	})
+	if err != nil {
+		return nil, err
+	}
+	static, err := p.staticRuns(ctx)
+	if err != nil {
+		return nil, err
+	}
 	t := report.New("Pollution-control baselines (means over all benchmarks, 8KB L1)",
 		"scheme", "mean IPC", "vs none", "bad reduction", "good reduction", "hardware cost")
 
-	type scheme struct {
-		label string
-		cost  string
-		run   func(bench string) (stats.Run, error)
+	schemes := []struct {
+		label, cost string
+		runs        []stats.Run
+	}{
+		{"none", "—", column(runs, 0)},
+		{"PA filter (paper)", "1KB table + 2b/line", column(runs, 1)},
+		{"PC filter (paper)", "1KB table + 2b/line + PC path", column(runs, 2)},
+		{"adaptive PA (§5.2.1)", "1KB table + accuracy window", column(runs, 3)},
+		{"static profile (Srinivasan)", "offline profile", static},
+		{"dead-block gate (Lai)", "1KB table + sig/line", column(runs, 4)},
+		{"prefetch buffer (Chen)", "16-entry FA buffer", column(runs, 5)},
 	}
-	mkKind := func(kind config.FilterKind) func(string) (stats.Run, error) {
-		return func(bench string) (stats.Run, error) {
-			return p.run(bench, config.Default().WithFilter(kind))
-		}
-	}
-	schemes := []scheme{
-		{"none", "—", mkKind(config.FilterNone)},
-		{"PA filter (paper)", "1KB table + 2b/line", mkKind(config.FilterPA)},
-		{"PC filter (paper)", "1KB table + 2b/line + PC path", mkKind(config.FilterPC)},
-		{"adaptive PA (§5.2.1)", "1KB table + accuracy window", mkKind(config.FilterAdaptive)},
-		{"static profile (Srinivasan)", "offline profile", func(bench string) (stats.Run, error) {
-			return sim.RunStatic(p.simOptions(bench, config.Default()), core.PAKey, 0.5)
-		}},
-		{"dead-block gate (Lai)", "1KB table + sig/line", mkKind(config.FilterDeadBlock)},
-		{"prefetch buffer (Chen)", "16-entry FA buffer", func(bench string) (stats.Run, error) {
-			return p.run(bench, config.Default().WithPrefetchBuffer(true))
-		}},
-	}
-
-	var baseIPC []float64
-	baseRuns := map[string]stats.Run{}
-	for _, name := range p.benchmarks() {
-		r, err := schemes[0].run(name)
-		if err != nil {
-			return nil, err
-		}
-		baseRuns[name] = r
-		baseIPC = append(baseIPC, r.IPC())
-	}
-
 	for _, s := range schemes {
 		var ipc, badRed, goodRed []float64
-		for _, name := range p.benchmarks() {
-			r, err := s.run(name)
-			if err != nil {
-				return nil, err
-			}
-			base := baseRuns[name]
+		for i, r := range s.runs {
+			base := runs[i][0]
 			ipc = append(ipc, r.IPC())
 			badRed = append(badRed, stats.Reduction(float64(base.Prefetches.Bad), float64(r.Prefetches.Bad)))
 			goodRed = append(goodRed, stats.Reduction(float64(base.Prefetches.Good), float64(r.Prefetches.Good)))
 		}
-		vs := stats.Speedup(stats.Mean(baseIPC), stats.Mean(ipc))
+		vs := stats.Speedup(columnMean(runs, 0, stats.Run.IPC), stats.Mean(ipc))
 		if s.label == "none" {
 			t.AddRow(s.label, report.F2(stats.Mean(ipc)), "—", "—", "—", s.cost)
 			continue
@@ -80,4 +67,22 @@ func runBaselines(p *Params) (*Table, error) {
 	t.AddNote("the dead-block gate protects live victims rather than predicting prefetch usefulness; with a direct-mapped L1 every prefetch has exactly one victim")
 	t.AddNote("bad/good reductions for the buffer row reflect classification inside the buffer rather than the L1")
 	return t, nil
+}
+
+// staticRuns runs every benchmark under Srinivasan et al.'s profile-driven
+// filter on the default machine: a profiling pass, then the measured run,
+// outside the run cache.
+func (p *Params) staticRuns(ctx context.Context) ([]stats.Run, error) {
+	var runs []stats.Run
+	for _, name := range p.benchmarks() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := sim.RunStatic(p.simOptions(name, config.Default()), core.PAKey, 0.5)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, r)
+	}
+	return runs, nil
 }

@@ -39,8 +39,8 @@ func TestFilterComparisonPinned(t *testing.T) {
 		t.Skip("the full filter comparison is a few seconds; skipped with -short")
 	}
 	for _, workers := range []int{1, 4, 8} {
-		p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-		cells, err := p.Sweep(context.Background(), nil, nil, nil, workers)
+		p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1, Workers: workers}
+		cells, err := p.Sweep(context.Background(), nil, nil, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -63,8 +63,8 @@ func TestTraceComparisonPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 8} {
-		p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1, Benchmarks: traces}
-		cells, err := p.Sweep(context.Background(), nil, nil, nil, workers)
+		p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1, Benchmarks: traces, Workers: workers}
+		cells, err := p.Sweep(context.Background(), nil, nil, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -35,15 +35,17 @@ type Params struct {
 	Seed uint64
 	// Benchmarks to include; empty means the paper's ten.
 	Benchmarks []string
+	// Workers is the number of simulations RunCells runs at once; <= 0
+	// selects GOMAXPROCS.
+	Workers int
 	// Metrics, when non-nil, receives harness telemetry: run-cache hits
-	// and simulations ("experiments.cache.*"), per-benchmark simulation
-	// wall-time histograms ("experiments.sim.wall_ns.<bench>"), and
-	// Prewarm totals ("experiments.prewarm.*"). All updates are nil-safe,
-	// so an unset registry costs nothing.
+	// and simulations ("experiments.cache.*") and per-benchmark
+	// simulation wall-time histograms ("experiments.sim.wall_ns.<bench>").
+	// All updates are nil-safe, so an unset registry costs nothing.
 	Metrics *metrics.Registry
 
 	// cache is the harness's record of its own runs, by cache key:
-	// RunSim fills it, and Prewarm, Fingerprint and CachedRuns read it.
+	// RunSim fills it, and Fingerprint and CachedRuns read it.
 	cache map[string]stats.Run
 }
 
@@ -81,14 +83,9 @@ func (p *Params) CacheKey(bench string, cfg config.Config) string {
 	return fmt.Sprintf("%s|n=%d|w=%d|seed=%d|%s", bench, p.Instructions, p.Warmup, p.Seed, b)
 }
 
-// run executes (and caches) one simulation.
-func (p *Params) run(bench string, cfg config.Config) (stats.Run, error) {
-	return p.RunSim(context.Background(), bench, cfg)
-}
-
-// RunSim is run with cancellation: the harness's run cache, else
-// Simulate, whose result the cache records. Concurrent calls for one
-// uncached key each simulate the same deterministic result.
+// RunSim runs one simulation through the harness's run cache: the
+// cached run, else Simulate, whose result the cache records. Concurrent
+// calls for one uncached key each simulate the same deterministic result.
 func (p *Params) RunSim(ctx context.Context, bench string, cfg config.Config) (stats.Run, error) {
 	key := p.CacheKey(bench, cfg)
 	if r, ok := p.cachedRun(key); ok {
@@ -140,8 +137,9 @@ type Experiment struct {
 	ID string
 	// Title describes what the paper artifact shows.
 	Title string
-	// Run regenerates the artifact.
-	Run func(p *Params) (*Table, error)
+	// Run regenerates the artifact. Its simulations stop being started
+	// once ctx is done.
+	Run func(ctx context.Context, p *Params) (*Table, error)
 }
 
 // Table aliases report.Table so callers don't need a second import; see
@@ -161,13 +159,13 @@ var all = []Experiment{
 	{"fig7", "Prefetch miss/hit counts, 32KB D-cache (Figure 7)", onMachine(runFigCounts, config.Default32K(), "32KB")},
 	{"fig8", "Bad/good prefetch ratios, 32KB D-cache (Figure 8)", onMachine(runFigRatio, config.Default32K(), "32KB")},
 	{"fig9", "IPC comparison, 32KB D-cache (Figure 9)", onMachine(runFigIPC, config.Default32K(), "32KB")},
-	{"fig10", "Good prefetches vs history table size (Figure 10)", runFig10},
-	{"fig11", "Bad prefetches vs history table size (Figure 11)", runFig11},
-	{"fig12", "IPC vs history table size (Figure 12)", runFig12},
-	{"fig13", "Bad/good ratio vs number of L1 ports (Figure 13)", runFig13},
-	{"fig14", "IPC vs number of L1 ports (Figure 14)", runFig14},
-	{"fig15", "Bad/good ratio with a dedicated prefetch buffer (Figure 15)", runFig15},
-	{"fig16", "IPC with a dedicated prefetch buffer (Figure 16)", runFig16},
+	{"fig10", "Good prefetches vs history table size (Figure 10)", fig10.run},
+	{"fig11", "Bad prefetches vs history table size (Figure 11)", fig11.run},
+	{"fig12", "IPC vs history table size (Figure 12)", fig12.run},
+	{"fig13", "Bad/good ratio vs number of L1 ports (Figure 13)", fig13.run},
+	{"fig14", "IPC vs number of L1 ports (Figure 14)", fig14.run},
+	{"fig15", "Bad/good ratio with a dedicated prefetch buffer (Figure 15)", fig15.run},
+	{"fig16", "IPC with a dedicated prefetch buffer (Figure 16)", fig16.run},
 	{"baselines", "All pollution-control baselines side by side (8KB D-cache)", runBaselines},
 	{"extras", "§5.2.1 textual results: per-prefetcher filtering, 16KB cache, static filter, adaptive filter", runExtras},
 	{"ablation", "Design ablations: table indexing, initial counter, stride prefetcher", runAblation},
@@ -185,8 +183,8 @@ var all = []Experiment{
 }
 
 // onMachine binds a figure's runner to one base machine.
-func onMachine(run func(*Params, config.Config, string) (*Table, error), base config.Config, label string) func(*Params) (*Table, error) {
-	return func(p *Params) (*Table, error) { return run(p, base, label) }
+func onMachine(run func(context.Context, *Params, config.Config, string) (*Table, error), base config.Config, label string) func(context.Context, *Params) (*Table, error) {
+	return func(ctx context.Context, p *Params) (*Table, error) { return run(ctx, p, base, label) }
 }
 
 // All returns every experiment in paper order.

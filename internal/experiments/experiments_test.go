@@ -48,7 +48,7 @@ func TestByID(t *testing.T) {
 func TestTable1Instant(t *testing.T) {
 	p := DefaultParams()
 	e, _ := ByID("table1")
-	tab, err := e.Run(&p)
+	tab, err := e.Run(context.Background(), &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func smallParams() Params {
 func TestFig1Small(t *testing.T) {
 	p := smallParams()
 	e, _ := ByID("fig1")
-	tab, err := e.Run(&p)
+	tab, err := e.Run(context.Background(), &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFig1Small(t *testing.T) {
 func TestFig6Small(t *testing.T) {
 	p := smallParams()
 	e, _ := ByID("fig6")
-	tab, err := e.Run(&p)
+	tab, err := e.Run(context.Background(), &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +104,13 @@ func TestFig6Small(t *testing.T) {
 func TestCacheReusesRuns(t *testing.T) {
 	p := smallParams()
 	e1, _ := ByID("fig4")
-	if _, err := e1.Run(&p); err != nil {
+	if _, err := e1.Run(context.Background(), &p); err != nil {
 		t.Fatal(err)
 	}
 	cached := len(p.cache)
 	// fig5 and fig6 use the same (benchmark, config) runs.
 	e2, _ := ByID("fig5")
-	if _, err := e2.Run(&p); err != nil {
+	if _, err := e2.Run(context.Background(), &p); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.cache) != cached {
@@ -122,7 +122,7 @@ func TestUnknownBenchmarkSurfaces(t *testing.T) {
 	p := smallParams()
 	p.Benchmarks = []string{"nope"}
 	e, _ := ByID("table2")
-	if _, err := e.Run(&p); err == nil {
+	if _, err := e.Run(context.Background(), &p); err == nil {
 		t.Fatal("unknown benchmark should error")
 	}
 }
@@ -137,31 +137,50 @@ func TestDefaultParams(t *testing.T) {
 	}
 }
 
-func TestPrewarmFillsCache(t *testing.T) {
-	p := Params{Instructions: 30_000, Warmup: 10_000, Seed: 1, Benchmarks: []string{"fpppp"}}
-	if err := p.Prewarm(4); err != nil {
-		t.Fatal(err)
-	}
-	warmed := p.CachedRuns()
-	if warmed < 10 {
-		t.Fatalf("prewarm cached only %d runs", warmed)
-	}
-	// The figure experiments must be fully cache-served afterwards.
-	for _, id := range []string{"table2", "fig1", "fig4", "fig10", "fig13", "fig15"} {
-		e, _ := ByID(id)
-		if _, err := e.Run(&p); err != nil {
-			t.Fatalf("%s: %v", id, err)
+// TestFiguresShareGridRuns: figures drawn from one grid share its runs,
+// so after fig4 neither fig5 nor fig6 simulates anything; and the
+// standard matrix holds every figure's grid, so after it no figure
+// simulates anything either.
+func TestFiguresShareGridRuns(t *testing.T) {
+	ctx := context.Background()
+	runAll := func(p *Params, ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			e, _ := ByID(id)
+			if _, err := e.Run(ctx, p); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
 		}
 	}
-	if p.CachedRuns() != warmed {
-		t.Fatalf("figures ran %d uncached simulations after prewarm", p.CachedRuns()-warmed)
+	p := Params{Instructions: 30_000, Warmup: 10_000, Seed: 1, Benchmarks: []string{"fpppp"}, Workers: 4}
+	runAll(&p, "fig4")
+	grid := p.CachedRuns()
+	runAll(&p, "fig5", "fig6")
+	if p.CachedRuns() != grid {
+		t.Fatalf("fig5 and fig6 ran %d simulations after fig4", p.CachedRuns()-grid)
+	}
+
+	p = Params{Instructions: 30_000, Warmup: 10_000, Seed: 1, Benchmarks: []string{"fpppp"}, Workers: 4}
+	if err := p.RunCells(ctx, p.StandardMatrix()); err != nil {
+		t.Fatal(err)
+	}
+	matrix := p.CachedRuns()
+	if matrix < 10 {
+		t.Fatalf("the standard matrix cached only %d runs", matrix)
+	}
+	runAll(&p, "table2", "fig1", "fig4", "fig10", "fig13", "fig15")
+	if p.CachedRuns() != matrix {
+		t.Fatalf("figures ran %d uncached simulations after the standard matrix", p.CachedRuns()-matrix)
 	}
 }
 
+// TestPrewarmSurfacesErrors: an unknown benchmark's failure surfaces
+// from a RunCells batch. (The name is that of the batch step RunCells
+// replaced.)
 func TestPrewarmSurfacesErrors(t *testing.T) {
-	p := Params{Instructions: 1000, Warmup: 0, Seed: 1, Benchmarks: []string{"not-a-benchmark"}}
-	if err := p.Prewarm(2); err == nil {
-		t.Fatal("unknown benchmark must surface from prewarm")
+	p := Params{Instructions: 1000, Warmup: 0, Seed: 1, Benchmarks: []string{"not-a-benchmark"}, Workers: 2}
+	if err := p.RunCells(context.Background(), p.StandardMatrix()); err == nil {
+		t.Fatal("unknown benchmark must surface from RunCells")
 	}
 }
 
@@ -176,7 +195,7 @@ func TestConcurrentRunsConsistent(t *testing.T) {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			r, err := p.run("fpppp", cfg)
+			r, err := p.RunSim(context.Background(), "fpppp", cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -199,8 +218,10 @@ func TestConcurrentRunsConsistent(t *testing.T) {
 func TestZeroWarmupRunsNone(t *testing.T) {
 	cfg := config.Default()
 	for name, run := range map[string]func(p *Params) (stats.Run, error){
-		"memoized":     func(p *Params) (stats.Run, error) { return p.run("mcf", cfg) },
-		"instrumented": func(p *Params) (stats.Run, error) { return runTaxonomyInstrumented(p, "mcf", cfg) },
+		"memoized": func(p *Params) (stats.Run, error) { return p.RunSim(context.Background(), "mcf", cfg) },
+		"instrumented": func(p *Params) (stats.Run, error) {
+			return runTaxonomyInstrumented(context.Background(), p, "mcf", cfg)
+		},
 	} {
 		var runs [2]stats.Run
 		for i, warmup := range []int64{0, -1} {
@@ -244,17 +265,13 @@ func TestEveryExperimentRunsSmall(t *testing.T) {
 	}
 	params := map[int]*Params{}
 	for _, workers := range goldenWorkers {
-		p := &Params{Instructions: 30_000, Warmup: 10_000, Seed: 1, Benchmarks: []string{"wave5", "mcf"}}
-		if err := p.Prewarm(workers); err != nil {
-			t.Fatal(err)
-		}
-		params[workers] = p
+		params[workers] = &Params{Instructions: 30_000, Warmup: 10_000, Seed: 1, Benchmarks: []string{"wave5", "mcf"}, Workers: workers}
 	}
 	var golden strings.Builder
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			for _, workers := range goldenWorkers {
-				tab, err := e.Run(params[workers])
+				tab, err := e.Run(context.Background(), params[workers])
 				if err != nil {
 					t.Fatalf("%s (workers=%d): %v", e.ID, workers, err)
 				}
@@ -372,7 +389,7 @@ func TestFiltersExperimentSmall(t *testing.T) {
 	if !ok {
 		t.Fatal("filters experiment not registered")
 	}
-	tab, err := e.Run(&p)
+	tab, err := e.Run(context.Background(), &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,20 +403,20 @@ func TestFiltersExperimentSmall(t *testing.T) {
 
 func TestFilterComparisonRejectsUnknownKind(t *testing.T) {
 	p := smallParams()
-	if _, err := p.Sweep(context.Background(), nil, nil, []string{"bogus"}, 1); err == nil {
+	if _, err := p.Sweep(context.Background(), nil, nil, []string{"bogus"}); err == nil {
 		t.Fatal("unknown kind must error")
 	} else if !strings.Contains(err.Error(), "registered") {
 		t.Fatalf("error should list registered kinds, got: %v", err)
 	}
-	if _, err := p.Sweep(context.Background(), nil, nil, []string{"static"}, 1); err == nil {
+	if _, err := p.Sweep(context.Background(), nil, nil, []string{"static"}); err == nil {
 		t.Fatal("static kind must be refused in sweeps")
 	}
 }
 
 func TestFilterComparisonBaselineDelta(t *testing.T) {
 	p := smallParams()
-	p.Benchmarks = []string{"mcf"}
-	cells, err := p.Sweep(context.Background(), nil, nil, []string{"pa", "table-pa"}, 2)
+	p.Benchmarks, p.Workers = []string{"mcf"}, 2
+	cells, err := p.Sweep(context.Background(), nil, nil, []string{"pa", "table-pa"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/config"
@@ -22,19 +23,22 @@ import (
 
 // runTaxonomyInstrumented executes one instrumented run outside the run
 // cache (the tracker is per-run state).
-func runTaxonomyInstrumented(p *Params, bench string, cfg config.Config) (stats.Run, error) {
+func runTaxonomyInstrumented(ctx context.Context, p *Params, bench string, cfg config.Config) (stats.Run, error) {
+	if err := ctx.Err(); err != nil {
+		return stats.Run{}, err
+	}
 	cfg.Seed = p.Seed
 	opts := p.simOptions(bench, cfg)
 	opts.Taxonomy = true
 	return sim.Run(opts)
 }
 
-func runTaxonomy(p *Params) (*Table, error) {
+func runTaxonomy(ctx context.Context, p *Params) (*Table, error) {
 	t := report.New("Prefetch taxonomy (no filtering, 8KB D-cache)",
 		"benchmark", "useful", "conflicting", "polluting", "useless", "2-way good", "2-way bad")
 	var agg taxonomy.Counts
 	for _, name := range p.benchmarks() {
-		r, err := runTaxonomyInstrumented(p, name, config.Default())
+		r, err := runTaxonomyInstrumented(ctx, p, name, config.Default())
 		if err != nil {
 			return nil, err
 		}
@@ -66,16 +70,17 @@ func runTaxonomy(p *Params) (*Table, error) {
 	return t, nil
 }
 
-func runEnergy(p *Params) (*Table, error) {
+func runEnergy(ctx context.Context, p *Params) (*Table, error) {
+	runs, err := p.grid(ctx, filterTriple(config.Default()))
+	if err != nil {
+		return nil, err
+	}
 	t := report.New("Memory-system energy per instruction (nJ/instr)",
 		"benchmark", "none", "PA", "PC", "PA saving", "PC saving")
 	params := energy.DefaultParams()
 	var perNone, perPA, perPC []float64
-	for _, name := range p.benchmarks() {
-		none, pa, pc, err := p.triple(name, config.Default())
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range p.benchmarks() {
+		none, pa, pc := runs[i][0], runs[i][1], runs[i][2]
 		lineBytes := config.Default().L1.LineBytes
 		bn, err := energy.Estimate(params, none, lineBytes)
 		if err != nil {

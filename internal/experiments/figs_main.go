@@ -3,6 +3,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/config"
@@ -10,30 +11,24 @@ import (
 	"repro/internal/stats"
 )
 
-// triple runs a benchmark under no filtering, the PA filter, and the PC
-// filter on the given base machine.
-func (p *Params) triple(bench string, base config.Config) (none, pa, pc stats.Run, err error) {
-	if none, err = p.run(bench, base.WithFilter(config.FilterNone)); err != nil {
-		return
-	}
-	if pa, err = p.run(bench, base.WithFilter(config.FilterPA)); err != nil {
-		return
-	}
-	pc, err = p.run(bench, base.WithFilter(config.FilterPC))
-	return
+// filterTriple is the machines of Figures 4-9: no filtering, the PA
+// filter and the PC filter on one base machine.
+func filterTriple(base config.Config) []config.Config {
+	return []config.Config{base.WithFilter(config.FilterNone), base.WithFilter(config.FilterPA), base.WithFilter(config.FilterPC)}
 }
 
 // runFig1 reproduces the good/bad prefetch distribution with no filtering:
 // both counts normalized to total prefetches per benchmark.
-func runFig1(p *Params) (*Table, error) {
+func runFig1(ctx context.Context, p *Params) (*Table, error) {
+	runs, err := p.grid(ctx, []config.Config{config.Default()})
+	if err != nil {
+		return nil, err
+	}
 	t := report.New("Figure 1 — effectiveness of prefetches (no filtering)",
 		"benchmark", "good", "bad", "good frac", "bad frac")
 	var fracs []float64
-	for _, name := range p.benchmarks() {
-		r, err := p.run(name, config.Default())
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range p.benchmarks() {
+		r := runs[i][0]
 		total := r.Prefetches.Classified()
 		if total == 0 {
 			t.AddRow(name, "0", "0", "-", "-")
@@ -50,15 +45,16 @@ func runFig1(p *Params) (*Table, error) {
 
 // runFig2 reproduces the L1 traffic split between demand and prefetch
 // accesses with no filtering.
-func runFig2(p *Params) (*Table, error) {
+func runFig2(ctx context.Context, p *Params) (*Table, error) {
+	runs, err := p.grid(ctx, []config.Config{config.Default()})
+	if err != nil {
+		return nil, err
+	}
 	t := report.New("Figure 2 — traffic distribution of the L1 cache (no filtering)",
 		"benchmark", "demand", "prefetch fills", "fills/demand", "probes/demand")
 	var ratios, probeRatios []float64
-	for _, name := range p.benchmarks() {
-		r, err := p.run(name, config.Default())
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range p.benchmarks() {
+		r := runs[i][0]
 		ratio := r.Traffic.PrefetchRatio()
 		// Duplicate squashing is free of *penalty* but each squashed
 		// candidate still probes the L1 tag array; counting probes is the
@@ -78,15 +74,16 @@ func runFig2(p *Params) (*Table, error) {
 
 // runFigCounts reproduces Figures 4/7: bad and good prefetch counts for
 // the three scenarios, normalized to the good count without filtering.
-func runFigCounts(p *Params, base config.Config, label string) (*Table, error) {
+func runFigCounts(ctx context.Context, p *Params, base config.Config, label string) (*Table, error) {
+	runs, err := p.grid(ctx, filterTriple(base))
+	if err != nil {
+		return nil, err
+	}
 	t := report.New(fmt.Sprintf("Figure — prefetch counts, %s D-cache (normalized to good/none)", label),
 		"benchmark", "bad none", "bad PA", "bad PC", "good none", "good PA", "good PC")
 	var badPA, badPC, goodPA, goodPC, trafPA, trafPC []float64
-	for _, name := range p.benchmarks() {
-		none, pa, pc, err := p.triple(name, base)
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range p.benchmarks() {
+		none, pa, pc := runs[i][0], runs[i][1], runs[i][2]
 		norm := float64(none.Prefetches.Good)
 		if norm == 0 {
 			norm = 1
@@ -113,26 +110,22 @@ func runFigCounts(p *Params, base config.Config, label string) (*Table, error) {
 
 // runFigRatio reproduces Figures 5/8: bad/good prefetch ratios for the
 // three scenarios and the filters' mean ratio reduction.
-func runFigRatio(p *Params, base config.Config, label string) (*Table, error) {
+func runFigRatio(ctx context.Context, p *Params, base config.Config, label string) (*Table, error) {
+	runs, err := p.grid(ctx, filterTriple(base))
+	if err != nil {
+		return nil, err
+	}
 	t := report.New(fmt.Sprintf("Figure — bad/good prefetch ratios, %s D-cache", label),
 		"benchmark", "none", "PA", "PC")
 	var redPA, redPC []float64
-	var aggBad, aggGood [3]uint64
-	for _, name := range p.benchmarks() {
-		none, pa, pc, err := p.triple(name, base)
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range p.benchmarks() {
+		none, pa, pc := runs[i][0], runs[i][1], runs[i][2]
 		rn, rpa, rpc := none.Prefetches.BadGoodRatio(), pa.Prefetches.BadGoodRatio(), pc.Prefetches.BadGoodRatio()
 		t.AddRow(name, report.F2(rn), report.F2(rpa), report.F2(rpc))
 		redPA = append(redPA, stats.Reduction(rn, rpa))
 		redPC = append(redPC, stats.Reduction(rn, rpc))
-		for i, r := range []stats.Run{none, pa, pc} {
-			aggBad[i] += r.Prefetches.Bad
-			aggGood[i] += r.Prefetches.Good
-		}
 	}
-	agg := func(i int) float64 { return stats.SafeRatio(float64(aggBad[i]), float64(aggGood[i])) }
+	agg := func(j int) float64 { return aggregateRatio(runs, j) }
 	t.AddRow("aggregate", report.F2(agg(0)), report.F2(agg(1)), report.F2(agg(2)))
 	t.AddNote("mean per-benchmark ratio reduction: PA %s, PC %s; benchmarks whose good count the filter"+
 		" drives to ~0 (gcc, perimeter) make this mean unstable — the aggregate row (Σbad/Σgood) is the robust view",
@@ -142,16 +135,27 @@ func runFigRatio(p *Params, base config.Config, label string) (*Table, error) {
 	return t, nil
 }
 
+// aggregateRatio is column j's Σbad/Σgood over every benchmark of a grid.
+func aggregateRatio(runs [][]stats.Run, j int) float64 {
+	var bad, good uint64
+	for _, row := range runs {
+		bad += row[j].Prefetches.Bad
+		good += row[j].Prefetches.Good
+	}
+	return stats.SafeRatio(float64(bad), float64(good))
+}
+
 // runFigIPC reproduces Figures 6/9: IPC for the three scenarios.
-func runFigIPC(p *Params, base config.Config, label string) (*Table, error) {
+func runFigIPC(ctx context.Context, p *Params, base config.Config, label string) (*Table, error) {
+	runs, err := p.grid(ctx, filterTriple(base))
+	if err != nil {
+		return nil, err
+	}
 	t := report.New(fmt.Sprintf("Figure — IPC comparison, %s D-cache", label),
 		"benchmark", "none", "PA", "PC", "PA speedup", "PC speedup")
 	var spPA, spPC []float64
-	for _, name := range p.benchmarks() {
-		none, pa, pc, err := p.triple(name, base)
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range p.benchmarks() {
+		none, pa, pc := runs[i][0], runs[i][1], runs[i][2]
 		sa := stats.Speedup(none.IPC(), pa.IPC())
 		sc := stats.Speedup(none.IPC(), pc.IPC())
 		spPA = append(spPA, sa)

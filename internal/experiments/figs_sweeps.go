@@ -1,178 +1,143 @@
-// Figures 10-12 (history table size sweep) and Figures 13-14 (L1 port
-// sweep), both run with the PA-based filter per §5.3/§5.4.
+// Figures 10-12 (history table size sweep), Figures 13-14 (L1 port
+// sweep), both run with the PA-based filter per §5.3/§5.4, and Figures
+// 15-16 (§5.5: the PA/PC filters with and without a dedicated 16-entry
+// fully-associative prefetch buffer).
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
 
+// columnFigure is a figure of one metric over benchmarks × machines: a
+// row per benchmark, a column per machine, and an optional summary row.
+type columnFigure struct {
+	title  string
+	labels []string        // column headers after "benchmark"
+	cols   []config.Config // the machine of each column
+	// value is the cell of column j, given the benchmark's runs.
+	value func(row []stats.Run, j int) float64
+	// total names the summary row: "mean" (of each column's values),
+	// "aggregate" (each column's Σbad/Σgood) or "" for none.
+	total string
+	note  string
+}
+
+// run renders the figure from the grid of its machines.
+func (f columnFigure) run(ctx context.Context, p *Params) (*Table, error) {
+	runs, err := p.grid(ctx, f.cols)
+	if err != nil {
+		return nil, err
+	}
+	t := report.New(f.title, append([]string{"benchmark"}, f.labels...)...)
+	vals := make([][]float64, len(f.cols))
+	for i, name := range p.benchmarks() {
+		row := []string{name}
+		for j := range f.cols {
+			v := f.value(runs[i], j)
+			vals[j] = append(vals[j], v)
+			row = append(row, report.F2(v))
+		}
+		t.AddRow(row...)
+	}
+	if f.total != "" {
+		row := []string{f.total}
+		for j := range f.cols {
+			v := stats.Mean(vals[j])
+			if f.total == "aggregate" {
+				v = aggregateRatio(runs, j)
+			}
+			row = append(row, report.F2(v))
+		}
+		t.AddRow(row...)
+	}
+	t.AddNote("%s", f.note)
+	return t, nil
+}
+
+// metric turns a per-run value into a columnFigure cell.
+func metric(m func(stats.Run) float64) func([]stats.Run, int) float64 {
+	return func(row []stats.Run, j int) float64 { return m(row[j]) }
+}
+
 // tableSizes is the §5.3 sweep: 1024 entries (256B) to 16384 (4KB).
 var tableSizes = []int{1024, 2048, 4096, 8192, 16384}
 
-// portCounts is the §5.4 sweep; WithL1Ports pairs each with its latency.
-var portCounts = []int{3, 4, 5}
-
-// sweepTables runs the PA filter across the table-size sweep and hands
-// each (benchmark, size) result to collect.
-func sweepTables(p *Params, collect func(bench string, size int, r stats.Run)) error {
-	for _, name := range p.benchmarks() {
-		for _, size := range tableSizes {
-			cfg := config.Default().WithFilter(config.FilterPA).WithTableEntries(size)
-			r, err := p.run(name, cfg)
-			if err != nil {
-				return err
+// tableSizeFigure is one §5.3 figure over the table-size sweep. A
+// normalized figure divides each benchmark's values by its value at the
+// 4096-entry default; the others end in a mean row.
+func tableSizeFigure(title, note string, m func(stats.Run) float64, normalized bool) columnFigure {
+	f := columnFigure{title: title, note: note, value: metric(m), total: "mean"}
+	for _, size := range tableSizes {
+		f.labels = append(f.labels, fmt.Sprintf("%dE", size))
+		f.cols = append(f.cols, config.Default().WithFilter(config.FilterPA).WithTableEntries(size))
+	}
+	if normalized {
+		def := slices.Index(tableSizes, 4096)
+		f.total = ""
+		f.value = func(row []stats.Run, j int) float64 {
+			norm := m(row[def])
+			if norm == 0 {
+				norm = 1
 			}
-			collect(name, size, r)
+			return m(row[j]) / norm
 		}
 	}
-	return nil
+	return f
 }
 
-func sizeColumns() []string {
-	cols := []string{"benchmark"}
-	for _, s := range tableSizes {
-		cols = append(cols, fmt.Sprintf("%dE", s))
+// portFigure is one §5.4 figure over the port sweep: 3 ports/1 cycle,
+// 4/2, 5/3 — WithL1Ports pairs each count with its latency.
+func portFigure(title, note string, m func(stats.Run) float64, total string) columnFigure {
+	f := columnFigure{title: title, note: note, value: metric(m), total: total}
+	for _, ports := range []int{3, 4, 5} {
+		f.labels = append(f.labels, fmt.Sprintf("%d ports", ports))
+		f.cols = append(f.cols, config.Default().WithFilter(config.FilterPA).WithL1Ports(ports))
 	}
-	return cols
+	return f
 }
 
-// runFig10 reports good prefetch counts normalized to the 4096-entry
-// default, per benchmark.
-func runFig10(p *Params) (*Table, error) {
-	t := report.New("Figure 10 — good prefetches vs table size (normalized to 4096 entries)", sizeColumns()...)
-	counts := map[string]map[int]uint64{}
-	if err := sweepTables(p, func(b string, s int, r stats.Run) {
-		if counts[b] == nil {
-			counts[b] = map[int]uint64{}
-		}
-		counts[b][s] = r.Prefetches.Good
-	}); err != nil {
-		return nil, err
+// bufferFigure is one §5.5 figure over the four buffer schemes.
+func bufferFigure(title, note string, m func(stats.Run) float64) columnFigure {
+	f := columnFigure{title: title, note: note, value: metric(m), total: "mean"}
+	for _, s := range []struct {
+		label  string
+		kind   config.FilterKind
+		buffer bool
+	}{
+		{"PA", config.FilterPA, false},
+		{"PA+buf", config.FilterPA, true},
+		{"PC", config.FilterPC, false},
+		{"PC+buf", config.FilterPC, true},
+	} {
+		f.labels = append(f.labels, s.label)
+		f.cols = append(f.cols, config.Default().WithFilter(s.kind).WithPrefetchBuffer(s.buffer))
 	}
-	for _, name := range p.benchmarks() {
-		row := []string{name}
-		norm := float64(counts[name][4096])
-		if norm == 0 {
-			norm = 1
-		}
-		for _, s := range tableSizes {
-			row = append(row, report.F2(float64(counts[name][s])/norm))
-		}
-		t.AddRow(row...)
-	}
-	t.AddNote("paper: good prefetches generally increase with longer tables; gap/gzip/mcf are nearly insensitive")
-	return t, nil
+	return f
 }
 
-// runFig11 reports bad prefetch counts normalized to the 4096-entry default.
-func runFig11(p *Params) (*Table, error) {
-	t := report.New("Figure 11 — bad prefetches vs table size (normalized to 4096 entries)", sizeColumns()...)
-	counts := map[string]map[int]uint64{}
-	if err := sweepTables(p, func(b string, s int, r stats.Run) {
-		if counts[b] == nil {
-			counts[b] = map[int]uint64{}
-		}
-		counts[b][s] = r.Prefetches.Bad
-	}); err != nil {
-		return nil, err
-	}
-	for _, name := range p.benchmarks() {
-		row := []string{name}
-		norm := float64(counts[name][4096])
-		if norm == 0 {
-			norm = 1
-		}
-		for _, s := range tableSizes {
-			row = append(row, report.F2(float64(counts[name][s])/norm))
-		}
-		t.AddRow(row...)
-	}
-	t.AddNote("paper: bad prefetches can also rise with longer tables (first-touch entries are presumed good)")
-	return t, nil
-}
+func goodCount(r stats.Run) float64    { return float64(r.Prefetches.Good) }
+func badCount(r stats.Run) float64     { return float64(r.Prefetches.Bad) }
+func badGoodRatio(r stats.Run) float64 { return r.Prefetches.BadGoodRatio() }
 
-// runFig12 reports IPC across the table-size sweep.
-func runFig12(p *Params) (*Table, error) {
-	t := report.New("Figure 12 — IPC vs history table size (PA filter)", sizeColumns()...)
-	ipc := map[string]map[int]float64{}
-	if err := sweepTables(p, func(b string, s int, r stats.Run) {
-		if ipc[b] == nil {
-			ipc[b] = map[int]float64{}
-		}
-		ipc[b][s] = r.IPC()
-	}); err != nil {
-		return nil, err
-	}
-	means := map[int][]float64{}
-	for _, name := range p.benchmarks() {
-		row := []string{name}
-		for _, s := range tableSizes {
-			row = append(row, report.F2(ipc[name][s]))
-			means[s] = append(means[s], ipc[name][s])
-		}
-		t.AddRow(row...)
-	}
-	meanRow := []string{"mean"}
-	for _, s := range tableSizes {
-		meanRow = append(meanRow, report.F2(stats.Mean(means[s])))
-	}
-	t.AddRow(meanRow...)
-	t.AddNote("paper: ~6%% mean IPC gain from 2048 to 4096 entries; <1%% beyond 4096")
-	return t, nil
-}
-
-// runFig13 reports bad/good prefetch ratios across the port sweep
-// (3 ports/1 cycle, 4/2, 5/3 — §5.4's physical-design pairing).
-func runFig13(p *Params) (*Table, error) {
-	t := report.New("Figure 13 — bad/good ratio vs L1 ports (PA filter)",
-		"benchmark", "3 ports", "4 ports", "5 ports")
-	aggBad := map[int]uint64{}
-	aggGood := map[int]uint64{}
-	for _, name := range p.benchmarks() {
-		row := []string{name}
-		for _, ports := range portCounts {
-			cfg := config.Default().WithFilter(config.FilterPA).WithL1Ports(ports)
-			r, err := p.run(name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, report.F2(r.Prefetches.BadGoodRatio()))
-			aggBad[ports] += r.Prefetches.Bad
-			aggGood[ports] += r.Prefetches.Good
-		}
-		t.AddRow(row...)
-	}
-	agg := func(ports int) string {
-		return report.F2(stats.SafeRatio(float64(aggBad[ports]), float64(aggGood[ports])))
-	}
-	t.AddRow("aggregate", agg(3), agg(4), agg(5))
-	t.AddNote("paper: ratio drops ~6%% from 3 to 4 ports, ~2%% from 4 to 5 (fewer prefetches procrastinate)")
-	return t, nil
-}
-
-// runFig14 reports IPC across the port sweep.
-func runFig14(p *Params) (*Table, error) {
-	t := report.New("Figure 14 — IPC vs L1 ports (PA filter)",
-		"benchmark", "3 ports", "4 ports", "5 ports")
-	means := map[int][]float64{}
-	for _, name := range p.benchmarks() {
-		row := []string{name}
-		for _, ports := range portCounts {
-			cfg := config.Default().WithFilter(config.FilterPA).WithL1Ports(ports)
-			r, err := p.run(name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, report.F2(r.IPC()))
-			means[ports] = append(means[ports], r.IPC())
-		}
-		t.AddRow(row...)
-	}
-	t.AddRow("mean", report.F2(stats.Mean(means[3])), report.F2(stats.Mean(means[4])), report.F2(stats.Mean(means[5])))
-	t.AddNote("paper: ~4%% mean speedup from 3 to 4 ports, <1%% from 4 to 5 (longer latency offsets extra ports)")
-	return t, nil
-}
+var (
+	fig10 = tableSizeFigure("Figure 10 — good prefetches vs table size (normalized to 4096 entries)",
+		"paper: good prefetches generally increase with longer tables; gap/gzip/mcf are nearly insensitive", goodCount, true)
+	fig11 = tableSizeFigure("Figure 11 — bad prefetches vs table size (normalized to 4096 entries)",
+		"paper: bad prefetches can also rise with longer tables (first-touch entries are presumed good)", badCount, true)
+	fig12 = tableSizeFigure("Figure 12 — IPC vs history table size (PA filter)",
+		"paper: ~6% mean IPC gain from 2048 to 4096 entries; <1% beyond 4096", stats.Run.IPC, false)
+	fig13 = portFigure("Figure 13 — bad/good ratio vs L1 ports (PA filter)",
+		"paper: ratio drops ~6% from 3 to 4 ports, ~2% from 4 to 5 (fewer prefetches procrastinate)", badGoodRatio, "aggregate")
+	fig14 = portFigure("Figure 14 — IPC vs L1 ports (PA filter)",
+		"paper: ~4% mean speedup from 3 to 4 ports, <1% from 4 to 5 (longer latency offsets extra ports)", stats.Run.IPC, "mean")
+	fig15 = bufferFigure("Figure 15 — bad/good ratio: filters with/without a 16-entry prefetch buffer",
+		"paper: adding a dedicated prefetch buffer degrades the filters' effectiveness in most programs", badGoodRatio)
+	fig16 = bufferFigure("Figure 16 — IPC: filters with/without a 16-entry prefetch buffer",
+		"paper: the buffer costs ~9%% IPC under PA and ~10%% under PC; gcc is nearly unaffected", stats.Run.IPC)
+)

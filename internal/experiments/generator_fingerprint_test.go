@@ -27,8 +27,8 @@ var generatorFingerprintSHA256 = map[string]string{
 
 func generatorHash(t *testing.T, gen string, workers int) string {
 	t.Helper()
-	p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-	cells, err := p.Sweep(context.Background(), GeneratorAxis, []string{gen}, []string{string(config.FilterPA)}, workers)
+	p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1, Workers: workers}
+	cells, err := p.Sweep(context.Background(), GeneratorAxis, []string{gen}, []string{string(config.FilterPA)})
 	if err != nil {
 		t.Fatalf("Sweep(%s, workers=%d): %v", gen, workers, err)
 	}
@@ -62,7 +62,7 @@ func TestGeneratorAliasRunsIdentical(t *testing.T) {
 	run := func(kind config.PrefetchKind) stats.Run {
 		t.Helper()
 		p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-		r, err := p.run("mcf", config.Default().WithGenerator(kind))
+		r, err := p.RunSim(context.Background(), "mcf", config.Default().WithGenerator(kind))
 		if err != nil {
 			t.Fatalf("run(%s): %v", kind, err)
 		}

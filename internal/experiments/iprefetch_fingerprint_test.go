@@ -34,8 +34,8 @@ func iprefetchBenchmarks(t *testing.T) []string {
 func iprefetchHash(t *testing.T, ipref string, workers int) string {
 	t.Helper()
 	p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1,
-		Benchmarks: iprefetchBenchmarks(t)}
-	cells, err := p.Sweep(context.Background(), IPrefetchAxis, []string{ipref}, []string{string(config.FilterPA)}, workers)
+		Benchmarks: iprefetchBenchmarks(t), Workers: workers}
+	cells, err := p.Sweep(context.Background(), IPrefetchAxis, []string{ipref}, []string{string(config.FilterPA)})
 	if err != nil {
 		t.Fatalf("Sweep(%s, workers=%d): %v", ipref, workers, err)
 	}
@@ -69,7 +69,7 @@ func TestIPrefetchAliasRunsIdentical(t *testing.T) {
 	run := func(kind config.IPrefetchKind) stats.Run {
 		t.Helper()
 		p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-		r, err := p.run("mcf", config.Default().WithIPrefetch(kind))
+		r, err := p.RunSim(context.Background(), "mcf", config.Default().WithIPrefetch(kind))
 		if err != nil {
 			t.Fatalf("run(%s): %v", kind, err)
 		}

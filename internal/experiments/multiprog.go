@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/config"
@@ -27,7 +28,7 @@ import (
 // hundred microseconds of simulated time at these IPCs).
 const multiprogQuantum = 50_000
 
-func runMultiprog(p *Params) (*Table, error) {
+func runMultiprog(ctx context.Context, p *Params) (*Table, error) {
 	t := report.New("Multiprogrammed trace (wave5 ⇄ mcf, 50K-record quantum)",
 		"scheme", "IPC", "vs none", "good", "bad", "filtered")
 
@@ -50,6 +51,9 @@ func runMultiprog(p *Params) (*Table, error) {
 		instr = 1_000_000
 	}
 	runOne := func(kind config.FilterKind, filter core.Filter) (stats.Run, error) {
+		if err := ctx.Err(); err != nil {
+			return stats.Run{}, err
+		}
 		src, err := mkSource()
 		if err != nil {
 			return stats.Run{}, err

@@ -1,18 +1,17 @@
-// Parallel pre-warming of the experiment cache.
+// The harness's batch runner and its run cache.
 //
 // Every simulation is deterministic and independent, so the harness runs
-// them concurrently and lets the experiments read cached results.
-// Prewarm enumerates the standard evaluation matrix — every (benchmark,
-// config) pair the paper-figure experiments will request — and fills the
-// cache through internal/sched's longest-first queue. Jobs are ordered
-// by the per-benchmark wall-time histograms the harness records under
+// each batch of cells concurrently: RunCells is the one batch entry, and
+// every grid experiment and Sweep goes through it. Jobs run on
+// internal/sched's longest-first queue, ordered by the per-benchmark
+// wall-time histograms the harness records under
 // "experiments.sim.wall_ns.<bench>" in Params.Metrics. Only a batch that
 // follows earlier simulations in the same process with a registry
-// attached (pfexperiments -metrics) sees such a history: Prewarm and the
-// first Sweep start from an empty registry and run in key order. Results
-// land in the cache under the cache lock; determinism of the final cache
-// state is independent of worker count and completion order (see
-// TestPrewarmParallelDeterminism).
+// attached (pfexperiments -metrics) sees such a history; the first batch
+// starts from an empty registry and runs in key order. Results land in
+// the cache under the cache lock; determinism of the final cache state
+// is independent of worker count and completion order (see
+// TestRunCellsParallelDeterminism).
 package experiments
 
 import (
@@ -21,11 +20,9 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/config"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -43,6 +40,17 @@ func (p *Params) cachedRun(key string) (stats.Run, bool) {
 	return r, ok
 }
 
+// sharingCache returns a copy of p that reads and fills p's run cache,
+// for an experiment that narrows the benchmarks or changes the seed.
+func (p *Params) sharingCache() Params {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	if p.cache == nil {
+		p.cache = make(map[string]stats.Run)
+	}
+	return *p
+}
+
 // storeRun is the synchronized write side.
 func (p *Params) storeRun(key string, r stats.Run) {
 	cacheMu.Lock()
@@ -53,42 +61,76 @@ func (p *Params) storeRun(key string, r stats.Run) {
 	p.cache[key] = r
 }
 
-// StandardMatrix enumerates every (benchmark, config) cell the
-// paper-figure experiments request, the matrix Prewarm schedules: the
-// three-filter triples at 8KB and 32KB, the no-prefetch Table 2 runs, the
-// table-size and port sweeps, the buffer schemes, and the 16KB
-// comparison. Narrow it by setting Params.Benchmarks.
+// StandardMatrix enumerates the cells of the paper's figure grids, grid
+// by grid and each grid column by column: the no-prefetch Table 2 runs,
+// the three-filter machines at 8KB and 32KB, the table-size and port
+// sweeps, the buffer schemes, and §5.2.1's 16KB and adaptive-filter
+// machines. Narrow it by setting Params.Benchmarks.
 func (p *Params) StandardMatrix() []Cell {
+	var cols []config.Config
+	for _, grid := range [][]config.Config{
+		noPrefetchCols(),
+		filterTriple(config.Default8K()),
+		filterTriple(config.Default32K()),
+		fig10.cols, fig13.cols, fig15.cols,
+		{config.Default16K().WithFilter(config.FilterNone), config.Default().WithFilter(config.FilterAdaptive)},
+	} {
+		cols = append(cols, grid...)
+	}
 	var cells []Cell
-	add := func(cfg config.Config) {
+	for _, cfg := range cols {
 		for _, b := range p.benchmarks() {
 			cells = append(cells, Cell{Bench: b, Filter: string(cfg.Filter.Kind), Config: cfg})
 		}
 	}
-	// Table 2: prefetch off.
-	add(sim.NoPrefetchConfig(config.Default()))
-	// Figures 1-9: filter triples on both cache sizes.
-	for _, base := range []config.Config{config.Default8K(), config.Default32K()} {
-		for _, kind := range []config.FilterKind{config.FilterNone, config.FilterPA, config.FilterPC} {
-			add(base.WithFilter(kind))
+	return cells
+}
+
+// grid runs every benchmark on every machine of cols as one batch of
+// cells (see RunCells) and returns runs[bench][col], benchmarks in
+// Params.Benchmarks order.
+func (p *Params) grid(ctx context.Context, cols []config.Config) ([][]stats.Run, error) {
+	benches := p.benchmarks()
+	cells := make([]Cell, 0, len(benches)*len(cols))
+	for _, b := range benches {
+		for _, cfg := range cols {
+			cells = append(cells, Cell{Bench: b, Filter: string(cfg.Filter.Kind), Config: cfg})
 		}
 	}
-	// Figures 10-12: table-size sweep (4096 already covered by the triple).
-	for _, size := range tableSizes {
-		add(config.Default().WithFilter(config.FilterPA).WithTableEntries(size))
+	if err := p.RunCells(ctx, cells); err != nil {
+		return nil, err
 	}
-	// Figures 13-14: port sweep (3 ports covered above).
-	for _, ports := range portCounts {
-		add(config.Default().WithFilter(config.FilterPA).WithL1Ports(ports))
+	runs := make([][]stats.Run, len(benches))
+	for i := range runs {
+		runs[i] = make([]stats.Run, len(cols))
+		for j := range cols {
+			runs[i][j] = cells[i*len(cols)+j].Run
+		}
 	}
-	// Figures 15-16: buffer schemes.
-	for _, s := range bufferSchemes {
-		add(config.Default().WithFilter(s.kind).WithPrefetchBuffer(s.buffer))
+	return runs, nil
+}
+
+// column is column j of a grid: one machine's runs, in benchmark order.
+func column(runs [][]stats.Run, j int) []stats.Run {
+	out := make([]stats.Run, len(runs))
+	for i, row := range runs {
+		out[i] = row[j]
 	}
-	// §5.2.1: 16KB comparison and the adaptive filter.
-	add(config.Default16K().WithFilter(config.FilterNone))
-	add(config.Default().WithFilter(config.FilterAdaptive))
-	return cells
+	return out
+}
+
+// columnMean is the mean of m over column j of a grid.
+func columnMean(runs [][]stats.Run, j int, m func(stats.Run) float64) float64 {
+	return meanOf(column(runs, j), m)
+}
+
+// meanOf is the mean of m over runs.
+func meanOf(runs []stats.Run, m func(stats.Run) float64) float64 {
+	vs := make([]float64, len(runs))
+	for i, r := range runs {
+		vs[i] = m(r)
+	}
+	return stats.Mean(vs)
 }
 
 // CostModel builds the longest-runs-first estimator for the scheduler
@@ -99,48 +141,14 @@ func (p *Params) CostModel() sched.CostModel {
 	return sched.CostFromSnapshot(p.Metrics.Snapshot(), "experiments.sim.wall_ns.", 1)
 }
 
-// Prewarm runs the standard matrix concurrently with the given number of
-// workers (<=0 selects GOMAXPROCS) and fills the cache. See PrewarmCtx.
-func (p *Params) Prewarm(workers int) error {
-	return p.PrewarmCtx(context.Background(), workers)
-}
-
-// PrewarmCtx is Prewarm with cancellation: when ctx expires, queued
-// simulations are abandoned (the cache keeps whatever completed) and the
-// context error is reported alongside any simulation failures (see
-// runCells).
-func (p *Params) PrewarmCtx(ctx context.Context, workers int) error {
-	start := time.Now()
-	// Each uncached key once, so the telemetry counts simulations.
-	var cells []Cell
-	pending := make(map[string]bool)
-	for _, c := range p.StandardMatrix() {
-		key := p.CacheKey(c.Bench, c.Config)
-		if _, hit := p.cachedRun(key); !hit && !pending[key] {
-			pending[key] = true
-			cells = append(cells, c)
-		}
-	}
-	err := p.runCells(ctx, cells, workers)
-
-	failed := 0
-	for key := range pending {
-		if _, ok := p.cachedRun(key); !ok {
-			failed++
-		}
-	}
-	p.Metrics.Counter("experiments.prewarm.sims").Add(uint64(len(pending)))
-	p.Metrics.Counter("experiments.prewarm.errors").Add(uint64(failed))
-	p.Metrics.Histogram("experiments.prewarm.wall_ns").Observe(uint64(time.Since(start)))
-	return err
-}
-
-// runCells runs the cells on the longest-first scheduler, one job per
-// distinct cache key, ordered by the cost model, and fills each
-// completed cell's Run. Every failure is collected and returned joined
+// RunCells runs the cells through the run cache on the longest-first
+// scheduler with p.Workers workers, one job per distinct cache key,
+// ordered by the cost model, and fills each completed cell's Run. Once
+// ctx is done, queued simulations are abandoned (the cache keeps
+// whatever completed). Every failure is collected and returned joined
 // (errors.Join) with the context error, sorted by message so the report
 // is deterministic regardless of completion order.
-func (p *Params) runCells(ctx context.Context, cells []Cell, workers int) error {
+func (p *Params) RunCells(ctx context.Context, cells []Cell) error {
 	cost := p.CostModel()
 	jobs := make([]sched.Job, len(cells))
 	for i := range cells {
@@ -153,7 +161,7 @@ func (p *Params) runCells(ctx context.Context, cells []Cell, workers int) error 
 			},
 		}
 	}
-	results, ctxErr := sched.Run(ctx, jobs, sched.Options{Workers: workers, Metrics: p.Metrics})
+	results, ctxErr := sched.Run(ctx, jobs, sched.Options{Workers: p.Workers, Metrics: p.Metrics})
 	for i := range cells {
 		if run, ok := results[jobs[i].Key].Value.(stats.Run); ok {
 			cells[i].Run = run
@@ -193,9 +201,9 @@ func dedupJoin(errs []error) error {
 }
 
 // Fingerprint serializes every cached run with stats.WriteRunSet — a
-// byte-exact digest of the harness state. Two Prewarm invocations that
-// are deterministic and complete (any worker count) must produce
-// identical fingerprints.
+// byte-exact digest of the harness state. Two complete RunCells batches
+// over the same cells (any worker count) must produce identical
+// fingerprints.
 func (p *Params) Fingerprint() []byte {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()

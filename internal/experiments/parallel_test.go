@@ -8,16 +8,17 @@ import (
 )
 
 // TestPrewarmCancellationReportsContextErrorOnce pins the dedup fix: a
-// cancelled prewarm stamps every unstarted job with the context error and
-// then appends the context error itself, so without global dedup the
-// joined message repeated the cancellation text.
+// cancelled RunCells batch stamps every unstarted job with the context
+// error and then appends the context error itself, so without global
+// dedup the joined message repeated the cancellation text. (The name is
+// that of the batch step RunCells replaced.)
 func TestPrewarmCancellationReportsContextErrorOnce(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := Params{Instructions: 30_000, Warmup: 10_000, Seed: 1, Benchmarks: []string{"fpppp"}}
-	err := p.PrewarmCtx(ctx, 2)
+	p := Params{Instructions: 30_000, Warmup: 10_000, Seed: 1, Benchmarks: []string{"fpppp"}, Workers: 2}
+	err := p.RunCells(ctx, p.StandardMatrix())
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled prewarm: err = %v", err)
+		t.Fatalf("cancelled batch: err = %v", err)
 	}
 	if n := strings.Count(err.Error(), context.Canceled.Error()); n != 1 {
 		t.Fatalf("context error reported %d times, want 1:\n%s", n, err)

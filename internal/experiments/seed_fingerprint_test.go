@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,7 +12,7 @@ import (
 )
 
 // seedFingerprintSHA256 pins the exact simulated behaviour of the standard
-// prewarm matrix (Params{Instructions: 10_000, Warmup: 2_000, Seed: 1})
+// matrix (Params{Instructions: 10_000, Warmup: 2_000, Seed: 1})
 // as of the introduction of the internal/filter registry. The table-family
 // filter paths must stay bit-identical across refactors: any change to
 // cache policy, prefetcher behaviour, the PA/PC filter tables, or the
@@ -19,11 +20,11 @@ import (
 // behaviour change, and say so in the commit message.
 const seedFingerprintSHA256 = "3970fc8e221e51af03c64c4a0df1993120aacea07acf2d33c52e76798acda8ba"
 
-func prewarmHash(t *testing.T, workers int) string {
+func standardMatrixHash(t *testing.T, workers int) string {
 	t.Helper()
-	p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-	if err := p.Prewarm(workers); err != nil {
-		t.Fatalf("Prewarm(%d): %v", workers, err)
+	p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1, Workers: workers}
+	if err := p.RunCells(context.Background(), p.StandardMatrix()); err != nil {
+		t.Fatalf("RunCells(StandardMatrix, workers=%d): %v", workers, err)
 	}
 	sum := sha256.Sum256(p.Fingerprint())
 	return hex.EncodeToString(sum[:])
@@ -37,7 +38,7 @@ func TestSeedFingerprintPinned(t *testing.T) {
 		t.Skip("full-matrix fingerprint is a few seconds; skipped with -short")
 	}
 	for _, workers := range []int{1, 4, 8} {
-		if got := prewarmHash(t, workers); got != seedFingerprintSHA256 {
+		if got := standardMatrixHash(t, workers); got != seedFingerprintSHA256 {
 			t.Errorf("workers=%d fingerprint = %s, want %s", workers, got, seedFingerprintSHA256)
 		}
 	}
@@ -50,7 +51,7 @@ func TestFilterAliasRunsIdentical(t *testing.T) {
 	run := func(kind config.FilterKind) stats.Run {
 		t.Helper()
 		p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-		r, err := p.run("mcf", config.Default().WithFilter(kind))
+		r, err := p.RunSim(context.Background(), "mcf", config.Default().WithFilter(kind))
 		if err != nil {
 			t.Fatalf("run(%s): %v", kind, err)
 		}

@@ -28,8 +28,8 @@ import (
 // crossed with filters (nil: every sweepable backend) on the default
 // machine, as one comparison table.
 func sweepExperiment(id, title string, axis *Axis, filters []string) Experiment {
-	return Experiment{ID: id, Title: title, Run: func(p *Params) (*Table, error) {
-		cells, err := p.Sweep(context.Background(), axis, nil, filters, 0)
+	return Experiment{ID: id, Title: title, Run: func(ctx context.Context, p *Params) (*Table, error) {
+		cells, err := p.Sweep(ctx, axis, nil, filters)
 		if err != nil {
 			return nil, err
 		}
@@ -43,19 +43,18 @@ func sweepExperiment(id, title string, axis *Axis, filters []string) Experiment 
 var zooSlice = []string{string(config.FilterPA), string(config.FilterPerceptron)}
 
 // runTraces crosses the registered trace corpus with the filter backends.
-func runTraces(p *Params) (*Table, error) {
+func runTraces(ctx context.Context, p *Params) (*Table, error) {
 	traces := tracefile.Registered()
 	if len(traces) == 0 {
 		t := report.New("Trace corpus crossed with filter backends")
 		t.AddNote("no trace corpus registered; load one with pfexperiments -traces <manifest> (see docs/TRACES.md)")
 		return t, nil
 	}
-	// Params is safely copyable (the cache lock is package-level); the
-	// copy narrows the benchmarks to the corpus without touching the
-	// caller's, and shares the caller's run cache once it has one.
-	q := *p
+	// The copy narrows the benchmarks to the corpus without touching the
+	// caller's.
+	q := p.sharingCache()
 	q.Benchmarks = traces
-	cells, err := q.Sweep(context.Background(), nil, nil, nil, 0)
+	cells, err := q.Sweep(ctx, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -227,8 +226,8 @@ func (c *Cell) Name() string {
 // value, filter) order. A nil axis runs the plain filter comparison.
 // Values and filters expand through the axes (empty selects every
 // sweepable kind); the unfiltered baseline leads each pair's filters
-// whether or not it was named. Workers <= 0 selects GOMAXPROCS.
-func (p *Params) Sweep(ctx context.Context, axis *Axis, values, filters []string, workers int) ([]Cell, error) {
+// whether or not it was named. The cells run through RunCells.
+func (p *Params) Sweep(ctx context.Context, axis *Axis, values, filters []string) ([]Cell, error) {
 	vals := []string{""}
 	if axis != nil {
 		var err error
@@ -263,7 +262,7 @@ func (p *Params) Sweep(ctx context.Context, axis *Axis, values, filters []string
 			}
 		}
 	}
-	if err := p.runCells(ctx, cells, workers); err != nil {
+	if err := p.RunCells(ctx, cells); err != nil {
 		return nil, err
 	}
 	return cells, nil

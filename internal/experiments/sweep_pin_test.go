@@ -76,7 +76,7 @@ func TestSweepCellsPinned(t *testing.T) {
 				benches = append(benches, registerSampleCorpus(t))
 			}
 			p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1, Benchmarks: benches}
-			cells, err := p.Sweep(context.Background(), tc.axis, nil, tc.filters, 0)
+			cells, err := p.Sweep(context.Background(), tc.axis, nil, tc.filters)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/config"
@@ -11,7 +12,7 @@ import (
 )
 
 // runTable1 renders the default machine, verifying it matches Table 1.
-func runTable1(p *Params) (*Table, error) {
+func runTable1(context.Context, *Params) (*Table, error) {
 	cfg := config.Default()
 	t := report.New("Table 1 — system configuration", "parameter", "value")
 	add := func(k, v string) { t.AddRow(k, v) }
@@ -32,21 +33,26 @@ func runTable1(p *Params) (*Table, error) {
 	return t, nil
 }
 
+// noPrefetchCols is Table 2's one machine: every prefetcher disabled.
+func noPrefetchCols() []config.Config {
+	return []config.Config{sim.NoPrefetchConfig(config.Default())}
+}
+
 // runTable2 measures baseline miss rates with every prefetcher disabled,
 // side by side with the paper's values for calibration.
-func runTable2(p *Params) (*Table, error) {
+func runTable2(ctx context.Context, p *Params) (*Table, error) {
+	runs, err := p.grid(ctx, noPrefetchCols())
+	if err != nil {
+		return nil, err
+	}
 	t := report.New("Table 2 — benchmark properties (prefetch off)",
 		"benchmark", "input", "L1 miss", "paper L1", "L2 miss", "paper L2", "IPC")
-	cfg := sim.NoPrefetchConfig(config.Default())
-	for _, name := range p.benchmarks() {
+	for i, name := range p.benchmarks() {
 		spec, ok := workload.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown benchmark %q", name)
 		}
-		r, err := p.run(name, cfg)
-		if err != nil {
-			return nil, err
-		}
+		r := runs[i][0]
 		t.AddRow(name, spec.Input,
 			report.F(r.L1MissRate()), report.F(spec.PaperL1Miss),
 			report.F(r.L2MissRate()), report.F(spec.PaperL2Miss),

@@ -100,8 +100,8 @@ func TestTraceComparisonDeterministicAcrossWorkers(t *testing.T) {
 	bench := registerSampleCorpus(t)
 	var want string
 	for _, workers := range []int{1, 4, 8} {
-		p := Params{Instructions: 20_000, Warmup: 5_000, Seed: 1, Benchmarks: []string{bench}}
-		cells, err := p.Sweep(context.Background(), nil, nil, []string{"pa"}, workers)
+		p := Params{Instructions: 20_000, Warmup: 5_000, Seed: 1, Benchmarks: []string{bench}, Workers: workers}
+		cells, err := p.Sweep(context.Background(), nil, nil, []string{"pa"})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -159,7 +159,7 @@ func TestTracesExperimentWithCorpus(t *testing.T) {
 	if !ok {
 		t.Fatal("traces experiment not registered")
 	}
-	tab, err := e.Run(&p)
+	tab, err := e.Run(context.Background(), &p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,50 +9,43 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/config"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // varianceSeeds are the input-instance draws.
 var varianceSeeds = []uint64{1, 2, 3, 5, 8}
 
-func runVariance(p *Params) (*Table, error) {
+func runVariance(ctx context.Context, p *Params) (*Table, error) {
 	t := report.New("Headline speedup across seeds (8KB D-cache)",
 		"seed", "mean IPC none", "mean IPC PA", "mean IPC PC", "PA speedup", "PC speedup")
 
 	var spPA, spPC []float64
 	for _, seed := range varianceSeeds {
-		var ipcN, ipcA, ipcC []float64
+		q := p.sharingCache()
+		q.Seed = seed
+		runs, err := q.grid(ctx, filterTriple(config.Default()))
+		if err != nil {
+			return nil, err
+		}
+		// Figure 6's metric: per-benchmark speedups, then the mean.
 		var perBenchPA, perBenchPC []float64
-		for _, bench := range p.benchmarks() {
-			runs := map[config.FilterKind]float64{}
-			for _, kind := range []config.FilterKind{config.FilterNone, config.FilterPA, config.FilterPC} {
-				cfg := config.Default().WithFilter(kind)
-				cfg.Seed = seed
-				r, err := sim.Run(p.simOptions(bench, cfg))
-				if err != nil {
-					return nil, err
-				}
-				runs[kind] = r.IPC()
-			}
-			ipcN = append(ipcN, runs[config.FilterNone])
-			ipcA = append(ipcA, runs[config.FilterPA])
-			ipcC = append(ipcC, runs[config.FilterPC])
-			// Figure 6's metric: per-benchmark speedups, then the mean.
-			perBenchPA = append(perBenchPA, stats.Speedup(runs[config.FilterNone], runs[config.FilterPA]))
-			perBenchPC = append(perBenchPC, stats.Speedup(runs[config.FilterNone], runs[config.FilterPC]))
+		for _, row := range runs {
+			perBenchPA = append(perBenchPA, stats.Speedup(row[0].IPC(), row[1].IPC()))
+			perBenchPC = append(perBenchPC, stats.Speedup(row[0].IPC(), row[2].IPC()))
 		}
 		sa := stats.Mean(perBenchPA)
 		sc := stats.Mean(perBenchPC)
 		spPA = append(spPA, sa)
 		spPC = append(spPC, sc)
 		t.AddRow(fmt.Sprintf("%d", seed),
-			report.F2(stats.Mean(ipcN)), report.F2(stats.Mean(ipcA)), report.F2(stats.Mean(ipcC)),
+			report.F2(columnMean(runs, 0, stats.Run.IPC)), report.F2(columnMean(runs, 1, stats.Run.IPC)),
+			report.F2(columnMean(runs, 2, stats.Run.IPC)),
 			report.Pct(sa), report.Pct(sc))
 	}
 	mPA, sdPA := meanStdev(spPA)

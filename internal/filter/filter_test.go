@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -286,15 +287,31 @@ func TestBloomDecayAgesOutRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	line := uint64(0x1140)
+	// counters checks the line's counter under every hash.
+	counters := func(when string, want uint8) {
+		t.Helper()
+		for i := 0; i < b.hashes; i++ {
+			if c := b.counters[b.probe(line, i)]; c != want {
+				t.Fatalf("%s: hash %d counter = %d, want %d", when, i, c, want)
+			}
+		}
+	}
 	for i := 0; i < 6; i++ {
 		b.Train(bad(line, 0))
 	}
+	counters("before decay", 6)
 	if b.Allow(req(line, 0)) {
 		t.Fatal("line should be rejected before decay")
 	}
-	// Unrelated trainings tick the decay clock; two sweeps halve 6 -> 3 -> 1.
-	for i := uint64(1); b.Decays < 2; i++ {
-		b.Train(good(0x100000+i*0x40, 0))
+	// Unrelated trainings tick the decay clock; each sweep halves the
+	// counters exactly: 6 -> 3 -> 1.
+	tick := uint64(0)
+	for _, want := range []uint8{3, 1} {
+		for sweeps := b.Decays; b.Decays == sweeps; {
+			tick++
+			b.Train(good(0x100000+tick*0x40, 0))
+		}
+		counters(fmt.Sprintf("after %d decay sweeps", b.Decays), want)
 	}
 	if !b.Allow(req(line, 0)) {
 		t.Fatal("decay should age the rejection back below threshold 4")
@@ -411,6 +428,30 @@ func TestTournamentPselConverges(t *testing.T) {
 	}
 	if !tour.Allow(req(leaderA, 0)) {
 		t.Error("leader-A key must keep using side A")
+	}
+}
+
+// TestTournamentPselSaturates drives PSEL up to its maximum with
+// A-right, B-wrong leader feedback, and past it: PSEL must reach
+// pselMax exactly and stay there while A keeps winning.
+func TestTournamentPselSaturates(t *testing.T) {
+	tour, err := NewTournament(&alwaysFilter{allow: true}, &alwaysFilter{allow: false}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := uint64(0)
+	for duelBucket(leader) >= 2*leaderBuckets {
+		leader += 0x40
+	}
+	v, max := tour.PSEL()
+	for i := 0; i < int(max-v)+5; i++ {
+		tour.Train(good(leader, 0))
+		if got, _ := tour.PSEL(); got != min(v+uint32(i)+1, max) {
+			t.Fatalf("after %d A wins PSEL = %d, want %d (max %d)", i+1, got, min(v+uint32(i)+1, max), max)
+		}
+	}
+	if want := uint64(max-v) + 5; tour.AWins != want || tour.BWins != 0 {
+		t.Fatalf("wins A=%d B=%d, want A=%d B=0", tour.AWins, tour.BWins, want)
 	}
 }
 

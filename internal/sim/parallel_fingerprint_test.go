@@ -1,13 +1,14 @@
 package sim_test
 
-// Parallel-determinism fingerprint: Prewarm with 8 workers must produce a
-// byte-identical cache fingerprint to a serial Prewarm over the full
-// standard evaluation matrix. This is the external test package (the
+// Parallel-determinism fingerprint: RunCells over the full standard
+// evaluation matrix with 8 workers must produce a byte-identical cache
+// fingerprint to a serial batch. This is the external test package (the
 // experiments harness imports sim, so the test cannot live in package
 // sim), and it must pass under `go test -race`.
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -21,23 +22,25 @@ func smallParams() experiments.Params {
 	return experiments.Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
 }
 
-// TestPrewarmParallelDeterminism runs the standard matrix serially and
+// TestRunCellsParallelDeterminism runs the standard matrix serially and
 // with 4 and 8 workers and requires byte-identical fingerprints at every
 // width: the worker pool (and whatever completion order it happens to
 // produce) must not change any simulation result, only the wall time.
-func TestPrewarmParallelDeterminism(t *testing.T) {
+func TestRunCellsParallelDeterminism(t *testing.T) {
 	serial := smallParams()
-	if err := serial.Prewarm(1); err != nil {
+	serial.Workers = 1
+	if err := serial.RunCells(context.Background(), serial.StandardMatrix()); err != nil {
 		t.Fatal(err)
 	}
 	want := serial.Fingerprint()
 	if len(want) == 0 {
-		t.Fatal("serial Prewarm produced an empty fingerprint")
+		t.Fatal("the serial batch produced an empty fingerprint")
 	}
 
 	for _, workers := range []int{4, 8} {
 		par := smallParams()
-		if err := par.Prewarm(workers); err != nil {
+		par.Workers = workers
+		if err := par.RunCells(context.Background(), par.StandardMatrix()); err != nil {
 			t.Fatal(err)
 		}
 		got := par.Fingerprint()
@@ -54,15 +57,15 @@ func TestPrewarmParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestPrewarmJoinsAllErrors injects two bogus benchmark names and
-// requires Prewarm to report both (errors.Join), not just the first,
+// TestRunCellsJoinsAllErrors injects two bogus benchmark names and
+// requires RunCells to report both (errors.Join), not just the first,
 // while still completing the valid benchmark's share of the matrix.
-func TestPrewarmJoinsAllErrors(t *testing.T) {
+func TestRunCellsJoinsAllErrors(t *testing.T) {
 	p := smallParams()
-	p.Benchmarks = []string{"mcf", "nope1", "nope2"}
-	err := p.Prewarm(4)
+	p.Benchmarks, p.Workers = []string{"mcf", "nope1", "nope2"}, 4
+	err := p.RunCells(context.Background(), p.StandardMatrix())
 	if err == nil {
-		t.Fatal("Prewarm with bogus benchmarks returned nil error")
+		t.Fatal("RunCells with bogus benchmarks returned nil error")
 	}
 	for _, name := range []string{"nope1", "nope2"} {
 		if !strings.Contains(err.Error(), name) {
@@ -72,7 +75,7 @@ func TestPrewarmJoinsAllErrors(t *testing.T) {
 	// errors.Join wraps a slice; Unwrap() []error must expose >= 2 entries
 	// (one per bogus benchmark per distinct config — at least 2).
 	if u, ok := err.(interface{ Unwrap() []error }); !ok {
-		t.Errorf("Prewarm error is not a joined error: %T", err)
+		t.Errorf("RunCells error is not a joined error: %T", err)
 	} else if n := len(u.Unwrap()); n < 2 {
 		t.Errorf("joined error holds %d entries, want >= 2", n)
 	}
