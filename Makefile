@@ -31,10 +31,11 @@ bench-pins:
 	done
 
 # The race detector where goroutines actually meet (the concurrency
-# harnesses, plus the packages whose tests drive them); the remaining
-# simulation packages are single-goroutine by design.
+# harnesses, the packages whose tests drive them, and the array pools
+# every sweep worker shares); the remaining simulation packages are
+# single-goroutine by design.
 race:
-	$(GO) test -race ./internal/sched/ ./internal/server/ ./internal/metrics/ ./internal/experiments/ ./internal/fabric/ ./internal/frontend/ ./internal/tracefile/
+	$(GO) test -race ./internal/sched/ ./internal/server/ ./internal/metrics/ ./internal/experiments/ ./internal/fabric/ ./internal/frontend/ ./internal/tracefile/ ./internal/slab/
 
 # Static analysis: go vet, gofmt over the tracked Go files (not ".",
 # which would take in the benchmark's .bench_build/), and pflint, the

@@ -7,6 +7,6 @@ import (
 )
 
 // newCacheForBench builds an L1 model for the cache micro-benchmark.
-func newCacheForBench(cfg config.CacheConfig) (*cache.Cache, error) {
-	return cache.New(cfg, xrand.New(2))
+func newCacheForBench(cfg config.CacheConfig) (*cache.L1, error) {
+	return cache.New[cache.L1Line](cfg, xrand.New(2))
 }

@@ -445,7 +445,7 @@ func init() {
 func BenchmarkGeneratorObserve(b *testing.B) {
 	for _, kind := range prefetch.Sweepable() {
 		b.Run(kind, func(b *testing.B) {
-			l2, err := cache.New(config.Default().L2, xrand.New(1))
+			l2, err := cache.New[cache.L2Line](config.Default().L2, xrand.New(1))
 			if err != nil {
 				b.Fatal(err)
 			}

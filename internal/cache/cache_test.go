@@ -8,9 +8,9 @@ import (
 	"repro/internal/xrand"
 )
 
-func mkCache(t *testing.T, size, line, assoc int, repl config.ReplacementPolicy) *Cache {
+func mkCache(t *testing.T, size, line, assoc int, repl config.ReplacementPolicy) *L1 {
 	t.Helper()
-	c, err := New(config.CacheConfig{
+	c, err := New[L1Line](config.CacheConfig{
 		SizeBytes:     size,
 		LineBytes:     line,
 		Assoc:         assoc,
@@ -84,9 +84,9 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 	// Touch 0 to make it MRU; 1 becomes LRU.
 	c.Lookup(0)
-	_, evicted, had := c.Insert(100)
-	if !had || evicted.Tag != 1 {
-		t.Fatalf("expected eviction of line 1, got %+v had=%v", evicted, had)
+	_, v, evicted := c.Insert(100)
+	if v == nil || evicted != 1 {
+		t.Fatalf("expected eviction of line 1, got %d (evicted %v)", evicted, v != nil)
 	}
 }
 
@@ -96,9 +96,9 @@ func TestFIFOEvictionOrder(t *testing.T) {
 		c.Insert(la)
 	}
 	c.Lookup(0) // touching must NOT matter for FIFO
-	_, evicted, had := c.Insert(100)
-	if !had || evicted.Tag != 0 {
-		t.Fatalf("FIFO should evict the oldest insert (0), got %+v", evicted)
+	_, v, evicted := c.Insert(100)
+	if v == nil || evicted != 0 {
+		t.Fatalf("FIFO should evict the oldest insert (0), got %d", evicted)
 	}
 }
 
@@ -107,14 +107,14 @@ func TestRandomReplacementStaysInSet(t *testing.T) {
 	for la := uint64(0); la < 4; la++ {
 		c.Insert(la)
 	}
-	_, evicted, had := c.Insert(100)
-	if !had || evicted.Tag > 3 {
-		t.Fatalf("random policy must evict a resident line, got %+v", evicted)
+	_, v, evicted := c.Insert(100)
+	if v == nil || evicted > 3 {
+		t.Fatalf("random policy must evict a resident line, got %d", evicted)
 	}
 }
 
 func TestRandomRequiresRNG(t *testing.T) {
-	_, err := New(config.CacheConfig{
+	_, err := New[L1Line](config.CacheConfig{
 		SizeBytes: 1024, LineBytes: 32, Assoc: 2,
 		LatencyCycles: 1, Ports: 1, Replacement: config.ReplaceRandom,
 	}, nil)
@@ -126,12 +126,12 @@ func TestRandomRequiresRNG(t *testing.T) {
 func TestReinsertResidentNoEviction(t *testing.T) {
 	c := mkCache(t, 1024, 32, 2, config.ReplaceLRU)
 	c.Insert(7)
-	line, _, had := c.Insert(7)
-	if had {
+	line, evicted, _ := c.Insert(7)
+	if evicted != nil {
 		t.Fatal("reinserting a resident line must not evict")
 	}
-	if line.Tag != 7 || !line.Valid {
-		t.Fatalf("reinsert returned %+v", line)
+	if got, ok := c.Peek(7); !ok || got != line {
+		t.Fatalf("reinsert returned %p, line 7's frame is %p (resident %v)", line, got, ok)
 	}
 	if c.ValidLines() != 1 {
 		t.Fatalf("ValidLines = %d", c.ValidLines())
@@ -164,9 +164,9 @@ func TestEvictionCarriesMetadata(t *testing.T) {
 	line, _, _ := c.Insert(0)
 	line.PIB, line.RIB = true, true
 	line.TriggerPC = 0x1234
-	_, evicted, had := c.Insert(1)
-	if !had || !evicted.PIB || !evicted.RIB || evicted.TriggerPC != 0x1234 {
-		t.Fatalf("evicted metadata lost: %+v", evicted)
+	_, evicted, addr := c.Insert(1)
+	if evicted == nil || addr != 0 || !evicted.PIB || !evicted.RIB || evicted.TriggerPC != 0x1234 {
+		t.Fatalf("evicted line %d's metadata lost: %+v", addr, evicted)
 	}
 }
 
@@ -175,9 +175,9 @@ func TestPeekDoesNotTouchLRU(t *testing.T) {
 	c.Insert(0)
 	c.Insert(2) // same single set? sets = 1, both lines in set 0
 	c.Peek(0)   // must NOT refresh 0
-	_, evicted, _ := c.Insert(4)
-	if evicted.Tag != 0 {
-		t.Fatalf("Peek refreshed LRU: evicted %d", evicted.Tag)
+	_, _, evicted := c.Insert(4)
+	if evicted != 0 {
+		t.Fatalf("Peek refreshed LRU: evicted %d", evicted)
 	}
 }
 
@@ -206,13 +206,16 @@ func TestForEachAndValidLines(t *testing.T) {
 		t.Fatalf("ValidLines = %d", got)
 	}
 	sum := uint64(0)
-	c.ForEach(func(l *Line) { sum += l.Tag })
+	c.ForEach(func(la uint64, _ *L1Line) { sum += la })
 	if sum != 45 {
 		t.Fatalf("ForEach visited wrong lines: sum %d", sum)
 	}
 }
 
 func TestFlush(t *testing.T) {
+	// The pools may hand this cache a record array left all dirty: Flush
+	// must count only the lines the tags mark resident.
+	Scribble(make([]uint64, 32), L1Line{Dirty: true})
 	c := mkCache(t, 1024, 32, 2, config.ReplaceLRU)
 	for la := uint64(0); la < 5; la++ {
 		line, _, _ := c.Insert(la)
@@ -278,13 +281,13 @@ func TestPropertySetStability(t *testing.T) {
 		c := mkCache(t, 512, 32, 1, config.ReplaceLRU) // 16 sets direct-mapped
 		la, lb := uint64(a), uint64(b)
 		c.Insert(la)
-		_, evicted, had := c.Insert(lb)
+		_, v, evicted := c.Insert(lb)
 		if la == lb {
-			return !had
+			return v == nil
 		}
-		if had {
+		if v != nil {
 			// eviction only if same set
-			return la%16 == lb%16 && evicted.Tag == la
+			return la%16 == lb%16 && evicted == la
 		}
 		return la%16 != lb%16
 	}
@@ -295,7 +298,7 @@ func TestPropertySetStability(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	bad := config.CacheConfig{SizeBytes: 0, LineBytes: 32, Assoc: 1, LatencyCycles: 1, Ports: 1, Replacement: config.ReplaceLRU}
-	if _, err := New(bad, nil); err == nil {
+	if _, err := New[L1Line](bad, nil); err == nil {
 		t.Fatal("zero size should fail")
 	}
 }
@@ -329,12 +332,12 @@ func TestPeekVictimMatchesInsertLRU(t *testing.T) {
 	}
 	c.Lookup(0) // 1 becomes LRU
 	v, has := c.PeekVictim(100)
-	if !has || v.Tag != 1 {
-		t.Fatalf("preview = %+v, %v", v, has)
+	if want, _ := c.Peek(1); !has || v != want {
+		t.Fatalf("preview = %p, %v; line 1's frame is %p", v, has, want)
 	}
-	_, evicted, _ := c.Insert(100)
-	if evicted.Tag != 1 {
-		t.Fatalf("insert evicted %d, preview said 1", evicted.Tag)
+	_, _, evicted := c.Insert(100)
+	if evicted != 1 {
+		t.Fatalf("insert evicted %d, preview said 1", evicted)
 	}
 }
 
@@ -345,8 +348,8 @@ func TestPeekVictimMatchesInsertFIFO(t *testing.T) {
 	}
 	c.Lookup(0)
 	v, has := c.PeekVictim(100)
-	if !has || v.Tag != 0 {
-		t.Fatalf("FIFO preview = %+v, %v", v, has)
+	if want, _ := c.Peek(0); !has || v != want {
+		t.Fatalf("FIFO preview = %p, %v; line 0's frame is %p", v, has, want)
 	}
 }
 
@@ -357,8 +360,8 @@ func TestPeekVictimDoesNotMutate(t *testing.T) {
 	c.PeekVictim(4)
 	c.PeekVictim(4)
 	// LRU order unchanged: 0 is still the victim.
-	_, evicted, _ := c.Insert(4)
-	if evicted.Tag != 0 {
-		t.Fatalf("preview mutated LRU: evicted %d", evicted.Tag)
+	_, _, evicted := c.Insert(4)
+	if evicted != 0 {
+		t.Fatalf("preview mutated LRU: evicted %d", evicted)
 	}
 }

@@ -11,7 +11,7 @@
 //
 //   - Predictor: a last-touch predictor. Every L1 line carries a
 //     signature — a hash of the PC of its most recent demand access
-//     (cache.Line.DeadSig). When a line is evicted without any further
+//     (cache.L1Line.DeadSig). When a line is evicted without any further
 //     access, the signature that touched it last is trained "dead after
 //     this PC"; when the line is accessed again, its previous signature
 //     is trained "still live". A line whose current signature predicts
@@ -71,7 +71,7 @@ func (p *Predictor) sig(pc uint64) uint64 {
 // OnAccess records a demand access to a resident line: the line's
 // previous signature (if any) evidently was not its last touch, so it
 // trains live; the new access becomes the pending last-touch candidate.
-func (p *Predictor) OnAccess(line *cache.Line, pc uint64) {
+func (p *Predictor) OnAccess(line *cache.L1Line, pc uint64) {
 	if line.DeadSig != 0 {
 		idx := (line.DeadSig - 1) & p.mask
 		p.counters[idx] = p.counters[idx].Dec()
@@ -83,12 +83,12 @@ func (p *Predictor) OnAccess(line *cache.Line, pc uint64) {
 
 // OnFill seeds a freshly installed line's signature from the filling
 // access's PC.
-func (p *Predictor) OnFill(line *cache.Line, pc uint64) {
+func (p *Predictor) OnFill(line *cache.L1Line, pc uint64) {
 	line.DeadSig = p.sig(pc) + 1
 }
 
 // OnEvict trains the evicted line's pending signature as a last touch.
-func (p *Predictor) OnEvict(line cache.Line) {
+func (p *Predictor) OnEvict(line cache.L1Line) {
 	if line.DeadSig == 0 {
 		return
 	}
@@ -100,7 +100,7 @@ func (p *Predictor) OnEvict(line cache.Line) {
 // PredictDead reports whether the line's current signature predicts that
 // its last access has already happened (counter >= 2, the same threshold
 // convention as the pollution filter).
-func (p *Predictor) PredictDead(line *cache.Line) bool {
+func (p *Predictor) PredictDead(line *cache.L1Line) bool {
 	p.Queries++
 	if line.DeadSig == 0 {
 		return false // never touched since fill: treat as live
@@ -115,7 +115,7 @@ func (p *Predictor) PredictDead(line *cache.Line) bool {
 
 // AllowPrefetch is the admission gate: a prefetch for lineAddr may
 // proceed iff installing it would not evict a live line from l1.
-func (p *Predictor) AllowPrefetch(l1 *cache.Cache, lineAddr uint64) bool {
+func (p *Predictor) AllowPrefetch(l1 *cache.L1, lineAddr uint64) bool {
 	victim, hasVictim := l1.PeekVictim(lineAddr)
 	if !hasVictim {
 		return true // free frame (or duplicate): nothing useful displaced

@@ -8,9 +8,9 @@ import (
 	"repro/internal/xrand"
 )
 
-func mkL1(t *testing.T) *cache.Cache {
+func mkL1(t *testing.T) *cache.L1 {
 	t.Helper()
-	c, err := cache.New(config.Default().L1, xrand.New(1))
+	c, err := cache.New[cache.L1Line](config.Default().L1, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestFreshLinePredictsLive(t *testing.T) {
 	p, _ := New(256)
-	var line cache.Line
+	var line cache.L1Line
 	if p.PredictDead(&line) {
 		t.Fatal("a line with no signature must be presumed live")
 	}
@@ -45,11 +45,11 @@ func TestLastTouchLearning(t *testing.T) {
 	const pc = 0x400010
 	// Pattern: a PC whose touch is always the last before eviction.
 	for i := 0; i < 3; i++ {
-		var line cache.Line
+		var line cache.L1Line
 		p.OnFill(&line, pc)
 		p.OnEvict(line)
 	}
-	var line cache.Line
+	var line cache.L1Line
 	p.OnFill(&line, pc)
 	if !p.PredictDead(&line) {
 		t.Fatal("a repeatedly-last PC should predict dead")
@@ -61,17 +61,17 @@ func TestReAccessRefutesDeath(t *testing.T) {
 	const pc = 0x400010
 	// Train the signature dead…
 	for i := 0; i < 3; i++ {
-		var line cache.Line
+		var line cache.L1Line
 		p.OnFill(&line, pc)
 		p.OnEvict(line)
 	}
 	// …then observe re-accesses after the same PC: trains live again.
 	for i := 0; i < 3; i++ {
-		var line cache.Line
+		var line cache.L1Line
 		p.OnFill(&line, pc)
 		p.OnAccess(&line, pc) // previous sig (same pc) refuted
 	}
-	var line cache.Line
+	var line cache.L1Line
 	p.OnFill(&line, pc)
 	if p.PredictDead(&line) {
 		t.Fatal("refuted signature should predict live again")
@@ -83,7 +83,7 @@ func TestReAccessRefutesDeath(t *testing.T) {
 
 func TestOnAccessRotatesSignature(t *testing.T) {
 	p, _ := New(256)
-	var line cache.Line
+	var line cache.L1Line
 	p.OnFill(&line, 0x400010)
 	sig1 := line.DeadSig
 	p.OnAccess(&line, 0x400020)
@@ -94,7 +94,7 @@ func TestOnAccessRotatesSignature(t *testing.T) {
 
 func TestEvictWithoutSignatureIsNoop(t *testing.T) {
 	p, _ := New(256)
-	p.OnEvict(cache.Line{})
+	p.OnEvict(cache.L1Line{})
 	if p.TrainDead != 0 {
 		t.Fatal("unsigned eviction must not train")
 	}
@@ -123,7 +123,7 @@ func TestAllowPrefetchDeadVictim(t *testing.T) {
 	p, _ := New(256)
 	const pc = 0x400010
 	for i := 0; i < 3; i++ {
-		var line cache.Line
+		var line cache.L1Line
 		p.OnFill(&line, pc)
 		p.OnEvict(line)
 	}
@@ -142,7 +142,7 @@ func TestResetStatsKeepsTable(t *testing.T) {
 	p, _ := New(256)
 	const pc = 0x400010
 	for i := 0; i < 3; i++ {
-		var line cache.Line
+		var line cache.L1Line
 		p.OnFill(&line, pc)
 		p.OnEvict(line)
 	}
@@ -150,7 +150,7 @@ func TestResetStatsKeepsTable(t *testing.T) {
 	if p.TrainDead != 0 || p.Queries != 0 {
 		t.Fatal("stats should reset")
 	}
-	var line cache.Line
+	var line cache.L1Line
 	p.OnFill(&line, pc)
 	if !p.PredictDead(&line) {
 		t.Fatal("prediction table must stay warm across reset")

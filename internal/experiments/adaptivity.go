@@ -37,18 +37,16 @@ func runAdaptivity(ctx context.Context, p *Params) (*Table, error) {
 	if warm < 500_000 {
 		warm = 500_000
 	}
+	phased := func(cfg config.Config) sim.Options {
+		opts := p.simOptions("phased", cfg)
+		opts.MaxInstructions, opts.Warmup = instr, warm
+		return opts
+	}
 	runOne := func(kind config.FilterKind) (stats.Run, error) {
 		if err := ctx.Err(); err != nil {
 			return stats.Run{}, err
 		}
-		cfg := config.Default().WithFilter(kind)
-		cfg.Seed = p.Seed
-		return sim.Run(sim.Options{
-			Benchmark:       "phased",
-			Config:          cfg,
-			MaxInstructions: instr,
-			Warmup:          warm,
-		})
+		return sim.Run(phased(config.Default().WithFilter(kind)))
 	}
 
 	none, err := runOne(config.FilterNone)
@@ -72,15 +70,9 @@ func runAdaptivity(ctx context.Context, p *Params) (*Table, error) {
 			return stats.Run{}, err
 		}
 		f.SetProbation(64) // one rejected prefetch in 64 issues anyway
-		cfg := config.Default()
-		cfg.Seed = p.Seed
-		return sim.Run(sim.Options{
-			Benchmark:       "phased",
-			Config:          cfg,
-			Filter:          f,
-			MaxInstructions: instr,
-			Warmup:          warm,
-		})
+		opts := phased(config.Default())
+		opts.Filter = f
+		return sim.Run(opts)
 	}()
 	if err != nil {
 		return nil, err
@@ -88,12 +80,7 @@ func runAdaptivity(ctx context.Context, p *Params) (*Table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	static, err := sim.RunStatic(sim.Options{
-		Benchmark:       "phased",
-		Config:          config.Default(),
-		MaxInstructions: instr,
-		Warmup:          warm,
-	}, core.PAKey, 0.5)
+	static, err := sim.RunStatic(phased(config.Default()), core.PAKey, 0.5)
 	if err != nil {
 		return nil, err
 	}

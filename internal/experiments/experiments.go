@@ -107,7 +107,6 @@ func (p *Params) Simulate(ctx context.Context, bench string, cfg config.Config) 
 	if err := ctx.Err(); err != nil {
 		return stats.Run{}, err
 	}
-	cfg.Seed = p.Seed
 	p.Metrics.Counter("experiments.cache.misses").Inc()
 	start := time.Now()
 	r, err := sim.Run(p.simOptions(bench, cfg))
@@ -119,10 +118,11 @@ func (p *Params) Simulate(ctx context.Context, bench string, cfg config.Config) 
 }
 
 // simOptions is where Params meet sim.Options: the benchmark, the
-// config and the budget. Params.Warmup counts warmup instructions, so 0
-// means none, while sim.Options reads 0 as DefaultWarmup and a negative
-// count as none.
+// config under p's seed, and the budget. Params.Warmup counts warmup
+// instructions, so 0 means none, while sim.Options reads 0 as
+// DefaultWarmup and a negative count as none.
 func (p *Params) simOptions(bench string, cfg config.Config) sim.Options {
+	cfg.Seed = p.Seed
 	warmup := p.Warmup
 	if warmup == 0 {
 		warmup = -1

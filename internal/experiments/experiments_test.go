@@ -484,3 +484,27 @@ func TestSweepAxis(t *testing.T) {
 		})
 	}
 }
+
+// TestStaticRowsFollowSeed: the runs that bypass the run cache — the
+// static-profile rows of baselines and extras (staticRuns), ablation's
+// tagged and hash-index rows, adaptivity's runs — are built by
+// simOptions, which must run them under Params.Seed as Simulate does.
+// Otherwise they stay at the default seed while every other row of the
+// same table moves with -seed.
+func TestStaticRowsFollowSeed(t *testing.T) {
+	static := func(seed uint64) stats.Run {
+		t.Helper()
+		p := &Params{Instructions: 20_000, Warmup: 5_000, Seed: seed, Benchmarks: []string{"mcf"}}
+		if got := p.simOptions("mcf", config.Default()).Config.Seed; got != seed {
+			t.Fatalf("simOptions runs seed %d, want Params.Seed %d", got, seed)
+		}
+		runs, err := p.staticRuns(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runs[0]
+	}
+	if a, b := static(1), static(2); reflect.DeepEqual(a, b) {
+		t.Errorf("the static-profile run of mcf reads the same at seeds 1 and 2 (IPC %.4f): it ignores Params.Seed", a.IPC())
+	}
+}

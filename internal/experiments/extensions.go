@@ -27,7 +27,6 @@ func runTaxonomyInstrumented(ctx context.Context, p *Params, bench string, cfg c
 	if err := ctx.Err(); err != nil {
 		return stats.Run{}, err
 	}
-	cfg.Seed = p.Seed
 	opts := p.simOptions(bench, cfg)
 	opts.Taxonomy = true
 	return sim.Run(opts)

@@ -139,5 +139,5 @@ var (
 	fig15 = bufferFigure("Figure 15 — bad/good ratio: filters with/without a 16-entry prefetch buffer",
 		"paper: adding a dedicated prefetch buffer degrades the filters' effectiveness in most programs", badGoodRatio)
 	fig16 = bufferFigure("Figure 16 — IPC: filters with/without a 16-entry prefetch buffer",
-		"paper: the buffer costs ~9%% IPC under PA and ~10%% under PC; gcc is nearly unaffected", stats.Run.IPC)
+		"paper: the buffer costs ~9% IPC under PA and ~10% under PC; gcc is nearly unaffected", stats.Run.IPC)
 )

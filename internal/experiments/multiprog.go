@@ -58,9 +58,7 @@ func runMultiprog(ctx context.Context, p *Params) (*Table, error) {
 		if err != nil {
 			return stats.Run{}, err
 		}
-		cfg := config.Default().WithFilter(kind)
-		cfg.Seed = p.Seed
-		opts := p.simOptions(pair, cfg)
+		opts := p.simOptions(pair, config.Default().WithFilter(kind))
 		opts.Source, opts.Filter, opts.MaxInstructions = src, filter, instr
 		return sim.Run(opts)
 	}

@@ -121,7 +121,7 @@ type side struct {
 	h     *Hierarchy
 	iside bool // tags this side's fills on the shared heap
 
-	L1    *cache.Cache
+	L1    *cache.L1
 	Queue *prefetch.Queue
 	lat   uint64 // L1 hit latency in cycles
 
@@ -160,7 +160,7 @@ type Hierarchy struct {
 	side
 	i side
 
-	L2  *cache.Cache
+	L2  *cache.L2
 	Bus *bus.Bus
 	Mem *memdram.Memory
 
@@ -299,11 +299,11 @@ func New(cfg config.Config, filter core.Filter, rng *xrand.Rand) (*Hierarchy, er
 	if rng == nil {
 		rng = xrand.New(cfg.Seed)
 	}
-	l1, err := cache.New(cfg.L1, rng.Fork())
+	l1, err := cache.New[cache.L1Line](cfg.L1, rng.Fork())
 	if err != nil {
 		return nil, fmt.Errorf("hier: l1: %w", err)
 	}
-	l2, err := cache.New(cfg.L2, rng.Fork())
+	l2, err := cache.New[cache.L2Line](cfg.L2, rng.Fork())
 	if err != nil {
 		return nil, fmt.Errorf("hier: l2: %w", err)
 	}
@@ -362,7 +362,7 @@ func New(cfg config.Config, filter core.Filter, rng *xrand.Rand) (*Hierarchy, er
 	h.HW = prefetch.NewComposite(parts...)
 	h.emitFn = func(c prefetch.Candidate) { h.side.submit(h.now, c) }
 	if cfg.Frontend != nil {
-		l1i, err := cache.New(cfg.Frontend.L1I, rng.Fork())
+		l1i, err := cache.New[cache.L1Line](cfg.Frontend.L1I, rng.Fork())
 		if err != nil {
 			return nil, fmt.Errorf("hier: l1i: %w", err)
 		}
@@ -387,8 +387,8 @@ func New(cfg config.Config, filter core.Filter, rng *xrand.Rand) (*Hierarchy, er
 	return h, nil
 }
 
-// Release hands the caches' line and tag arrays back for the next
-// machine's. The hierarchy must not be used afterwards.
+// Release hands the caches' arrays back for the next machine's. The
+// hierarchy must not be used afterwards.
 func (h *Hierarchy) Release() {
 	h.L1.Release()
 	h.L2.Release()
@@ -447,41 +447,41 @@ func (s *side) retire(lineAddr, triggerPC uint64, referenced bool, src core.Sour
 	})
 }
 
-// evicted handles a line leaving the L1: if it was a prefetch, classify
-// it and train the filter.
-func (s *side) evicted(line cache.Line) {
+// evicted handles line lineAddr leaving the L1: if it was a prefetch,
+// classify it and train the filter.
+func (s *side) evicted(lineAddr uint64, line *cache.L1Line) {
 	if s.Dead != nil {
-		s.Dead.OnEvict(line)
+		s.Dead.OnEvict(*line)
 	}
 	if !line.PIB {
 		return
 	}
-	s.retire(line.Tag, line.TriggerPC, line.RIB, line.PFSource)
+	s.retire(lineAddr, line.TriggerPC, line.RIB, line.PFSource)
 	if s.Tax != nil {
-		s.Tax.OnEvict(line.Tag)
+		s.Tax.OnEvict(lineAddr)
 	}
 }
 
 // fill installs a line into the L1 and processes the eviction feedback.
 // The returned pointer addresses the installed line for metadata setup.
-func (s *side) fill(lineAddr uint64, prefetchReq bool) *cache.Line {
-	installed, evicted, hadEvict := s.L1.Insert(lineAddr)
-	if hadEvict {
-		s.evicted(evicted)
+func (s *side) fill(lineAddr uint64, prefetchReq bool) *cache.L1Line {
+	installed, evicted, evictedAddr := s.L1.Insert(lineAddr)
+	if evicted != nil {
+		s.evicted(evictedAddr, evicted)
 		if s.Victim != nil {
 			// The victim cache captures the eviction; its own victim (if
 			// dirty) is what finally writes back.
-			if ve, vEvict := s.Victim.Insert(evicted.Tag, evicted.Dirty); vEvict && ve.Dirty {
+			if ve, vEvict := s.Victim.Insert(evictedAddr, evicted.Dirty); vEvict && ve.Dirty {
 				s.h.writebackL2(ve.LineAddr)
 			}
 		} else if evicted.Dirty {
-			s.h.writebackL2(evicted.Tag)
+			s.h.writebackL2(evictedAddr)
 		}
 	}
 	if prefetchReq {
 		s.L1.Stats.PrefetchFills++
 		if s.Tax != nil {
-			s.Tax.OnPrefetchFill(lineAddr, evicted.Tag, hadEvict)
+			s.Tax.OnPrefetchFill(lineAddr, evictedAddr, evicted != nil)
 		}
 	} else {
 		s.L1.Stats.DemandFills++
@@ -491,7 +491,7 @@ func (s *side) fill(lineAddr uint64, prefetchReq bool) *cache.Line {
 
 // install fills a prefetch into the L1 as a not-yet-referenced prefetched
 // line carrying its provenance.
-func (s *side) install(f inflight) *cache.Line {
+func (s *side) install(f inflight) *cache.L1Line {
 	line := s.fill(f.lineAddr, true)
 	line.PIB = true
 	line.TriggerPC = f.triggerPC
@@ -500,10 +500,10 @@ func (s *side) install(f inflight) *cache.Line {
 	return line
 }
 
-// reference records a demand hit on line at cycle now. The first
-// reference to a prefetched line sets its RIB; reference reports whether
-// this hit was that first reference.
-func (s *side) reference(line *cache.Line, now, pc uint64) bool {
+// reference records a demand hit on line lineAddr at cycle now. The
+// first reference to a prefetched line sets its RIB; reference reports
+// whether this hit was that first reference.
+func (s *side) reference(line *cache.L1Line, lineAddr, now, pc uint64) bool {
 	if !line.PIB || line.RIB {
 		return false
 	}
@@ -511,7 +511,7 @@ func (s *side) reference(line *cache.Line, now, pc uint64) bool {
 	s.m.refs.Inc()
 	if s.h.Trace != nil {
 		s.h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchRef,
-			LineAddr: line.Tag, PC: pc})
+			LineAddr: lineAddr, PC: pc})
 	}
 	return true
 }
@@ -711,7 +711,7 @@ func (s *side) finish() {
 			s.pf.ResidentBad++
 		}
 	}
-	s.L1.ForEach(func(line *cache.Line) {
+	s.L1.ForEach(func(_ uint64, line *cache.L1Line) {
 		if line.PIB {
 			resident(line.RIB)
 		}
@@ -761,13 +761,13 @@ func (h *Hierarchy) l2Access(at uint64, lineAddr uint64, prefetchReq bool) (read
 	arrive := h.Bus.Request(memReady, h.cfg.L2.LineBytes, prefetchReq)
 
 	// Fill the L2. An L2 eviction may write back a dirty line over the bus.
-	_, evicted, hadEvict := h.L2.Insert(lineAddr)
+	_, evicted, _ := h.L2.Insert(lineAddr)
 	if prefetchReq {
 		h.L2.Stats.PrefetchFills++
 	} else {
 		h.L2.Stats.DemandFills++
 	}
-	if hadEvict && evicted.Dirty {
+	if evicted != nil && evicted.Dirty {
 		h.Bus.Request(arrive, h.cfg.L2.LineBytes, false)
 	}
 	return arrive, false
@@ -778,9 +778,9 @@ func (h *Hierarchy) l2Access(at uint64, lineAddr uint64, prefetchReq bool) (read
 // evict its own dirty victim to memory.
 func (h *Hierarchy) writebackL2(lineAddr uint64) {
 	h.l2busyUntil += l2Occupancy
-	wb, _, wbEvict := h.L2.Insert(lineAddr)
+	wb, evicted, _ := h.L2.Insert(lineAddr)
 	wb.Dirty = true
-	if wbEvict {
+	if evicted != nil {
 		h.Bus.Request(h.l2busyUntil, h.cfg.L2.LineBytes, false)
 	}
 }
@@ -807,7 +807,7 @@ func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (don
 		// The NSP tag is "consumed" by the first demand reference: a hit
 		// on a not-yet-referenced prefetched line triggers the next-line
 		// prefetch; later hits do not re-trigger.
-		tagged := d.reference(line, now, pc)
+		tagged := d.reference(line, lineAddr, now, pc)
 		if isStore {
 			line.Dirty = true
 		}
@@ -896,7 +896,7 @@ func (h *Hierarchy) FetchAccess(now uint64, pc uint64) (done uint64) {
 
 	if line, hit := s.L1.Lookup(block); hit {
 		s.L1.Stats.DemandHits++
-		s.reference(line, now, pc)
+		s.reference(line, block, now, pc)
 		h.observeI(now, ev)
 		return now
 	}

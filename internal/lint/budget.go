@@ -60,7 +60,7 @@ func BudgetReport() []BudgetLine {
 	// SDP keeps its per-line state in the L2 proper; the generator is
 	// constructed over a default-geometry cache whose storage is not
 	// charged to the backend (the shadow fields ride the existing tags).
-	l2, l2err := cache.New(cfg.L2, xrand.New(cfg.Seed))
+	l2, l2err := cache.New[cache.L2Line](cfg.L2, xrand.New(cfg.Seed))
 	env := prefetch.Env{L2: l2}
 	for _, kind := range prefetch.Registry.Kinds() {
 		line := BudgetLine{Kind: "generator", Name: kind}

@@ -8,6 +8,9 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -277,5 +280,29 @@ func TestHotpathAnnotationsPinned(t *testing.T) {
 		if !annotated[fn] {
 			t.Errorf("hot-path function %s lost its //pflint:hotpath annotation", fn)
 		}
+	}
+}
+
+// TestFuncNameDropsTypeParams: a method of a generic type is named by
+// its type, as the hot-path pins above name cache.(*Cache).find.
+func TestFuncNameDropsTypeParams(t *testing.T) {
+	src := `package p
+func f() {}
+func (T) a() {}
+func (*T) b() {}
+func (c *C[F]) d() {}
+func (p P[K, V]) e() {}
+`
+	file, err := parser.ParseFile(token.NewFileSet(), "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range file.Decls {
+		got = append(got, funcName(d.(*ast.FuncDecl)))
+	}
+	want := []string{"f", "(T).a", "(*T).b", "(*C).d", "(P).e"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("funcName = %q, want %q", got, want)
 	}
 }

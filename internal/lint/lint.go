@@ -299,11 +299,24 @@ func HotpathFunctions(p *Package) []string {
 }
 
 // funcName renders a method as (*T).name / T.name and a function as name.
+// A generic receiver's type parameters are dropped: (*T[F]).name reads
+// (*T).name.
 func funcName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name
 	}
-	return "(" + types.ExprString(fd.Recv.List[0].Type) + ")." + fd.Name.Name
+	recv := fd.Recv.List[0].Type
+	star := ""
+	if s, ok := recv.(*ast.StarExpr); ok {
+		recv, star = s.X, "*"
+	}
+	switch x := recv.(type) {
+	case *ast.IndexExpr:
+		recv = x.X
+	case *ast.IndexListExpr:
+		recv = x.X
+	}
+	return "(" + star + types.ExprString(recv) + ")." + fd.Name.Name
 }
 
 // Run applies the analyzers to every package, resolves pragmas, and

@@ -137,7 +137,6 @@ func (b *Bimodal) Entries() int { return b.table.Len() }
 type btbEntry struct {
 	tag    uint64
 	target uint64
-	lru    uint64 // larger = more recently used
 }
 
 // A way stores its tag complemented, so a zeroed array is an empty BTB.
@@ -148,12 +147,15 @@ func storedTag(tag uint64) uint64 { return ^tag }
 var wayPool slab.Pool[btbEntry]
 
 // BTB is a set-associative branch target buffer with true-LRU replacement.
+// Each set keeps its ways in recency order, most recent first, with the
+// empty ways last: a hit moves its way to the front, and an insert into a
+// full set replaces the last way, the least recently used. The order is
+// the replacement state, so a way needs no stamp.
 type BTB struct {
 	ways     []btbEntry // set-major: ways of set s at [s*assoc, (s+1)*assoc)
 	assoc    int
 	setMask  uint64
 	tagShift uint // set-index bits above the instruction offset
-	tick     uint64
 }
 
 // NewBTB allocates a BTB with the given power-of-two set count and
@@ -183,6 +185,15 @@ func (b *BTB) set(pc uint64) (ways []btbEntry, tag uint64) {
 	return b.ways[base : base+b.assoc], storedTag(idx >> b.tagShift)
 }
 
+// toFront moves way i of a set to the front, shifting the ways before
+// it back by one, and stores e there.
+func toFront(ways []btbEntry, i int, e btbEntry) {
+	for ; i > 0; i-- {
+		ways[i] = ways[i-1]
+	}
+	ways[0] = e
+}
+
 // Lookup returns the cached target for pc, if present.
 //
 //pflint:hotpath
@@ -190,9 +201,9 @@ func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 	ways, tag := b.set(pc)
 	for i := range ways {
 		if ways[i].tag == tag {
-			b.tick++
-			ways[i].lru = b.tick
-			return ways[i].target, true
+			e := ways[i]
+			toFront(ways, i, e)
+			return e.target, true
 		}
 	}
 	return 0, false
@@ -204,23 +215,12 @@ func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 //pflint:hotpath
 func (b *BTB) Insert(pc, target uint64) {
 	ways, tag := b.set(pc)
-	b.tick++
-	victim := 0
-	for i := range ways {
-		if ways[i].tag == tag {
-			ways[i].target = target
-			ways[i].lru = b.tick
-			return
-		}
-		if ways[i].tag == 0 {
-			victim = i
-			break
-		}
-		if ways[i].lru < ways[victim].lru {
-			victim = i
-		}
+	// Stop at pc's own way, else the first empty way, else the last way.
+	i := 0
+	for i < len(ways)-1 && ways[i].tag != tag && ways[i].tag != 0 {
+		i++
 	}
-	ways[victim] = btbEntry{tag: tag, target: target, lru: b.tick}
+	toFront(ways, i, btbEntry{tag: tag, target: target})
 }
 
 // Unit couples a bimodal predictor with a BTB and tracks accuracy, giving

@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -230,11 +231,69 @@ func TestUnitValidation(t *testing.T) {
 	}
 }
 
-// TestBTBEntryLayout pins a BTB way at three words: the tag doubles as
-// the valid bit (a zero tag), so a 4-way set fits in 96 bytes. A larger
+// TestBTBEntryLayout pins a BTB way at two words: the tag doubles as
+// the valid bit (a zero tag) and a way's position in its set is its
+// recency, so a 4-way set fits in one 64-byte host cache line. A larger
 // entry costs host cache lines on every branch the core resolves.
 func TestBTBEntryLayout(t *testing.T) {
-	if size := unsafe.Sizeof(btbEntry{}); size > 24 {
-		t.Errorf("btbEntry is %d bytes, over its 24-byte budget: a larger struct costs host cache lines on every Lookup and Insert (mark empty ways with a zero tag, not a flag)", size)
+	if size := unsafe.Sizeof(btbEntry{}); size > 16 {
+		t.Errorf("btbEntry is %d bytes, over its 16-byte budget: a larger struct costs host cache lines on every Lookup and Insert (mark empty ways with a zero tag, not a flag, and keep recency in the way order, not a stamp)", size)
+	}
+}
+
+// TestBTBMatchesStampedLRU drives the BTB and a reference model that
+// keeps a recency stamp per way through the same random branch stream:
+// the per-set recency order must pick the same victims, so every Lookup
+// answers the same.
+func TestBTBMatchesStampedLRU(t *testing.T) {
+	type way struct{ pc, target, stamp uint64 }
+	const sets, assoc = 4, 4
+	b, err := NewBTB(sets, assoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make([][]way, sets)
+	var tick uint64
+	find := func(pc uint64) *way {
+		for i := range ref[pc>>2%sets] {
+			if w := &ref[pc>>2%sets][i]; w.pc == pc {
+				return w
+			}
+		}
+		return nil
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for step := 0; step < 20_000; step++ {
+		pc := uint64(rng.IntN(sets*assoc*3)) << 2
+		tick++
+		if rng.IntN(2) == 0 {
+			w := find(pc)
+			got, ok := b.Lookup(pc)
+			if ok != (w != nil) || (ok && got != w.target) {
+				t.Fatalf("step %d: Lookup(%#x) = %#x, %v; reference holds %+v", step, pc, got, ok, w)
+			}
+			if w != nil {
+				w.stamp = tick
+			}
+			continue
+		}
+		target := uint64(step)
+		b.Insert(pc, target)
+		if w := find(pc); w != nil {
+			w.target, w.stamp = target, tick
+			continue
+		}
+		set := &ref[pc>>2%sets]
+		if len(*set) < assoc {
+			*set = append(*set, way{pc, target, tick})
+			continue
+		}
+		v := 0
+		for i, w := range *set {
+			if w.stamp < (*set)[v].stamp {
+				v = i
+			}
+		}
+		(*set)[v] = way{pc, target, tick}
 	}
 }

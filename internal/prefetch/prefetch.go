@@ -91,7 +91,7 @@ func (n *NSP) Observe(ev Event, emit func(Candidate)) {
 // shadow-valid, confirmation bit) lives in the L2 cache's line metadata,
 // exactly where the paper puts it.
 type SDP struct {
-	l2 *cache.Cache
+	l2 *cache.L2
 	// lastLine is the most recently accessed L2 line; the next L2 miss
 	// becomes its shadow.
 	lastLine  uint64
@@ -153,7 +153,7 @@ func (t *sdpPendingTable) take(shadow uint64) (owner uint64, ok bool) {
 }
 
 // NewSDP builds an SDP over the given L2 cache.
-func NewSDP(l2 *cache.Cache) (*SDP, error) {
+func NewSDP(l2 *cache.L2) (*SDP, error) {
 	if l2 == nil {
 		return nil, fmt.Errorf("prefetch: SDP requires an L2 cache")
 	}

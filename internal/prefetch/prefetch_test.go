@@ -63,9 +63,9 @@ func TestNSPDegree(t *testing.T) {
 	}
 }
 
-func newL2(t *testing.T) *cache.Cache {
+func newL2(t *testing.T) *cache.L2 {
 	t.Helper()
-	c, err := cache.New(config.CacheConfig{
+	c, err := cache.New[cache.L2Line](config.CacheConfig{
 		SizeBytes: 4096, LineBytes: 32, Assoc: 4,
 		LatencyCycles: 15, Ports: 1, Replacement: config.ReplaceLRU,
 	}, xrand.New(1))

@@ -17,7 +17,7 @@ import (
 type Env struct {
 	// L2 is the second-level cache; the shadow-directory generator keeps
 	// its per-line state there, exactly where the paper puts it.
-	L2 *cache.Cache
+	L2 *cache.L2
 }
 
 // Constructor builds one generator from a prefetch configuration.

@@ -51,8 +51,40 @@ func TestGetKeysByLength(t *testing.T) {
 	p.Put(nil) // an empty slice is not kept
 }
 
-// TestConcurrentUse: sweep workers share the pools, so Get and Put run
-// from several goroutines at once; every Get still reads zero.
+// TestGetStaleKeepsContents: GetStale hands a recycled slice back as
+// its last user left it, and a new one zeroed like make.
+func TestGetStaleKeepsContents(t *testing.T) {
+	var p Pool[uint64]
+	const n = 1 << 12
+	if s := p.GetStale(n); len(s) != n || s[0] != 0 || s[n-1] != 0 {
+		t.Fatalf("a new GetStale(%d) slice: length %d, ends %#x %#x; want zeroed", n, len(s), s[0], s[n-1])
+	}
+	recycled := false
+	for try := 0; try < 100 && !recycled; try++ {
+		s := p.GetStale(n)
+		for i := range s {
+			s[i] = ^uint64(i)
+		}
+		p.Put(s)
+		got := p.GetStale(n)
+		if recycled = &got[0] == &s[0]; recycled {
+			for i, v := range got {
+				if v != ^uint64(i) {
+					t.Fatalf("word %d of a recycled stale slice reads %#x, want %#x", i, v, ^uint64(i))
+				}
+			}
+		}
+		p.Put(got)
+	}
+	if !recycled {
+		t.Fatal("GetStale never returned the slice Put back")
+	}
+}
+
+// TestConcurrentUse: sweep workers share the pools, so Get, GetStale
+// and Put run from several goroutines at once; every Get still reads
+// zero, and a stale slice one worker wrote is safe for the next to
+// overwrite (make race runs this under the race detector).
 func TestConcurrentUse(t *testing.T) {
 	var p Pool[uint32]
 	var wg sync.WaitGroup
@@ -62,6 +94,14 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				n := 256 << (i % 3)
+				if i%2 == 1 {
+					s := p.GetStale(n)
+					for j := range s {
+						s[j] = uint32(w + 1)
+					}
+					p.Put(s)
+					continue
+				}
 				s := p.Get(n)
 				for j, v := range s {
 					if v != 0 {

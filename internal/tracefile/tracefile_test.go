@@ -118,6 +118,42 @@ func TestFingerprintStableAcrossChunkSizes(t *testing.T) {
 	}
 }
 
+// TestFingerprintMidStream: Fingerprint between writes covers every
+// record written so far, whether or not its canonical bytes were already
+// hashed, and later writes carry on from it: at every probe it equals the
+// fingerprint of a trace holding just those records.
+func TestFingerprintMidStream(t *testing.T) {
+	recs := genRecords(12_000) // several canonical hashing blocks
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if i%2999 == 0 {
+			var prefix bytes.Buffer
+			pw, err := NewWriter(&prefix, WriterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pr := range recs[:i] {
+				if err := pw.Write(pr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := pw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := w.Fingerprint(), pw.Fingerprint(); got != want {
+				t.Fatalf("after %d records: fingerprint %x, want %x", i, got, want)
+			}
+		}
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRecordsSpanChunkBoundaries(t *testing.T) {
 	// A 1-byte chunk target forces a cut after every record: the stream
 	// decodes across many chunk boundaries, and every chunk decodes

@@ -51,9 +51,9 @@ type Writer struct {
 	chunkRecs uint32
 	lastPC    uint64 // per-chunk PC-delta state
 
-	canonPC uint64    // canonical (never-reset) PC-delta state
-	canon   hash.Hash // sha256 over the canonical encoding
-	scratch []byte    // canonical-encoding scratch buffer
+	canonPC  uint64    // canonical (never-reset) PC-delta state
+	canon    hash.Hash // sha256 over the canonical encoding
+	canonBuf []byte    // canonical bytes not yet hashed
 
 	count  uint64
 	chunks []ChunkInfo
@@ -92,12 +92,25 @@ func (w *Writer) Write(r isa.Record) error {
 	w.chunk = appendRecord(w.chunk, r, &w.lastPC)
 	w.chunkRecs++
 	w.count++
-	w.scratch = appendRecord(w.scratch[:0], r, &w.canonPC)
-	w.canon.Write(w.scratch)
+	w.canonBuf = appendRecord(w.canonBuf, r, &w.canonPC)
+	if len(w.canonBuf) >= canonBlock {
+		w.hashCanon()
+	}
 	if len(w.chunk) >= w.target {
 		return w.flushChunk()
 	}
 	return nil
+}
+
+// canonBlock is how many canonical bytes Write gathers before hashing
+// them: one sha256 Write per record (about 5 bytes) costs far more per
+// byte than one per few kilobytes.
+const canonBlock = 8 << 10
+
+// hashCanon feeds the gathered canonical bytes to the fingerprint.
+func (w *Writer) hashCanon() {
+	w.canon.Write(w.canonBuf)
+	w.canonBuf = w.canonBuf[:0]
 }
 
 // flushChunk writes the buffered payload as one chunk.
@@ -146,6 +159,7 @@ func (w *Writer) Close() error {
 	var tail [chunkHeaderLen + trailerLen]byte // sentinel is all zeros
 	binary.LittleEndian.PutUint64(tail[chunkHeaderLen:], w.count)
 	binary.LittleEndian.PutUint32(tail[chunkHeaderLen+8:], uint32(len(w.chunks)))
+	w.hashCanon()
 	copy(tail[chunkHeaderLen+16:], w.canon.Sum(nil))
 	if _, err := w.w.Write(tail[:]); err != nil {
 		w.err = err
@@ -169,6 +183,7 @@ func (w *Writer) Chunks() []ChunkInfo { return w.chunks }
 // Fingerprint returns the chunk-size-independent stream fingerprint of
 // everything written so far (equal to the trailer's after Close).
 func (w *Writer) Fingerprint() [32]byte {
+	w.hashCanon()
 	var sum [32]byte
 	copy(sum[:], w.canon.Sum(nil))
 	return sum
